@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AWGN_COMPLEX, AWGN_REAL, MODELS, RAYLEIGH_COMPLEX, RAYLEIGH_REAL
+from .channel import (AWGN_COMPLEX, AWGN_REAL, RAYLEIGH_COMPLEX, RAYLEIGH_REAL,
+                      is_complex, is_fading)
 from .lattice import COMPLEX, LatticeInvariants
 from .specfun import EULER_GAMMA, chernoff_solve, chi_square_tail
 
@@ -38,16 +39,6 @@ class RateBound:
     channel: str | None = None
 
 
-def _is_complex_model(model: str) -> bool:
-    if model not in MODELS:
-        raise ValueError(f"unknown channel model {model!r}")
-    return model in (AWGN_COMPLEX, RAYLEIGH_COMPLEX)
-
-
-def _is_fading_model(model: str) -> bool:
-    return model in (RAYLEIGH_REAL, RAYLEIGH_COMPLEX)
-
-
 def sphere_bound(min_distance: float, n: int, model: str) -> float:
     """P{||w||^2 >= (d/2)^2} under the model's noise convention.
 
@@ -55,7 +46,7 @@ def sphere_bound(min_distance: float, n: int, model: str) -> float:
     """
     if min_distance <= 0:
         raise ValueError("min_distance must be positive")
-    if _is_complex_model(model):
+    if is_complex(model):
         return chi_square_tail(2 * n, min_distance ** 2 / 2.0)
     return chi_square_tail(n, min_distance ** 2 / 4.0)
 
@@ -63,7 +54,7 @@ def sphere_bound(min_distance: float, n: int, model: str) -> float:
 def gap_constant(constant: float, model: str) -> float:
     """The gap term log2(2c/(pi e)) (complex) or half of it (real)."""
     g = math.log2(2.0 * constant / (math.pi * math.e))
-    return g if _is_complex_model(model) else 0.5 * g
+    return g if is_complex(model) else 0.5 * g
 
 
 def achievable_rate(model: str, power: float, constant: float) -> RateBound:
@@ -72,15 +63,15 @@ def achievable_rate(model: str, power: float, constant: float) -> RateBound:
     if power <= 0 or constant <= 0:
         raise ValueError("power and constant must be positive")
     gap = gap_constant(constant, model)
-    penalty = EULER_GAMMA * LOG2E if _is_fading_model(model) else 0.0
-    if _is_complex_model(model):
+    penalty = EULER_GAMMA * LOG2E if is_fading(model) else 0.0
+    if is_complex(model):
         rate = math.log2(power) - penalty - gap
     else:
         rate = 0.5 * (math.log2(power) - penalty) - gap
     return RateBound(
         label=f"achievable_{model}", rate=rate, channel=model,
         parameters={"P": power, "constant": constant, "gap_bits": gap,
-                    "gamma": EULER_GAMMA if _is_fading_model(model) else 0.0})
+                    "gamma": EULER_GAMMA if is_fading(model) else 0.0})
 
 
 def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
@@ -91,31 +82,29 @@ def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
     embedded rings of integers.
     """
     n = inv.n
-    if _is_fading_model(model):
+    if is_fading(model):
         if inv.ndp is None:
             raise ValueError("normalized product distance unknown")
         ratio = 2.0 / (math.pi * math.e * inv.ndp ** (2.0 / n))
-        gap = math.log2(2.0 * ratio) if inv.ambient == COMPLEX \
-            else 0.5 * math.log2(ratio)
         params = {"ndp": inv.ndp, "n": n}
     else:
         ratio = 2.0 * n / (inv.nsv ** 2 * math.pi * math.e)
-        gap = math.log2(2.0 * ratio) if inv.ambient == COMPLEX \
-            else 0.5 * math.log2(ratio)
         params = {"nsv": inv.nsv, "n": n}
+    gap = math.log2(2.0 * ratio) if inv.ambient == COMPLEX \
+        else 0.5 * math.log2(ratio)
     return RateBound(label=f"lattice_gap_{model}", rate=gap, channel=model,
                      parameters=params)
 
 
 def awgn_capacity(power: float, model: str) -> float:
     c = math.log2(1.0 + power)
-    return c if _is_complex_model(model) else 0.5 * c
+    return c if is_complex(model) else 0.5 * c
 
 
 def rayleigh_capacity_lower(power: float, model: str) -> float:
     """Reference lower bound log2(1 + P e^{-gamma}); tight at high SNR."""
     c = math.log2(1.0 + power * math.exp(-EULER_GAMMA))
-    return c if _is_complex_model(model) else 0.5 * c
+    return c if is_complex(model) else 0.5 * c
 
 
 def bound_table() -> list[RateBound]:
@@ -157,7 +146,7 @@ def bound_table() -> list[RateBound]:
 
 def _fading_bound_terms(n: int, alpha: float, delta: float, epsilon: float,
                         model: str):
-    dof = 2 * n if _is_complex_model(model) else n
+    dof = 2 * n if is_complex(model) else n
     term1 = 2.0 * math.exp(-dof * epsilon ** 2 / 16.0)
     if alpha ** 2 / 4.0 * math.exp(-(delta + EULER_GAMMA)) < 1.0 + epsilon:
         return None
@@ -175,7 +164,7 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
     with ``epsilon=None`` as well, the bound is minimized over a 100-point
     log-grid of epsilon values.
     """
-    if not _is_fading_model(model):
+    if not is_fading(model):
         raise ValueError(f"fading_error_bound needs a fading model, got {model}")
 
     def bound_for(eps: float, dlt: float | None) -> float:

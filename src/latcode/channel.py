@@ -25,6 +25,20 @@ _STREAM_NOISE = 1
 STREAM_MESSAGE = 2  # reserved for codeword selection in simulation drivers
 
 
+def is_complex(model: str) -> bool:
+    """True for the complex-baseband models; ValueError on an unknown model."""
+    if model not in MODELS:
+        raise ValueError(f"unknown channel model {model!r}")
+    return model in (AWGN_COMPLEX, RAYLEIGH_COMPLEX)
+
+
+def is_fading(model: str) -> bool:
+    """True for the Rayleigh models; ValueError on an unknown model."""
+    if model not in MODELS:
+        raise ValueError(f"unknown channel model {model!r}")
+    return model in (RAYLEIGH_REAL, RAYLEIGH_COMPLEX)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     fading: np.ndarray
@@ -34,7 +48,7 @@ class ChannelRealization:
 
     @property
     def is_fading(self) -> bool:
-        return self.model in (RAYLEIGH_REAL, RAYLEIGH_COMPLEX)
+        return is_fading(self.model)
 
 
 def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
@@ -54,22 +68,16 @@ def _complex_std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_realization(model: str, n: int, master_seed: int,
                        trial_index: int, noise_scale: float = 1.0) -> ChannelRealization:
     """Draw the fading and noise vectors for one block of length n."""
-    if model not in MODELS:
-        raise ValueError(f"unknown channel model {model!r}")
-    frng = _rng(master_seed, trial_index, _STREAM_FADING)
+    cplx = is_complex(model)
     nrng = _rng(master_seed, trial_index, _STREAM_NOISE)
-    if model == AWGN_REAL:
-        fading = np.ones(n)
-        noise = nrng.standard_normal(n)
-    elif model == AWGN_COMPLEX:
-        fading = np.ones(n, dtype=complex)
-        noise = _complex_std_normal(nrng, n)
-    elif model == RAYLEIGH_COMPLEX:
+    noise = _complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)
+    if is_fading(model):
+        frng = _rng(master_seed, trial_index, _STREAM_FADING)
         fading = _complex_std_normal(frng, n)
-        noise = _complex_std_normal(nrng, n)
-    else:  # RAYLEIGH_REAL
-        fading = np.abs(_complex_std_normal(frng, n))
-        noise = nrng.standard_normal(n)
+        if not cplx:  # real models see the Rayleigh modulus
+            fading = np.abs(fading)
+    else:
+        fading = np.ones(n, dtype=complex if cplx else float)
     return ChannelRealization(fading=fading, noise=noise * noise_scale,
                               model=model, seed_path=(master_seed, trial_index))
 
@@ -82,7 +90,7 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
     variance conventions are fixed by the model.
     """
     s = np.asarray(s)
-    real = model in (AWGN_REAL, RAYLEIGH_REAL)
+    real = not is_complex(model)
     if real and np.iscomplexobj(s) and np.max(np.abs(s.imag)) > 0:
         raise ValueError(f"real model {model} needs a real codeword")
     if not real:

@@ -124,8 +124,7 @@ def run_rates(cfg: ExperimentConfig):
     for snr_db in grid:
         power = 10.0 ** (snr_db / 10.0)
         for model in MODELS:
-            const = (analysis.MARTINET_G_COMPLEX
-                     if model in (channel.AWGN_COMPLEX, channel.RAYLEIGH_COMPLEX)
+            const = (analysis.MARTINET_G_COMPLEX if channel.is_complex(model)
                      else analysis.MARTINET_G1_REAL)
             rb = analysis.achievable_rate(model, power, const)
             rows.append([rb.label, model, snr_db, rb.rate,
@@ -222,8 +221,7 @@ def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
 
 def run_simulate(cfg: ExperimentConfig):
     field = _select_fields(cfg)[0]
-    complex_model = cfg.model in (channel.AWGN_COMPLEX, channel.RAYLEIGH_COMPLEX)
-    if field.totally_real == complex_model:
+    if field.totally_real == channel.is_complex(cfg.model):
         raise ValueError(
             f"field {field.name} ({'real' if field.totally_real else 'complex'}) "
             f"is incompatible with model {cfg.model}")
@@ -235,7 +233,7 @@ def run_simulate(cfg: ExperimentConfig):
             which=cfg.decoder, workers=cfg.workers)
         _, sv = lattice.shortest_vector(cb.basis)
         sbound = analysis.sphere_bound(sv, cb.n, cfg.model)
-        if cfg.model in (channel.RAYLEIGH_REAL, channel.RAYLEIGH_COMPLEX):
+        if channel.is_fading(cfg.model):
             cbound = analysis.fading_error_bound(cb.n, cb.alpha,
                                                  model=cfg.model)
         else:

@@ -19,6 +19,7 @@ from .numberfield import FieldSpec, embedding_matrix
 from .specfun import ln_gamma
 
 _SHIFT_TRY_CAP = 10_000
+_MIN_DISTANCE_BLOCK_BYTES = 4 << 20
 
 
 class RateInfeasibleError(RuntimeError):
@@ -61,26 +62,31 @@ class Codebook:
         return len(self.points)
 
     def min_distance(self) -> float:
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        d2 = np.sum(np.abs(diffs) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        return float(math.sqrt(d2.min()))
+        """Minimum pairwise distance, over row blocks of bounded memory."""
+        pts, best = self.points, math.inf
+        step = max(1, _MIN_DISTANCE_BLOCK_BYTES // max(1, pts.nbytes))
+        for lo in range(0, len(pts), step):
+            d2 = np.sum(np.abs(pts[lo:lo + step, None] - pts[None]) ** 2, axis=-1)
+            d2[np.arange(len(d2)), lo + np.arange(len(d2))] = np.inf
+            best = min(best, d2.min())
+        return float(math.sqrt(best))
+
+
+def _ln_ball_volume(dim: int, radius: float) -> float:
+    """ln Vol of the Euclidean ball of the given radius in R^dim."""
+    return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) \
+        - ln_gamma(dim / 2.0 + 1.0)
 
 
 def _ln_ball_constant(field: FieldSpec) -> float:
     """ln C_n (complex) or ln C_n^R (real): Vol(B(r)) = C * (r^2/n)^{dim/2}."""
-    n = field.ambient_n
-    if field.totally_real:
-        return 0.5 * n * math.log(math.pi * n) - ln_gamma(n / 2.0 + 1.0)
-    return n * math.log(math.pi * n) - ln_gamma(n + 1.0)
+    dim, n = field.degree, field.ambient_n
+    return 0.5 * dim * math.log(math.pi * n) - ln_gamma(dim / 2.0 + 1.0)
 
 
 def ball_volume(field: FieldSpec, radius: float) -> float:
-    """Euclidean ball volume in the field's real ambient dimension."""
-    dim = field.degree  # 2n complex, n real
-    ln_vol = 0.5 * dim * math.log(math.pi) + dim * math.log(radius) \
-        - ln_gamma(dim / 2.0 + 1.0)
-    return math.exp(ln_vol)
+    """Euclidean ball volume in the field's real dimension (2n complex, n real)."""
+    return math.exp(_ln_ball_volume(field.degree, radius))
 
 
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
@@ -119,9 +125,7 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
     n = basis.n
     radius = math.sqrt(n * power)
     dim = basis.rank
-    ln_ball = 0.5 * dim * math.log(math.pi) + dim * math.log(radius) \
-        - ln_gamma(dim / 2.0 + 1.0)
-    required = math.exp(ln_ball) / lattice.volume(basis)
+    required = math.exp(_ln_ball_volume(dim, radius)) / lattice.volume(basis)
     if target_count > 2.0 * required:
         raise RateInfeasibleError(
             f"target count {target_count} exceeds twice the volume ratio "

@@ -43,10 +43,12 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     result outside the finite codebook counts as an error.
     """
     fading = realization.fading
-    faded_basis = lattice.LatticeBasis(
-        codebook.basis.ambient, codebook.basis.vectors * fading)
+    # unfaded, the code lattice itself is searched: one cached reduction
+    basis = codebook.basis
+    if realization.is_fading:
+        basis = lattice.LatticeBasis(basis.ambient, basis.vectors * fading)
     target = np.asarray(y) - fading * codebook.shift
-    _, coords = lattice.closest_vector_coords(faded_basis, target)
+    _, coords = lattice.closest_vector_coords(basis, target)
     decoded = codebook.shift + coords.astype(float) @ codebook.basis.vectors
     metric = float(np.sum(np.abs(np.asarray(y) - fading * decoded) ** 2))
     correct = _matches(decoded, transmitted)

@@ -7,6 +7,7 @@ complex moduli.  All enumeration is exact within the dimension cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,9 +75,7 @@ class LatticeBasis:
     @property
     def real_matrix(self) -> np.ndarray:
         """Basis rows in the real representation (interleaved re/im if complex)."""
-        if self.ambient == REAL:
-            return np.asarray(self.vectors, dtype=float)
-        return _complex_to_real(self.vectors)
+        return self.to_real(self.vectors)
 
     def to_ambient(self, real_vecs: np.ndarray) -> np.ndarray:
         """Map real-representation vectors back to the ambient space."""
@@ -91,6 +90,14 @@ class LatticeBasis:
 
     def scaled(self, c: float) -> "LatticeBasis":
         return LatticeBasis(self.ambient, self.vectors * c)
+
+    @functools.cached_property
+    def _reduced(self):
+        """(Bred, U, Q, R): LLL rows Bred = U @ real_matrix, the QR of Bred.T
+        with R as nested lists.  Cached: ``vectors`` must not be mutated."""
+        Bred, U = _lll(self.real_matrix)
+        Q, R = _qr(Bred)
+        return Bred, U, Q, R.tolist()
 
 
 @dataclass(frozen=True)
@@ -181,15 +188,14 @@ def _check_rank(rank: int, max_rank: int):
             f"enumeration rank {rank} exceeds cap {max_rank}")
 
 
-def _se_closest(R, t, exclude_zero=False):
-    """Schnorr-Euchner search for argmin_u ||R u - t|| over integer u.
+def _se_closest(Rl, t, exclude_zero=False):
+    """Schnorr-Euchner search for argmin_u ||Rl u - t|| over integer u.
 
     Ties within 1e-12 in squared distance break to the lexicographically
     smaller integer coordinate vector, so the result is independent of
     traversal details.
     """
     k = len(t)
-    Rl = [[float(R[i][j]) for j in range(k)] for i in range(k)]
     tl = [float(v) for v in t]
     best = {"u": None, "d2": math.inf}
     u = [0] * k
@@ -235,10 +241,9 @@ def _se_closest(R, t, exclude_zero=False):
     return best["u"], best["d2"]
 
 
-def _enum_ball(R, t, radius):
-    """All integer u with ||R u - t|| <= radius, in deterministic DFS order."""
+def _enum_ball(Rl, t, radius):
+    """All integer u with ||Rl u - t|| <= radius, in deterministic DFS order."""
     k = len(t)
-    Rl = [[float(R[i][j]) for j in range(k)] for i in range(k)]
     tl = [float(v) for v in t]
     r2 = radius * radius * (1.0 + 1e-12) + 1e-12
     out = []
@@ -272,8 +277,7 @@ def _enum_ball(R, t, radius):
 def shortest_vector(basis: LatticeBasis, max_rank: int = MAX_ENUM_RANK):
     """Exact shortest nonzero lattice vector and its Euclidean norm."""
     _check_rank(basis.rank, max_rank)
-    Bred, _ = _lll(basis.real_matrix)
-    _, R = _qr(Bred)
+    Bred, _, _, R = basis._reduced
     u, d2 = _se_closest(R, [0.0] * basis.rank, exclude_zero=True)
     vec_real = np.asarray(u, dtype=float) @ Bred
     return basis.to_ambient(vec_real), math.sqrt(d2)
@@ -289,8 +293,7 @@ def closest_vector_coords(basis: LatticeBasis, target, max_rank: int = MAX_ENUM_
     """Closest lattice vector and its integer coordinates in the given basis."""
     _check_rank(basis.rank, max_rank)
     treal = basis.to_real(np.asarray(target))
-    Bred, U = _lll(basis.real_matrix)
-    Q, R = _qr(Bred)
+    Bred, U, Q, R = basis._reduced
     t = Q.T @ treal
     u, _ = _se_closest(R, t)
     u = np.asarray(u, dtype=np.int64)
@@ -307,8 +310,7 @@ def points_in_ball(basis: LatticeBasis, center, radius: float,
     """
     _check_rank(basis.rank, max_rank)
     creal = basis.to_real(np.asarray(center))
-    Bred, U = _lll(basis.real_matrix)
-    Q, R = _qr(Bred)
+    Bred, U, Q, R = basis._reduced
     t = Q.T @ creal
     us = _enum_ball(R, t, radius)
     if not us:
@@ -322,7 +324,7 @@ def points_in_ball(basis: LatticeBasis, center, radius: float,
     return ured @ U, np.atleast_2d(basis.to_ambient(vec_real))
 
 
-def product_norm(basis: LatticeBasis, vec) -> float:
+def product_norm(vec) -> float:
     """Product of coordinate moduli in the ambient space."""
     v = np.asarray(vec)
     return float(np.prod(np.abs(v)))
@@ -346,7 +348,7 @@ def min_product_distance(basis: LatticeBasis, radius: float,
         norm = float(np.linalg.norm(v))
         if np.min(np.abs(v)) <= 1e-9 * max(1.0, norm):
             raise ZeroProductNormError(v)
-        dp = min(dp, product_norm(basis, v))
+        dp = min(dp, product_norm(v))
     if math.isinf(dp):
         raise ValueError(f"no nonzero lattice vector within radius {radius}")
     exact = exact_hint is not None and dp <= exact_hint * (1.0 + 1e-9)

@@ -293,15 +293,16 @@ def all_roots(f: FieldSpec) -> np.ndarray:
     return np.concatenate([r, np.conj(r)])
 
 
-def embed_element(f: FieldSpec, coeffs) -> np.ndarray:
-    """Canonical embedding of an element given by power-basis coordinates."""
+def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
+    """Basis psi(e_1), ..., psi(e_m) of elements in power-basis coordinates."""
     roots = field_roots(f)
-    vals = np.zeros_like(roots, dtype=complex)
-    for c in reversed([float(c) for c in coeffs]):
-        vals = vals * roots + c
-    if f.totally_real:
-        return vals.real
-    return vals
+    rows = []
+    for coeffs in elements:
+        vals = np.zeros_like(roots, dtype=complex)
+        for c in reversed([float(c) for c in coeffs]):
+            vals = vals * roots + c
+        rows.append(vals.real if f.totally_real else vals)
+    return LatticeBasis(REAL if f.totally_real else COMPLEX, np.array(rows))
 
 
 def element_norm(f: FieldSpec, coeffs) -> float:
@@ -315,9 +316,7 @@ def element_norm(f: FieldSpec, coeffs) -> float:
 
 def embedding_matrix(f: FieldSpec) -> LatticeBasis:
     """Lattice basis psi(w_1), ..., psi(w_m) of the embedded ring of integers."""
-    rows = [embed_element(f, w) for w in f.integral_basis]
-    ambient = REAL if f.totally_real else COMPLEX
-    return LatticeBasis(ambient, np.array(rows))
+    return _embedded_lattice(f, f.integral_basis)
 
 
 def discriminant_check(f: FieldSpec) -> float:
@@ -334,9 +333,7 @@ def discriminant_check(f: FieldSpec) -> float:
 
 def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
     """Embedded ideal lattice; volume verified against N(I) * Vol(psi(O_K))."""
-    rows = [embed_element(f, v) for v in ideal.z_basis]
-    ambient = REAL if f.totally_real else COMPLEX
-    basis = LatticeBasis(ambient, np.array(rows))
+    basis = _embedded_lattice(f, ideal.z_basis)
     vol = lattice.volume(basis)
     if f.totally_real:
         expected = ideal.norm * math.sqrt(abs(f.disc_catalog))
@@ -373,7 +370,7 @@ def min_ideal(f: FieldSpec, ideal: IdealSpec,
         for u, v in zip(coords, vecs):
             if not np.any(u):
                 continue
-            p = float(np.prod(np.abs(v)))
+            p = lattice.product_norm(v)
             # product over chosen embeddings: sqrt(|Nr|) complex, |Nr| real
             if f.totally_real:
                 best = min(best, p / ideal.norm)

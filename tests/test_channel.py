@@ -11,6 +11,14 @@ class TestSampleRealization:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             ch.sample_realization("laplace", 4, 0, 0)
+        with pytest.raises(ValueError):
+            ch.is_complex("laplace")
+        with pytest.raises(ValueError):
+            ch.is_fading("laplace")
+
+    def test_model_predicates(self):
+        assert [ch.is_complex(m) for m in ch.MODELS] == [False, True, False, True]
+        assert [ch.is_fading(m) for m in ch.MODELS] == [False, False, True, True]
 
     def test_awgn_has_unit_fading(self):
         r = ch.sample_realization(ch.AWGN_REAL, 8, 1, 0)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from latcode import cli
+from latcode import cli, lattice
+from latcode import numberfield as nf
 
 
 def run_cli(args, capsys=None, path=None):
@@ -126,6 +127,22 @@ class TestSimulateCommand:
         _, r2 = read_csv(out2)
         assert r1[0]["errors_nld"] == r2[0]["errors_nld"]
         assert r1[0]["errors_ml"] == r2[0]["errors_ml"]
+
+    def test_awgn_nld_reduces_independently_of_trials(self, monkeypatch):
+        # the AWGN lattice is the code lattice, so its reduction is shared
+        # by every trial
+        calls = []
+        real_lll = lattice._lll
+        monkeypatch.setattr(lattice, "_lll",
+                            lambda B: calls.append(1) or real_lll(B))
+        f = nf.catalog_field("F4-725")
+        counts = []
+        for trials in (5, 40):
+            calls.clear()
+            cli.simulate_point(f, "awgn_real", 1.0, 10.0, trials, 7,
+                               which="nld")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_rayleigh_reports_fading_bound(self, tmp_path):
         out = tmp_path / "ray.csv"

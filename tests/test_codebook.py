@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,32 @@ class TestCarve:
                                 field=field("F4-725"), seed=5))
         _, sv = lattice.shortest_vector(code.basis)
         assert code.min_distance() >= sv - 1e-8
+
+    def test_min_distance_matches_pairwise_formula(self, monkeypatch):
+        code = carve(CodeConfig(rate=1.0, power=10.0,
+                                field=field("F4-725"), seed=5))
+        diffs = code.points[:, None, :] - code.points[None, :, :]
+        d2 = np.sum(np.abs(diffs) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        expected = math.sqrt(d2.min())
+        assert code.min_distance() == expected
+        # several row blocks, the last one partial
+        monkeypatch.setattr(cb, "_MIN_DISTANCE_BLOCK_BYTES",
+                            3 * code.points.nbytes + 1)
+        assert code.min_distance() == expected
+
+    def test_min_distance_memory_is_bounded(self):
+        # about 4.1k points: the full N x N x n difference array is ~1 GB
+        code = carve(CodeConfig(rate=1.5, power=10.0,
+                                field=field("F8-17"), seed=0))
+        assert code.size > 4000
+        tracemalloc.start()
+        try:
+            code.min_distance()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_deterministic(self):
         cfg = CodeConfig(rate=1.0, power=10.0, field=field("F4-725"), seed=5)

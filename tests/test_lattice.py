@@ -136,6 +136,23 @@ class TestPointsInBall:
         assert len(coords) == 4
 
 
+class TestCachedReduction:
+    def test_lll_runs_once_per_basis(self, monkeypatch):
+        calls = []
+        real_lll = lattice._lll
+        monkeypatch.setattr(lattice, "_lll",
+                            lambda B: calls.append(1) or real_lll(B))
+        basis = nf.embedding_matrix(nf.catalog_field("F4-725"))
+        shortest_vector(basis)
+        for t in ([0.3, -1.2, 0.7, 2.1], [1.0, 0.0, -0.5, 0.25]):
+            lattice.closest_vector_coords(basis, np.array(t))
+        points_in_ball(basis, np.zeros(basis.n), 3.0)
+        invariants(basis)
+        assert len(calls) == 1
+        shortest_vector(basis.scaled(2.0))
+        assert len(calls) == 2
+
+
 class TestMinProductDistance:
     def test_real_quadratic_exact(self):
         dp, exact = min_product_distance(ZSQRT2, 6.0, exact_hint=1.0)

@@ -24,7 +24,8 @@ from .codebook import CodeConfig, Codebook, carve
 from .decoder import ml_decode, nld_decode
 from .numberfield import FieldSpec, embedding_matrix, load_catalog
 
-SUBCOMMANDS = ("invariants", "rates", "bounds", "simulate", "ideal")
+# --decoder value -> (run NLD, run ML)
+DECODERS = {"nld": (True, False), "ml": (False, True), "both": (True, True)}
 
 
 @dataclass
@@ -52,7 +53,7 @@ class ExperimentConfig:
             if self.model not in MODELS:
                 raise ValueError(f"simulate requires a channel model, got "
                                  f"{self.model!r}")
-            if self.decoder not in ("nld", "ml", "both"):
+            if self.decoder not in DECODERS:
                 raise ValueError(f"unknown decoder {self.decoder!r}")
 
 
@@ -83,28 +84,16 @@ def _write_rows(cfg: ExperimentConfig, header, rows) -> str:
 
 
 def _select_fields(cfg: ExperimentConfig) -> list[FieldSpec]:
-    fields = load_catalog(cfg.catalog_path)
     if cfg.field_name:
-        chosen = [f for f in fields if f.name == cfg.field_name]
-        if not chosen:
-            raise KeyError(f"field {cfg.field_name!r} not in catalog")
-        return chosen
-    return fields
+        return [numberfield.catalog_field(cfg.field_name, cfg.catalog_path)]
+    return load_catalog(cfg.catalog_path)
 
 
 def run_invariants(cfg: ExperimentConfig):
     rows = []
     for f in _select_fields(cfg):
         inv = lattice.invariants(embedding_matrix(f), exact_hint=1.0)
-        d = abs(f.disc_catalog)
-        if f.totally_real:
-            n = f.degree
-            nsv_pred = math.sqrt(n) / d ** (1.0 / (2 * n))
-            ndp_pred = 1.0 / math.sqrt(d)
-        else:
-            n = f.degree // 2
-            nsv_pred = math.sqrt(2 * n) / d ** (1.0 / (4 * n))
-            ndp_pred = 2.0 ** (n / 2.0) / d ** 0.25
+        nsv_pred, ndp_pred = numberfield.predicted_invariants(f)
         rows.append([
             f.name, inv.ambient, f.degree, inv.volume, inv.sv, inv.dp_min,
             inv.nsv, inv.ndp, nsv_pred, ndp_pred,
@@ -149,8 +138,6 @@ def run_ideal(cfg: ExperimentConfig):
         ideals = list(f.ideals)
         if not any(i.norm == 1 for i in ideals):
             ideals.insert(0, f.unit_ideal())
-        if not ideals:
-            continue
         # N_min(K): every class contains an ideal of norm <= N_min; with one
         # (minimal) representative per class this is the max over classes
         per_class: dict[str, int] = {}
@@ -158,13 +145,9 @@ def run_ideal(cfg: ExperimentConfig):
             per_class[i.class_label] = min(
                 per_class.get(i.class_label, i.norm), i.norm)
         n_min = max(per_class.values())
-        d = abs(f.disc_catalog)
-        if f.totally_real:
-            prefactor = 1.0 / math.sqrt(d)
-            pred_best = prefactor * n_min
-        else:
-            prefactor = 2.0 ** (f.degree // 2 / 2.0) / d ** 0.25
-            pred_best = prefactor * math.sqrt(n_min)
+        _, prefactor = numberfield.predicted_invariants(f)
+        pred_best = prefactor * (n_min if f.totally_real
+                                 else math.sqrt(n_min))
         for i in ideals:
             mi = numberfield.min_ideal(f, i)
             rows.append([f.name, i.label, i.norm, i.class_label, i.principal,
@@ -177,25 +160,20 @@ def run_ideal(cfg: ExperimentConfig):
 def _simulate_chunk(codebook: Codebook, model: str, master_seed: int,
                     lo: int, hi: int, which: str):
     """Error counts for trials [lo, hi); pure counting, order-independent."""
-    err_nld = 0
-    err_ml = 0
-    nld_wrong_ml_right = 0
+    run_nld, run_ml = DECODERS[which]
+    err_nld = err_ml = nld_right_ml_wrong = 0
     for t in range(lo, hi):
         mrng = stream_rng(master_seed, t, STREAM_MESSAGE)
         s = codebook.points[int(mrng.integers(codebook.size))]
         y, realization = transmit(s, model, master_seed, t)
-        nld_ok = ml_ok = None
-        if which in ("nld", "both"):
+        if run_nld:
             nld_ok = nld_decode(y, realization, codebook, s).correct
-            if not nld_ok:
-                err_nld += 1
-        if which in ("ml", "both"):
+            err_nld += not nld_ok
+        if run_ml:
             ml_ok = ml_decode(y, realization, codebook, s).correct
-            if not ml_ok:
-                err_ml += 1
-        if which == "both" and nld_ok and not ml_ok:
-            nld_wrong_ml_right += 1
-    return err_nld, err_ml, nld_wrong_ml_right
+            err_ml += not ml_ok
+        nld_right_ml_wrong += run_nld and run_ml and nld_ok and not ml_ok
+    return err_nld, err_ml, nld_right_ml_wrong
 
 
 def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
@@ -213,9 +191,7 @@ def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
                                    int(lo), int(hi), which)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             counts = [f.result() for f in futures]
-    err_nld = sum(c[0] for c in counts)
-    err_ml = sum(c[1] for c in counts)
-    dominance_violations = sum(c[2] for c in counts)
+    err_nld, err_ml, dominance_violations = map(sum, zip(*counts))
     return cb, err_nld, err_ml, dominance_violations
 
 
@@ -225,6 +201,7 @@ def run_simulate(cfg: ExperimentConfig):
         raise ValueError(
             f"field {field.name} ({'real' if field.totally_real else 'complex'}) "
             f"is incompatible with model {cfg.model}")
+    run_nld, run_ml = DECODERS[cfg.decoder]
     rows = []
     for snr_db in cfg.snr_db_grid:
         power = 10.0 ** (snr_db / 10.0)
@@ -238,15 +215,15 @@ def run_simulate(cfg: ExperimentConfig):
                                                  model=cfg.model)
         else:
             cbound = ""
-        pe_nld = err_nld / cfg.trials if cfg.decoder in ("nld", "both") else ""
-        pe_ml = err_ml / cfg.trials if cfg.decoder in ("ml", "both") else ""
-        pe_ref = pe_nld if pe_nld != "" else pe_ml
+        pe_nld = err_nld / cfg.trials
+        pe_ml = err_ml / cfg.trials
+        pe_ref = pe_nld if run_nld else pe_ml
         mc_sigma = math.sqrt(max(pe_ref * (1.0 - pe_ref), 1e-12) / cfg.trials)
         rows.append([
             snr_db, cfg.trials,
-            err_nld if cfg.decoder in ("nld", "both") else "",
-            err_ml if cfg.decoder in ("ml", "both") else "",
-            pe_nld, pe_ml, mc_sigma, sbound, cbound,
+            err_nld if run_nld else "", err_ml if run_ml else "",
+            pe_nld if run_nld else "", pe_ml if run_ml else "",
+            mc_sigma, sbound, cbound,
         ])
     header = ["snr_db", "trials", "errors_nld", "errors_ml", "pe_nld",
               "pe_ml", "mc_sigma", "sphere_bound", "chernoff_bound"]
@@ -260,6 +237,26 @@ _RUNNERS = {
     "simulate": run_simulate,
     "ideal": run_ideal,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
+
+
+def _parse_snr(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+# --key flag and --config key -> (ExperimentConfig field, converter, choices)
+_OPTIONS = {
+    "field": ("field_name", str, None),
+    "rate": ("rate", float, None),
+    "snr": ("snr_db_grid", _parse_snr, None),
+    "trials": ("trials", int, None),
+    "seed": ("master_seed", int, None),
+    "decoder": ("decoder", str, DECODERS),
+    "model": ("model", str, MODELS),
+    "out": ("output_path", str, None),
+    "catalog": ("catalog_path", str, None),
+    "workers": ("workers", int, None),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -272,7 +269,11 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _OPTIONS:
+                raise ValueError(
+                    f"{path}:{lineno}: unknown config key {key!r}")
+            out[key] = value.strip()
     return out
 
 
@@ -280,57 +281,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcode",
         description="Number-field lattice code laboratory")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--field", dest="field_name")
-        p.add_argument("--rate", type=float)
-        p.add_argument("--snr", help="comma-separated SNR grid in dB")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", dest="master_seed", type=int)
-        p.add_argument("--decoder", choices=("nld", "ml", "both"))
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--out", dest="output_path")
-        p.add_argument("--catalog", dest="catalog_path")
-        p.add_argument("--workers", type=int)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", help="key=value file of the options "
+                        "below, named without --; flags override it")
+    for key, (attr, conv, choices) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", dest=attr, type=conv, choices=choices)
     return parser
-
-
-_CONFIG_KEYS = {
-    "field": ("field_name", str),
-    "rate": ("rate", float),
-    "snr": ("snr_db_grid", None),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "decoder": ("decoder", str),
-    "model": ("model", str),
-    "out": ("output_path", str),
-    "catalog": ("catalog_path", str),
-    "workers": ("workers", int),
-}
-
-
-def _parse_snr(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(subcommand=args.subcommand)
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            attr, conv = _CONFIG_KEYS[key]
-            setattr(cfg, attr, _parse_snr(value) if attr == "snr_db_grid"
-                    else conv(value))
-    for key, (attr, _) in _CONFIG_KEYS.items():
-        flag_attr = "snr" if attr == "snr_db_grid" else attr
-        value = getattr(args, flag_attr, None)
-        if value is not None:
-            setattr(cfg, attr, _parse_snr(value) if attr == "snr_db_grid"
-                    else value)
-    cfg.validate()
+    in_file = _load_config_file(args.config) if args.config else {}
+    for key, (attr, conv, choices) in _OPTIONS.items():
+        if key in in_file:
+            value = conv(in_file[key])
+            if choices is not None and value not in choices:
+                raise ValueError(f"config key {key}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(choices)})")
+            setattr(cfg, attr, value)
+        if getattr(args, attr) is not None:
+            setattr(cfg, attr, getattr(args, attr))
     return cfg
 
 
@@ -345,7 +315,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return run(build_config(args))
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"latcode: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ Newton polishing); exact algebraic arithmetic is out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -241,14 +242,23 @@ def parse_catalog(text: str) -> list[FieldSpec]:
     return fields
 
 
+@functools.cache
+def _packaged_catalog() -> tuple[FieldSpec, ...]:
+    text = resources.files("latcode").joinpath("data/fields.cat").read_text()
+    return tuple(parse_catalog(text))
+
+
 def load_catalog(path=None) -> list[FieldSpec]:
-    """Load and validate a field catalog; defaults to the packaged one."""
+    """Load and validate a field catalog; defaults to the packaged one.
+
+    The packaged catalog is parsed and validated once per process; a catalog
+    at ``path`` is read and validated on every call.  Each call returns a
+    new list.
+    """
     if path is None:
-        text = resources.files("latcode").joinpath("data/fields.cat").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_catalog(text)
+        return list(_packaged_catalog())
+    with open(path, encoding="utf-8") as fh:
+        return parse_catalog(fh.read())
 
 
 def catalog_field(name: str, path=None) -> FieldSpec:
@@ -317,6 +327,21 @@ def element_norm(f: FieldSpec, coeffs) -> float:
 def embedding_matrix(f: FieldSpec) -> LatticeBasis:
     """Lattice basis psi(w_1), ..., psi(w_m) of the embedded ring of integers."""
     return _embedded_lattice(f, f.integral_basis)
+
+
+def predicted_invariants(f: FieldSpec) -> tuple[float, float]:
+    """Closed-form (nsv, ndp) of the embedded ring of integers, from the
+    degree and the discriminant alone.
+
+    Keep the expressions in this form: deriving them from the covolume
+    instead moves the last bits of the exported tables.
+    """
+    d = abs(f.disc_catalog)
+    n = f.ambient_n
+    if f.totally_real:
+        return math.sqrt(n) / d ** (1.0 / (2 * n)), 1.0 / math.sqrt(d)
+    return (math.sqrt(2 * n) / d ** (1.0 / (4 * n)),
+            2.0 ** (n / 2.0) / d ** 0.25)
 
 
 def discriminant_check(f: FieldSpec) -> float:

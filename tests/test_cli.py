@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from importlib import resources
 
 import pytest
 
@@ -41,6 +42,20 @@ class TestInvariantsCommand:
                          "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert [r["field"] for r in rows] == ["Qzeta5"]
+
+    def test_catalog_path(self, tmp_path):
+        text = resources.files("latcode").joinpath("data/fields.cat").read_text()
+        assert text.count("name = Qzeta5\n") == 1
+        catalog = tmp_path / "renamed.cat"
+        catalog.write_text(text.replace("name = Qzeta5\n", "name = Z5\n"))
+        out, ref = tmp_path / "inv.csv", tmp_path / "ref.csv"
+        assert cli.main(["invariants", "--catalog", str(catalog),
+                         "--field", "Z5", "--out", str(out)]) == 0
+        assert cli.main(["invariants", "--field", "Qzeta5",
+                         "--out", str(ref)]) == 0
+        _, rows = read_csv(out)
+        _, ref_rows = read_csv(ref)
+        assert rows == [dict(ref_rows[0], field="Z5")]
 
     def test_unknown_field_fails(self, tmp_path, capsys):
         out = tmp_path / "inv.csv"
@@ -184,3 +199,65 @@ class TestConfigFile:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("fieldd = oops\n")
         assert cli.main(["invariants", "--config", str(cfgfile)]) == 1
+
+    # one sample value per option, and a second one that overrides it
+    SAMPLES = {
+        "field": ("Qi", "F4-725"), "rate": ("1.5", "2"), "snr": ("6,9", "12"),
+        "trials": ("10", "20"), "seed": ("3", "4"), "decoder": ("ml", "nld"),
+        "model": ("awgn_real", "rayleigh_real"), "out": ("a.csv", "b.csv"),
+        "catalog": ("a.cat", "b.cat"), "workers": ("2", "3"),
+    }
+
+    @staticmethod
+    def config_of(argv, tmp_path, file_lines=()):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("".join(f"{line}\n" for line in file_lines))
+        args = cli._build_parser().parse_args(
+            ["simulate", "--config", str(cfgfile)] + argv)
+        return vars(cli.build_config(args))
+
+    def test_flag_and_file_key_set_the_same_field(self, tmp_path):
+        assert set(self.SAMPLES) == set(cli._OPTIONS)
+        default = self.config_of([], tmp_path)
+        for key, (first, second) in self.SAMPLES.items():
+            by_flag = self.config_of([f"--{key}", first], tmp_path)
+            by_file = self.config_of([], tmp_path, [f"{key} = {first}"])
+            assert by_flag == by_file, key
+            changed = {k for k in default if by_flag[k] != default[k]}
+            assert len(changed) == 1, key
+            overridden = self.config_of([f"--{key}", second], tmp_path,
+                                        [f"{key} = {first}"])
+            assert overridden == self.config_of([f"--{key}", second],
+                                                tmp_path), key
+            assert overridden != by_file, key
+
+    @pytest.mark.parametrize("key", ["decoder", "model"])
+    def test_bad_choice_in_file_rejected(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"field = Qi\n{key} = bogus\n")
+        assert cli.main(["invariants", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err
+
+
+@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+def test_help_exits_zero(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--config", "{tmp}/missing.cfg"],
+        ["invariants", "--catalog", "{tmp}/missing.cat"],
+        ["bounds", "--out", "{tmp}/missing/bounds.csv"],
+    ], ids=["config", "catalog", "out"])
+    def test_missing_file_is_a_cli_error(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latcode: error: ")
+        assert "missing" in err

@@ -14,6 +14,16 @@ def get(name):
     return nf.catalog_field(name)
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """One entry per parse_catalog call."""
+    calls = []
+    real_parse = nf.parse_catalog
+    monkeypatch.setattr(nf, "parse_catalog",
+                        lambda text: calls.append(1) or real_parse(text))
+    return calls
+
+
 class TestCatalogLoading:
     def test_all_fields_load(self):
         names = {f.name for f in CAT}
@@ -30,6 +40,21 @@ class TestCatalogLoading:
         f = get("Qsqrt2")
         assert f.signature == (2, 0)
         assert f.disc_catalog == 8
+
+    def test_packaged_catalog_parsed_once(self, parses):
+        nf._packaged_catalog.cache_clear()
+        loads = [nf.load_catalog() for _ in range(5)]
+        assert len(parses) == 1
+        assert all(fields == CAT for fields in loads)
+        assert len({id(fields) for fields in loads}) == 5
+
+    def test_catalog_path_read_every_call(self, parses, tmp_path):
+        path = tmp_path / "fields.cat"
+        path.write_text("[field]\nname = Qi\ndegree = 2\nr1 = 0\nr2 = 1\n"
+                        "minpoly = 1,0,1\nbasis = 1,0;0,1\ndisc = -4\n")
+        for _ in range(3):
+            assert [f.name for f in nf.load_catalog(path)] == ["Qi"]
+        assert len(parses) == 3
 
     def test_bad_signature_rejected(self):
         text = """
@@ -125,6 +150,21 @@ class TestDiscriminantCheck:
             pytest.approx(math.sqrt(8), rel=1e-12)
         assert lattice.volume(nf.embedding_matrix(get("Qsqrt-5"))) == \
             pytest.approx(0.5 * math.sqrt(20), rel=1e-12)
+
+
+class TestPredictedInvariants:
+    @pytest.mark.parametrize("f", CAT, ids=lambda f: f.name)
+    def test_equals_closed_forms(self, f):
+        # the closed forms of the acceptance suite's criterion 1, bit for bit
+        d = abs(f.disc_catalog)
+        if f.totally_real:
+            n = f.degree
+            want = (math.sqrt(n) / d ** (1.0 / (2 * n)), 1.0 / math.sqrt(d))
+        else:
+            n = f.degree // 2
+            want = (math.sqrt(2 * n) / d ** (1.0 / (4 * n)),
+                    2.0 ** (n / 2.0) / d ** 0.25)
+        assert nf.predicted_invariants(f) == want
 
 
 class TestIdealLattices:

@@ -1,8 +1,9 @@
 """Naive lattice decoding and ML decoding with receiver-side channel knowledge.
 
-Fading is folded into the lattice basis (never divided out), so zero or tiny
+Fading is folded into the lattice basis (never divided out), so tiny
 coefficients cannot blow up numerically; the closest-point kernel receives
-the faded basis directly.
+the faded basis directly.  An exactly zero coefficient makes the faded basis
+singular, and NLD raises ``ValueError`` on it.
 """
 
 from __future__ import annotations

@@ -58,11 +58,10 @@ class LatticeBasis:
             raise ValueError(
                 f"rank {rank} does not match ambient dimension "
                 f"({self.ambient}({n}) needs {expected})")
-        gram = self.real_matrix @ self.real_matrix.T
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise ValueError("Gram matrix is not positive definite") from None
+        # rank is tested on the square basis itself: a Gram-matrix test
+        # squares the condition number and rejects valid deep fades
+        if np.linalg.slogdet(self.real_matrix)[0] == 0:
+            raise ValueError("basis is singular")
 
     @property
     def n(self) -> int:
@@ -140,38 +139,53 @@ def volume(basis: LatticeBasis) -> float:
 
 
 def _lll(B: np.ndarray, delta: float = 0.99):
-    """LLL-reduce the rows of B; returns (B_reduced, U) with B_reduced = U @ B."""
-    B = np.array(B, dtype=float)
-    k = B.shape[0]
-    U = np.eye(k, dtype=np.int64)
-    ortho = np.zeros_like(B)
-    mu = np.zeros((k, k))
+    """LLL-reduce the rows of B; returns (B_reduced, U) with B_reduced = U @ B.
 
-    def update_gso():
-        for i in range(k):
-            ortho[i] = B[i]
-            for j in range(i):
-                denom = ortho[j] @ ortho[j]
-                mu[i, j] = (B[i] @ ortho[j]) / denom
-                ortho[i] -= mu[i, j] * ortho[j]
+    Gram-Schmidt row r (``ortho[r]``, ``mu[r]``, ``bb[r] = ortho[r] @ ortho[r]``)
+    depends only on rows 0..r of B, so a row is recomputed only when one of
+    those changed, and always by the same arithmetic: at the top of the loop
+    rows 0..i-1 are current, and row i is recomputed on arrival and after
+    each size-reduction step on it.  The result is bit-identical to
+    recomputing every row after every step.  The textbook in-place mu update
+    (Cohen, Alg. 2.6.3) is not used: integral trace forms give exact 1/2
+    ties in mu, ``round`` settles those by float noise, and a different
+    rounding history would reorder carved codebooks.
+    """
+    rows = list(np.array(B, dtype=float))
+    k = len(rows)
+    urows = list(np.eye(k, dtype=np.int64))
+    ortho = list(np.zeros((k, rows[0].size)))
+    mu = [[0.0] * k for _ in range(k)]
+    bb = [0.0] * k
 
-    update_gso()
+    def gso_row(i):
+        b, o, m = rows[i], ortho[i], mu[i]
+        o[:] = b
+        for j in range(i):
+            m[j] = (b @ ortho[j]) / bb[j]
+            o -= m[j] * ortho[j]
+        bb[i] = o @ o
+
+    gso_row(0)
     i = 1
     while i < k:
+        gso_row(i)
         for j in range(i - 1, -1, -1):
-            q = round(mu[i, j])
+            q = round(mu[i][j])
             if q != 0:
-                B[i] -= q * B[j]
-                U[i] -= q * U[j]
-                update_gso()
-        if ortho[i] @ ortho[i] >= (delta - mu[i, i - 1] ** 2) * (ortho[i - 1] @ ortho[i - 1]):
+                rows[i] -= q * rows[j]
+                urows[i] -= q * urows[j]
+                gso_row(i)
+        if bb[i] >= (delta - mu[i][i - 1] ** 2) * bb[i - 1]:
             i += 1
         else:
-            B[[i, i - 1]] = B[[i - 1, i]]
-            U[[i, i - 1]] = U[[i - 1, i]]
-            update_gso()
-            i = max(i - 1, 1)
-    return B, U
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+            urows[i - 1], urows[i] = urows[i], urows[i - 1]
+            if i > 1:
+                i -= 1
+            else:
+                gso_row(0)
+    return np.array(rows), np.array(urows)
 
 
 def _qr(B: np.ndarray):
@@ -191,9 +205,13 @@ def _check_rank(rank: int, max_rank: int):
 def _se_closest(Rl, t, exclude_zero=False):
     """Schnorr-Euchner search for argmin_u ||Rl u - t|| over integer u.
 
-    Ties within 1e-12 in squared distance break to the lexicographically
-    smaller integer coordinate vector, so the result is independent of
-    traversal details.
+    Ties within an absolute 1e-12 in squared distance break to the
+    lexicographically smaller coordinate vector u in the basis of ``Rl``,
+    which for the callers here is the LLL-reduced basis, not the caller's.
+    The window does not scale with the lattice: once squared distances are
+    large enough that 1e-12 is below their float resolution, near-ties that
+    differ only by rounding are settled by that rounding, not by the
+    coordinate order.
     """
     k = len(t)
     tl = [float(v) for v in t]

@@ -90,15 +90,26 @@ class TestDominance:
 
 class TestFadingHandling:
     def test_tiny_fading_is_stable(self):
+        for name, depth in [("F4-725", 1e-6), ("F4-725", 1e-8), ("F8-17", 1e-8)]:
+            code = make_code(name)
+            s = code.points[0]
+            fading = np.ones(code.n)
+            fading[0] = depth
+            r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),
+                                      model=ch.RAYLEIGH_REAL, seed_path=(0, 0))
+            y = fading * s
+            out = nld_decode(y, r, code, s)
+            assert np.all(np.isfinite(out.decoded))
+            assert out.metric < 1e-12
+
+    def test_zero_fading_raises(self):
         code = make_code()
         s = code.points[0]
-        fading = np.array([1e-6, 1.0, 1.0, 1.0])
+        fading = np.array([0.0, 1.0, 1.0, 1.0])
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(4),
                                   model=ch.RAYLEIGH_REAL, seed_path=(0, 0))
-        y = fading * s
-        out = nld_decode(y, r, code, s)
-        assert np.all(np.isfinite(out.decoded))
-        assert out.metric < 1e-12
+        with pytest.raises(ValueError, match="singular"):
+            nld_decode(fading * s, r, code, s)
 
     def test_awgn_reduces_to_plain_lattice_decoding(self):
         code = make_code()

@@ -109,9 +109,7 @@ def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
 
 def count_points(basis: LatticeBasis, shift, radius: float) -> int:
     """|(L + shift) intersect B(0, radius)| by exact enumeration."""
-    center = -np.asarray(shift)
-    coords, _ = lattice.points_in_ball(basis, center, radius)
-    return len(coords)
+    return lattice.count_in_ball(basis, -np.asarray(shift), radius)
 
 
 def shift_search(basis: LatticeBasis, power: float, target_count: int,

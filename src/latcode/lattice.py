@@ -2,11 +2,15 @@
 
 Complex ambient spaces are handled internally as R^{2n} (coordinates
 interleaved re/im); only the product norm reads coordinate pairs back as
-complex moduli.  All enumeration is exact within the dimension cap.
+complex moduli.  Closest point, shortest vector and ball enumeration are one
+Schnorr-Euchner walk, exact within the rank cap ``MAX_ENUM_RANK`` and the
+node budget ``MAX_ENUM_NODES``; past either it raises
+``EnumerationCapError``.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from dataclasses import dataclass
@@ -16,14 +20,26 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-#: Default cap on enumeration rank; desk-scale guarantee.
+#: Cap on enumeration rank; desk-scale guarantee.  Read at call time.
 MAX_ENUM_RANK = 24
+#: Cap on the tree nodes (integers fixed at some level) that one enumeration
+#: visits, and so on the points it holds.  Read at call time.
+MAX_ENUM_NODES = 1 << 20
 
 _TIE_EPS = 1e-12
 
 
 class EnumerationCapError(RuntimeError):
-    pass
+    """An enumeration past the rank cap or the node budget."""
+
+    def __init__(self, rank: int, bound: float, nodes: int):
+        self.rank = rank
+        self.bound = bound
+        self.nodes = nodes
+        super().__init__(
+            f"enumeration of rank {rank} within squared distance {bound:.6g} "
+            f"stopped after {nodes} nodes (caps: rank {MAX_ENUM_RANK}, "
+            f"{MAX_ENUM_NODES} nodes)")
 
 
 class ZeroProductNormError(ValueError):
@@ -196,148 +212,135 @@ def _qr(B: np.ndarray):
     return Q * signs, R * signs[:, None]
 
 
-def _check_rank(rank: int, max_rank: int):
-    if rank > max_rank:
-        raise EnumerationCapError(
-            f"enumeration rank {rank} exceeds cap {max_rank}")
+def ball_bound(radius: float) -> float:
+    """Squared radius, widened for roundoff, within which a point is in the
+    closed ball: the one test for carving, counting and codebook membership."""
+    return radius * radius * (1.0 + 1e-12) + 1e-12
 
 
-def _se_closest(Rl, t, exclude_zero=False):
-    """Schnorr-Euchner search for argmin_u ||Rl u - t|| over integer u.
+def _enumerate(basis: LatticeBasis, center, bound: float, leaf) -> None:
+    """Schnorr-Euchner walk over the lattice points v with ||v - center||^2 <= bound.
 
-    Ties within an absolute 1e-12 in squared distance break to the
-    lexicographically smaller coordinate vector u in the basis of ``Rl``,
-    which for the callers here is the LLL-reduced basis, not the caller's.
-    The window does not scale with the lattice: once squared distances are
-    large enough that 1e-12 is below their float resolution, near-ties that
-    differ only by rounding are settled by that rounding, not by the
-    coordinate order.
+    The walk runs in the basis's LLL coordinates u, as ||R u - t||^2 with
+    t = Q^T center.  Each level tries integers in zig-zag order around its
+    projected center, nearest first, and stops at the first one past the
+    bound.  Every lattice point within the bound goes to ``leaf(u, d2)``;
+    ``u`` is the live coordinate list (copy it to keep it), and the leaf
+    returns the bound for the rest of the walk, so a closest-point leaf can
+    shrink it.  A rank above ``MAX_ENUM_RANK``, or more than
+    ``MAX_ENUM_NODES`` tree nodes, raises ``EnumerationCapError``.
     """
-    k = len(t)
-    tl = [float(v) for v in t]
-    best = {"u": None, "d2": math.inf}
-    u = [0] * k
+    rank = basis.rank
+    if rank > MAX_ENUM_RANK:
+        raise EnumerationCapError(rank, bound, 0)
+    _, _, Q, R = basis._reduced
+    t = Q.T @ basis.to_real(np.asarray(center))
+    budget = MAX_ENUM_NODES
+    u = [0] * rank
+    nodes = 0
 
     def rec(level, y, acc):
-        rii = Rl[level][level]
-        ci = y[level] / rii
-        u0 = math.floor(ci + 0.5)
-        delta = 1 if ci >= u0 else -1
-        step = 0
+        nonlocal bound, nodes
+        rii = R[level][level]
+        yl = y[level]
+        ci = yl / rii
+        cand = math.floor(ci + 0.5)
+        jump = 1 if ci >= cand else -1
         while True:
-            if step == 0:
-                cand = u0
-            elif step % 2 == 1:
-                cand = u0 + delta * ((step + 1) // 2)
-            else:
-                cand = u0 - delta * (step // 2)
-            step += 1
-            diff = y[level] - cand * rii
-            new_acc = acc + diff * diff
-            if new_acc > best["d2"] + _TIE_EPS:
-                # zig-zag ordering: every later candidate is at least this far
+            diff = yl - cand * rii
+            d2 = acc + diff * diff
+            if d2 > bound:
+                # zig-zag order: every later candidate is at least this far
                 break
             u[level] = cand
             if level == 0:
-                if exclude_zero and all(v == 0 for v in u):
-                    continue
-                if new_acc < best["d2"] - _TIE_EPS:
-                    best["u"] = list(u)
-                    best["d2"] = new_acc
-                elif best["u"] is not None and new_acc <= best["d2"] + _TIE_EPS:
-                    if list(u) < best["u"]:
-                        best["u"] = list(u)
-                        best["d2"] = min(best["d2"], new_acc)
-                elif best["u"] is None:
-                    best["u"] = list(u)
-                    best["d2"] = new_acc
+                bound = leaf(u, d2)
             else:
-                ynext = [y[j] - cand * Rl[j][level] for j in range(level)]
-                rec(level - 1, ynext, new_acc)
+                rec(level - 1, [y[j] - cand * R[j][level] for j in range(level)],
+                    d2)
+            # jumps of 1, -2, 3, -4, ... (signs flipped if ci < cand)
+            cand += jump
+            jump = -jump - 1 if jump > 0 else 1 - jump
+        # the candidates within the bound: |jump| - 1
+        nodes += abs(jump) - 1
+        if nodes > budget:
+            raise EnumerationCapError(rank, bound, nodes)
 
-    rec(k - 1, tl, 0.0)
-    return best["u"], best["d2"]
-
-
-def _enum_ball(Rl, t, radius):
-    """All integer u with ||Rl u - t|| <= radius, in deterministic DFS order."""
-    k = len(t)
-    tl = [float(v) for v in t]
-    r2 = radius * radius * (1.0 + 1e-12) + 1e-12
-    out = []
-    u = [0] * k
-
-    def rec(level, y, acc):
-        rii = Rl[level][level]
-        rem = r2 - acc
-        if rem < 0.0:
-            return
-        ci = y[level] / rii
-        half = math.sqrt(rem) / abs(rii)
-        lo = math.ceil(ci - half)
-        hi = math.floor(ci + half)
-        for cand in range(lo, hi + 1):
-            diff = y[level] - cand * rii
-            new_acc = acc + diff * diff
-            if new_acc > r2:
-                continue
-            u[level] = cand
-            if level == 0:
-                out.append(list(u))
-            else:
-                ynext = [y[j] - cand * Rl[j][level] for j in range(level)]
-                rec(level - 1, ynext, new_acc)
-
-    rec(k - 1, tl, 0.0)
-    return out
+    rec(rank - 1, [float(v) for v in t], 0.0)
 
 
-def shortest_vector(basis: LatticeBasis, max_rank: int = MAX_ENUM_RANK):
+def _nearest(basis: LatticeBasis, target, exclude_zero: bool = False):
+    """Reduced coordinates u and squared distance of the lattice point
+    nearest ``target`` (nonzero if ``exclude_zero``).
+
+    Ties within an absolute 1e-12 in squared distance break to the
+    lexicographically smaller u in the LLL basis, not the caller's.  The
+    window does not scale with the lattice: once squared distances are large
+    enough that 1e-12 is below their float resolution, near-ties that differ
+    only by rounding are settled by that rounding, not by the coordinate
+    order.
+    """
+    best_u, best_d2 = None, math.inf
+
+    def leaf(u, d2):
+        nonlocal best_u, best_d2
+        if exclude_zero and not any(u):
+            pass  # the origin is no shortest vector
+        elif d2 < best_d2 - _TIE_EPS:
+            best_u, best_d2 = u.copy(), d2
+        elif u < best_u:
+            best_u, best_d2 = u.copy(), min(best_d2, d2)
+        return best_d2 + _TIE_EPS
+
+    _enumerate(basis, target, math.inf, leaf)
+    return best_u, best_d2
+
+
+def shortest_vector(basis: LatticeBasis):
     """Exact shortest nonzero lattice vector and its Euclidean norm."""
-    _check_rank(basis.rank, max_rank)
-    Bred, _, _, R = basis._reduced
-    u, d2 = _se_closest(R, [0.0] * basis.rank, exclude_zero=True)
-    vec_real = np.asarray(u, dtype=float) @ Bred
+    u, d2 = _nearest(basis, np.zeros(basis.n), exclude_zero=True)
+    vec_real = np.asarray(u, dtype=float) @ basis._reduced[0]
     return basis.to_ambient(vec_real), math.sqrt(d2)
 
 
-def closest_vector(basis: LatticeBasis, target, max_rank: int = MAX_ENUM_RANK):
-    """Exact closest lattice vector to ``target`` (in the ambient space)."""
-    vec, _ = closest_vector_coords(basis, target, max_rank=max_rank)
-    return vec
-
-
-def closest_vector_coords(basis: LatticeBasis, target, max_rank: int = MAX_ENUM_RANK):
+def closest_vector_coords(basis: LatticeBasis, target):
     """Closest lattice vector and its integer coordinates in the given basis."""
-    _check_rank(basis.rank, max_rank)
-    treal = basis.to_real(np.asarray(target))
-    Bred, U, Q, R = basis._reduced
-    t = Q.T @ treal
-    u, _ = _se_closest(R, t)
+    u, _ = _nearest(basis, target)
+    Bred, U, _, _ = basis._reduced
     u = np.asarray(u, dtype=np.int64)
-    vec_real = u.astype(float) @ Bred
-    return basis.to_ambient(vec_real), u @ U
+    return basis.to_ambient(u.astype(float) @ Bred), u @ U
 
 
-def points_in_ball(basis: LatticeBasis, center, radius: float,
-                   max_rank: int = MAX_ENUM_RANK):
+def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
+    """Number of lattice vectors v with ||v - center|| <= radius."""
+    r2 = ball_bound(radius)
+    hits = 0
+
+    def leaf(u, d2):
+        nonlocal hits
+        hits += 1
+        return r2
+
+    _enumerate(basis, center, r2, leaf)
+    return hits
+
+
+def points_in_ball(basis: LatticeBasis, center, radius: float):
     """All lattice vectors v with ||v - center|| <= radius.
 
     Returns (coords, vectors): integer coordinates in the given basis and the
     corresponding ambient vectors, in a deterministic order.
     """
-    _check_rank(basis.rank, max_rank)
-    creal = basis.to_real(np.asarray(center))
-    Bred, U, Q, R = basis._reduced
-    t = Q.T @ creal
-    us = _enum_ball(R, t, radius)
-    if not us:
+    r2 = ball_bound(radius)
+    flat = array.array("q")  # 8 bytes per coordinate while the walk runs
+    _enumerate(basis, center, r2, lambda u, d2: flat.extend(u) or r2)
+    if not flat:
         coords = np.zeros((0, basis.rank), dtype=np.int64)
         vecs = np.zeros((0, basis.n), dtype=basis.vectors.dtype)
         return coords, vecs
-    ured = np.asarray(us, dtype=np.int64)
-    order = np.lexsort(ured.T[::-1])
-    ured = ured[order]
+    Bred, U, _, _ = basis._reduced
+    ured = np.frombuffer(flat, dtype=np.int64).reshape(-1, basis.rank)
+    ured = ured[np.lexsort(ured.T[::-1])]
     vec_real = ured.astype(float) @ Bred
     return ured @ U, np.atleast_2d(basis.to_ambient(vec_real))
 
@@ -349,16 +352,14 @@ def product_norm(vec) -> float:
 
 
 def min_product_distance(basis: LatticeBasis, radius: float,
-                         exact_hint: float | None = None,
-                         max_rank: int = MAX_ENUM_RANK):
+                         exact_hint: float | None = None):
     """Minimum product norm over nonzero lattice vectors of Euclidean norm <= radius.
 
     Returns (dp_min, dp_exact); exactness is only certified when a supplied
     theory floor is attained, since unit-norm-product vectors can have
     unbounded Euclidean norm.
     """
-    coords, vecs = points_in_ball(basis, np.zeros(basis.n), radius,
-                                  max_rank=max_rank)
+    coords, vecs = points_in_ball(basis, np.zeros(basis.n), radius)
     dp = math.inf
     for u, v in zip(coords, vecs):
         if not np.any(u):
@@ -374,15 +375,13 @@ def min_product_distance(basis: LatticeBasis, radius: float,
 
 
 def invariants(basis: LatticeBasis, radius: float | None = None,
-               exact_hint: float | None = None,
-               max_rank: int = MAX_ENUM_RANK) -> LatticeInvariants:
+               exact_hint: float | None = None) -> LatticeInvariants:
     """Volume, shortest vector, product distance, and their normalized forms."""
     vol = volume(basis)
-    _, sv = shortest_vector(basis, max_rank=max_rank)
+    _, sv = shortest_vector(basis)
     search_radius = max(radius if radius is not None else 0.0, 1.5 * sv)
     dp, dp_exact = min_product_distance(basis, search_radius,
-                                        exact_hint=exact_hint,
-                                        max_rank=max_rank)
+                                        exact_hint=exact_hint)
     if basis.ambient == COMPLEX:
         nsv = sv / vol ** (1.0 / (2 * basis.n))
         ndp = dp / math.sqrt(vol)

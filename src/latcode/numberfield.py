@@ -295,14 +295,6 @@ def field_roots(f: FieldSpec) -> np.ndarray:
     return chosen[order]
 
 
-def all_roots(f: FieldSpec) -> np.ndarray:
-    """All ``degree`` roots (both members of each conjugate pair if complex)."""
-    r = field_roots(f)
-    if f.totally_real:
-        return r.astype(complex)
-    return np.concatenate([r, np.conj(r)])
-
-
 def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
     """Basis psi(e_1), ..., psi(e_m) of elements in power-basis coordinates."""
     roots = field_roots(f)
@@ -317,7 +309,9 @@ def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
 
 def element_norm(f: FieldSpec, coeffs) -> float:
     """|Nr(x)| as the product of the element's images under all embeddings."""
-    roots = all_roots(f)
+    r = field_roots(f)
+    # all ``degree`` roots: both members of each conjugate pair if complex
+    roots = r.astype(complex) if f.totally_real else np.concatenate([r, np.conj(r)])
     vals = np.zeros_like(roots)
     for c in reversed([float(c) for c in coeffs]):
         vals = vals * roots + c
@@ -382,7 +376,8 @@ def min_ideal(f: FieldSpec, ideal: IdealSpec,
 
     Complex fields: sqrt(|Nr(x)| / N(I)); real fields: |Nr(x)| / N(I).  This
     is an upper bound on min(I), exact whenever the attaining element lies
-    inside the search radius.
+    inside the search radius.  A shell past the enumeration node budget
+    raises ``lattice.EnumerationCapError``.
     """
     if search_radius is None:
         search_radius = default_min_ideal_radius(f, ideal)

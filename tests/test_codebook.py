@@ -101,7 +101,7 @@ class TestCarve:
         code = carve(CodeConfig(rate=1.0, power=6.0,
                                 field=field("Qsqrt2"), seed=2))
         for p in code.points:
-            v = lattice.closest_vector(code.basis, p - code.shift)
+            v = lattice.closest_vector_coords(code.basis, p - code.shift)[0]
             assert np.max(np.abs(v - (p - code.shift))) < 1e-8
 
     def test_min_distance_vs_shortest_vector(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latcode import channel as ch
+from latcode import decoder
 from latcode import numberfield as nf
 from latcode.codebook import CodeConfig, carve
 from latcode.decoder import ml_decode, nld_decode
@@ -55,6 +56,21 @@ class TestMlOracle:
             ref, ref_m = brute_force_ml(y, r, code)
             assert out.metric == pytest.approx(ref_m, rel=1e-10)
             assert np.allclose(out.decoded, ref)
+
+    @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
+    def test_blocks_match_one_scan(self, model, monkeypatch):
+        code = make_code(rate=2.0)
+        # 7-row blocks, the last one partial
+        monkeypatch.setattr(decoder, "_ML_BLOCK_BYTES",
+                            7 * code.points[0].nbytes)
+        for t in range(30):
+            s = code.points[t % code.size]
+            y, r = ch.transmit(s, model, 23, t)
+            out = ml_decode(y, r, code, s)
+            metrics = np.sum(np.abs(y - r.fading * code.points) ** 2, axis=1)
+            assert out.metric == metrics.min()
+            assert np.array_equal(out.decoded,
+                                  code.points[np.argmin(metrics)])
 
     def test_ml_never_beaten_by_nld_inside_codebook(self):
         # when nld lands inside the codebook its metric cannot beat ml
@@ -118,5 +134,29 @@ class TestFadingHandling:
         out = nld_decode(y, r, code, s)
         # with unit fading the faded lattice is the code lattice itself
         from latcode import lattice
-        v = lattice.closest_vector(code.basis, np.asarray(y) - code.shift)
+        v, _ = lattice.closest_vector_coords(code.basis,
+                                             np.asarray(y) - code.shift)
         assert np.allclose(out.decoded, code.shift + v)
+
+
+class TestCodebookMembership:
+    def test_norm_test_agrees_with_codebook_scan(self):
+        """``is_codeword`` tests the decoded point's norm against the carving
+        ball; a scan of every codeword gives the same answer."""
+        off = 0
+        for name, model in [("F4-725", ch.AWGN_REAL),
+                            ("F4-725", ch.RAYLEIGH_REAL),
+                            ("F8-17", ch.RAYLEIGH_REAL),
+                            ("Qzeta5", ch.AWGN_COMPLEX),
+                            ("Qzeta5", ch.RAYLEIGH_COMPLEX)]:
+            for snr_db in (3.0, 9.0, 15.0):
+                code = make_code(name, power=10.0 ** (snr_db / 10.0))
+                for t in range(100):
+                    s = code.points[t % code.size]
+                    y, r = ch.transmit(s, model, 17, t)
+                    out = nld_decode(y, r, code, s)
+                    gap = np.max(np.abs(code.points - out.decoded), axis=1)
+                    in_scan = bool(gap.min() <= 1e-8)
+                    assert out.is_codeword == in_scan
+                    off += not in_scan
+        assert off > 200

@@ -185,10 +185,10 @@ class TestIdealLattices:
             unit = nf.ideal_lattice(f, f.unit_ideal())
             # mutual membership of basis vectors
             for v in unit.vectors:
-                w = lattice.closest_vector(ring, v)
+                w = lattice.closest_vector_coords(ring, v)[0]
                 assert np.max(np.abs(w - v)) < 1e-8
             for v in ring.vectors:
-                w = lattice.closest_vector(unit, v)
+                w = lattice.closest_vector_coords(unit, v)[0]
                 assert np.max(np.abs(w - v)) < 1e-8
 
 

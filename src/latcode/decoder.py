@@ -1,9 +1,12 @@
 """Naive lattice decoding and ML decoding with receiver-side channel knowledge.
 
 Fading is folded into the lattice basis (never divided out), so tiny
-coefficients cannot blow up numerically; the closest-point kernel receives
-the faded basis directly.  An exactly zero coefficient makes the faded basis
-singular, and NLD raises ``ValueError`` on it.
+coefficients cannot blow up numerically.  The faded basis carries the code
+lattice as a hint: the closest-point search first walks the code lattice's
+cached LLL rows, faded, within a small node budget, and LLL-reduces the
+faded basis itself only when a deep fade trips that budget.  An exactly zero
+coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
+it.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     result outside the finite codebook counts as an error.
     """
     fading = realization.fading
-    # unfaded, the code lattice itself is searched: one cached reduction
+    # unfaded, the code lattice itself is searched: one cached reduction;
+    # faded, its cached LLL rows are faded and searched first
     basis = codebook.basis
     if realization.is_fading:
-        basis = lattice.LatticeBasis(basis.ambient, basis.vectors * fading)
+        basis = basis.faded(fading)
     target = np.asarray(y) - fading * codebook.shift
     _, coords = lattice.closest_vector_coords(basis, target)
     decoded = codebook.shift + coords.astype(float) @ codebook.basis.vectors

@@ -106,13 +106,18 @@ class TestDominance:
 
 class TestFadingHandling:
     def test_tiny_fading_is_stable(self):
-        for name, depth in [("F4-725", 1e-6), ("F4-725", 1e-8), ("F8-17", 1e-8)]:
+        for name, model, depth in [
+                ("F4-725", ch.RAYLEIGH_REAL, 1e-6),
+                ("F4-725", ch.RAYLEIGH_REAL, 1e-8),
+                ("F8-17", ch.RAYLEIGH_REAL, 1e-8),
+                # the interleaved re/im rows of a complex code, faded
+                ("Qzeta5", ch.RAYLEIGH_COMPLEX, 1e-8 * np.exp(0.7j))]:
             code = make_code(name)
             s = code.points[0]
-            fading = np.ones(code.n)
+            fading = np.ones(code.n, dtype=np.asarray(depth).dtype)
             fading[0] = depth
             r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),
-                                      model=ch.RAYLEIGH_REAL, seed_path=(0, 0))
+                                      model=model, seed_path=(0, 0))
             y = fading * s
             out = nld_decode(y, r, code, s)
             assert np.all(np.isfinite(out.decoded))

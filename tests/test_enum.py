@@ -309,6 +309,109 @@ class TestChangeOfBasis:
         assert_ball_matches(back, coords, d2, radius * radius)
 
 
+# ---------------------------------------------------------------- faded hint
+
+
+def code_lattice(name):
+    """The rate-1, P = 10 code lattice that ``carve`` builds for ``name``."""
+    f = nf.catalog_field(name)
+    return nf.embedding_matrix(f).scaled(
+        math.sqrt(energy_normalization(f, 1.0, 10.0)))
+
+
+def single_fades(n, depths=(1e-2, 1e-3, 1e-5, 1e-8)):
+    for depth in depths:
+        for col in range(n):
+            fading = np.ones(n)
+            fading[col] = depth
+            yield fading
+
+
+def assert_hint_exact(basis, fadings, rng, targets=3):
+    """A hinted faded basis and a plain one built from the same faded rows
+    give the same closest point and coordinates, on noisy faded lattice points
+    and on uniform targets.  Each decode gets a fresh hinted basis, as in
+    NLD; returns how many of them ran ``_lll`` (the fallback) and how many
+    decodes there were.  The parent must already be reduced."""
+    lll_calls = []
+    real_lll = lattice._lll
+    decodes = 0
+    for fading in fadings:
+        plain = LatticeBasis(basis.ambient, basis.vectors * fading)
+        B = plain.real_matrix
+        sigma = 0.3 * float(np.min(np.linalg.norm(B, axis=1)))
+        for k in range(targets):
+            if k % 2 == 0:
+                x = rng.integers(-3, 4, basis.rank) @ B
+                x = x + sigma * rng.standard_normal(basis.rank)
+            else:
+                x = 3.0 * rng.standard_normal(basis.rank) @ B
+            target = plain.to_ambient(x)
+            hinted = basis.faded(fading)
+            lattice._lll = lambda M: lll_calls.append(1) or real_lll(M)
+            try:
+                vec, got = lattice.closest_vector_coords(hinted, target)
+            finally:
+                lattice._lll = real_lll
+            want_vec, want = lattice.closest_vector_coords(plain, target)
+            assert np.array_equal(got, want)
+            scale = float(np.max(np.abs(want_vec))) + 1.0
+            assert np.allclose(vec, want_vec, rtol=0.0, atol=1e-12 * scale)
+            decodes += 1
+    return len(lll_calls), decodes
+
+
+class TestFadedHint:
+    """``LatticeBasis.faded`` searches the parent's LLL rows, faded, within
+    ``_FADED_NODES`` nodes and falls back to its own LLL: the coordinates
+    are those of the plain faded basis either way."""
+
+    @pytest.mark.parametrize("name, model", [
+        ("F4-725", ch.RAYLEIGH_REAL), ("F8-17", ch.RAYLEIGH_REAL),
+        ("Qzeta5", ch.RAYLEIGH_COMPLEX)])
+    def test_seeded_rayleigh_fades(self, name, model):
+        basis = code_lattice(name)
+        basis._reduced
+        fadings = [ch.sample_realization(model, basis.n, 7, t).fading
+                   for t in range(40)]
+        fallbacks, decodes = assert_hint_exact(
+            basis, fadings, np.random.default_rng(21))
+        assert decodes == 120
+        # typical fades never leave the fast path
+        assert fallbacks == 0
+
+    @pytest.mark.parametrize("name", ["F4-725", "F8-17"])
+    def test_single_coordinate_deep_fades(self, name):
+        basis = code_lattice(name)
+        basis._reduced
+        fallbacks, decodes = assert_hint_exact(
+            basis, single_fades(basis.n), np.random.default_rng(22))
+        # deep fades trip the budget and take the fallback, not all of them
+        assert 0 < fallbacks < decodes
+
+    def test_complex_deep_fades(self):
+        basis = code_lattice("Qzeta5")
+        basis._reduced
+        phase = np.exp(0.7j)
+        fadings = [f * phase for f in single_fades(basis.n)]
+        fallbacks, decodes = assert_hint_exact(
+            basis, fadings, np.random.default_rng(23))
+        assert fallbacks > 0
+
+    def test_other_searches_ignore_the_hint(self):
+        basis = code_lattice("F4-725")
+        fading = ch.sample_realization(ch.RAYLEIGH_REAL, 4, 3, 1).fading
+        hinted = basis.faded(fading)
+        plain = LatticeBasis(basis.ambient, basis.vectors * fading)
+        _, sv = lattice.shortest_vector(plain)
+        assert lattice.shortest_vector(hinted)[1] == sv
+        for got, want in zip(
+                lattice.points_in_ball(hinted, np.zeros(4), 2.0 * sv),
+                lattice.points_in_ball(plain, np.zeros(4), 2.0 * sv)):
+            assert np.array_equal(got, want)
+        assert "_faded_reduced" not in vars(hinted)
+
+
 # ---------------------------------------------------------------- caps
 
 
@@ -331,6 +434,8 @@ class TestCaps:
         assert err.rank == 8
         assert err.bound == lattice.ball_bound(radius)
         assert err.nodes > lattice.MAX_ENUM_NODES
+        assert err.budget == lattice.MAX_ENUM_NODES
+        assert f"{lattice.MAX_ENUM_NODES} nodes" in str(err)
         # one int64 per coordinate per point held, with growth slack
         assert peak < 1.5 * 8 * basis.rank * lattice.MAX_ENUM_NODES
 
@@ -353,3 +458,44 @@ class TestCaps:
         with pytest.raises(EnumerationCapError) as info:
             lattice.count_in_ball(basis, np.zeros(30), 1.0)
         assert (info.value.rank, info.value.nodes) == (30, 0)
+
+    def test_faded_rank_cap_raises_before_reducing(self, monkeypatch):
+        basis = LatticeBasis(REAL, np.eye(30)).faded(np.full(30, 0.5))
+        monkeypatch.setattr(lattice, "_lll", None)
+        monkeypatch.setattr(lattice, "_qr", None)
+        with pytest.raises(EnumerationCapError) as info:
+            lattice.closest_vector_coords(basis, np.zeros(30))
+        assert (info.value.rank, info.value.nodes) == (30, 0)
+
+    def test_fast_budget_trip_names_its_budget(self):
+        basis = code_lattice("F8-17")
+        fading = np.ones(8)
+        fading[3] = 1e-5
+        faded = basis.faded(fading)
+        target = faded.to_ambient(
+            np.random.default_rng(4).standard_normal(8) @ faded.real_matrix)
+        with pytest.raises(EnumerationCapError) as info:
+            lattice._closest(faded, target, hinted=True)
+        assert info.value.budget == lattice._FADED_NODES
+        assert info.value.nodes > lattice._FADED_NODES
+        assert f"{lattice._FADED_NODES} nodes" in str(info.value)
+        # the fallback finishes the decode
+        lattice.closest_vector_coords(faded, target)
+
+    def test_zero_fast_budget_always_falls_back(self, monkeypatch):
+        basis = code_lattice("F4-725")
+        basis._reduced
+        monkeypatch.setattr(lattice, "_FADED_NODES", 0)
+        fadings = [ch.sample_realization(ch.RAYLEIGH_REAL, 4, 9, t).fading
+                   for t in range(10)]
+        fallbacks, decodes = assert_hint_exact(
+            basis, fadings, np.random.default_rng(5))
+        assert fallbacks == decodes
+
+    def test_global_cap_holds_on_faded_bases(self, monkeypatch):
+        basis = code_lattice("F4-725")
+        fading = ch.sample_realization(ch.RAYLEIGH_REAL, 4, 9, 0).fading
+        monkeypatch.setattr(lattice, "MAX_ENUM_NODES", 0)
+        with pytest.raises(EnumerationCapError) as info:
+            lattice.closest_vector_coords(basis.faded(fading), np.full(4, 0.3))
+        assert info.value.budget == 0

@@ -8,6 +8,7 @@ fundamental parallelotope and certified by exact point counting.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ class CodeConfig:
 
 @dataclass(frozen=True)
 class Codebook:
+    """A carved code.  ``points`` must not be mutated: ML decoding caches its
+    squared magnitudes."""
     points: np.ndarray
     alpha: float
     shift: np.ndarray
@@ -60,6 +63,13 @@ class Codebook:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def _squares(self):
+        """(|points|^2 elementwise, the largest squared row norm), for
+        ``decoder.ml_decode``."""
+        sq = np.abs(self.points) ** 2
+        return sq, float(np.max(np.sum(sq, axis=1)))
 
     def min_distance(self) -> float:
         """Minimum pairwise distance, over row blocks of bounded memory."""

@@ -6,7 +6,7 @@ lattice as a hint: the closest-point search first walks the code lattice's
 cached LLL rows, faded, within a small node budget, and LLL-reduces the
 faded basis itself only when a deep fade trips that budget.  An exactly zero
 coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
-it.
+it; ML decodes it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .channel import ChannelRealization
 from .codebook import Codebook
 
 _MATCH_TOL = 1e-8
-_ML_BLOCK_BYTES = 1 << 16
+_ML_WINDOW = 1e-9  # relative to the score bound M in ml_decode
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,46 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
                          correct=_matches(decoded, transmitted), metric=metric)
 
 
+def _exact_metrics(y, fading, rows) -> np.ndarray:
+    """||y - fading * x||^2 for each row x, in a full scan's arithmetic.
+
+    ``fading`` enters as a (1, n) row: numpy multiplies a single complex
+    coordinate against a (1, 1) block in a scalar loop that rounds
+    differently from the loop a scan of many rows takes."""
+    return np.add.reduce(np.abs(y - fading[None] * rows) ** 2, axis=1)
+
+
 def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
               transmitted) -> DecodeOutcome:
     """Exhaustive minimum-distance search over the finite codebook.
 
-    Rows are scored in blocks of at most ``_ML_BLOCK_BYTES``: temporaries the
-    size of a large codebook are mapped and faulted in afresh on each call,
-    or not, depending on what the process freed before.
+    Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
+    sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i: one matrix-vector
+    product with the codebook's cached ``|points|^2`` and one with
+    ``points``, so a call allocates codebook-length temporaries only.
+
+    Both sums are at most M = ||y||^2 + max|h|^2 max||x||^2 in magnitude,
+    and the exact metric at most 2M, so a score and the exact metric less
+    ||y||^2 differ by a few n ulps of M.  If they differ by at most e on
+    every row, the first exact minimizer scores within 2e of the lowest
+    score.  Every row scoring within ``_ML_WINDOW`` * M of the lowest, far
+    above 2e, is rescored with a full scan's per-row arithmetic, and the
+    first index among the exact minima wins: the decision and ``metric`` are
+    those of a full scan, bit for bit.  Usually only the winner is rescored;
+    an exactly zero fading coefficient makes rows that differ only there tie
+    exactly, and all of them are rescored.
     """
     fading, y, points = realization.fading, np.asarray(y), codebook.points
-    metrics = np.empty(len(points))
-    step = max(1, _ML_BLOCK_BYTES // points[0].nbytes)
-    for lo in range(0, len(points), step):
-        diffs = y - fading * points[lo:lo + step]
-        metrics[lo:lo + step] = np.sum(np.abs(diffs) ** 2, axis=1)
-    idx = int(np.argmin(metrics))  # first index wins ties
-    decoded = codebook.points[idx]
+    sq, max_norm2 = codebook._squares
+    w = (fading.conj() * fading).real
+    scores = sq @ w
+    scores -= (points @ (2.0 * y.conj() * fading)).real
+    window = _ML_WINDOW * (np.vdot(y, y).real
+                           + np.maximum.reduce(w) * max_norm2)
+    rows = points[scores <= scores[scores.argmin()] + window]
+    metrics = _exact_metrics(y, fading, rows)
+    best = metrics.argmin()  # first index wins ties
+    decoded = rows[best]
     return DecodeOutcome(decoded=decoded, is_codeword=True,
                          correct=_matches(decoded, transmitted),
-                         metric=float(metrics[idx]))
+                         metric=float(metrics[best]))

@@ -144,42 +144,33 @@ def bound_table() -> list[RateBound]:
     return rows
 
 
-def _fading_bound_terms(n: int, alpha: float, delta: float, epsilon: float,
-                        model: str):
-    dof = 2 * n if is_complex(model) else n
-    term1 = 2.0 * math.exp(-dof * epsilon ** 2 / 16.0)
-    if alpha ** 2 / 4.0 * math.exp(-(delta + EULER_GAMMA)) < 1.0 + epsilon:
-        return None
-    sol = chernoff_solve(delta)
-    term2 = math.exp(n * sol.exponent)
-    return term1, term2
-
-
 def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
                        model: str = RAYLEIGH_COMPLEX) -> float:
     """Union bound: atypical-noise term plus Chernoff tail of the fading
-    geometric mean; saturates at 1 when the slack precondition fails.
+    geometric mean; saturates at 1 when the slack delta exceeds
+    delta_max(eps) = ln(alpha^2 / (4 (1 + eps))) - gamma or delta_max <= 0.
 
-    With ``delta=None`` the largest feasible slack is used for each epsilon;
-    with ``epsilon=None`` as well, the bound is minimized over a 100-point
+    With ``delta=None`` delta_max is used for each epsilon; with
+    ``epsilon=None`` as well, the bound is minimized over a 100-point
     log-grid of epsilon values.
     """
     if not is_fading(model):
         raise ValueError(f"fading_error_bound needs a fading model, got {model}")
+    dof = 2 * n if is_complex(model) else n
 
     def bound_for(eps: float, dlt: float | None) -> float:
-        if dlt is None:
-            # largest slack keeping the Chernoff tail applicable
-            arg = alpha ** 2 / (4.0 * (1.0 + eps))
-            if arg <= 0:
-                return 1.0
-            dlt = math.log(arg) - EULER_GAMMA
-            if dlt <= 0:
-                return 1.0
-        terms = _fading_bound_terms(n, alpha, dlt, eps, model)
-        if terms is None:
+        arg = alpha ** 2 / (4.0 * (1.0 + eps))
+        if arg <= 0:
             return 1.0
-        return min(1.0, terms[0] + terms[1])
+        dmax = math.log(arg) - EULER_GAMMA
+        # compare with delta_max itself: the precondition recomputed from
+        # delta = delta_max holds with equality, and fails by an ulp in floats
+        dlt = dmax if dlt is None else dlt
+        if dlt > dmax or dmax <= 0:
+            return 1.0
+        term1 = 2.0 * math.exp(-dof * eps ** 2 / 16.0)
+        term2 = math.exp(n * chernoff_solve(dlt).exponent)
+        return min(1.0, term1 + term2)
 
     if epsilon is not None:
         return bound_for(epsilon, delta)

@@ -44,7 +44,6 @@ class ChannelRealization:
     fading: np.ndarray
     noise: np.ndarray
     model: str
-    seed_path: tuple[int, int]
 
     @property
     def is_fading(self) -> bool:
@@ -79,7 +78,7 @@ def sample_realization(model: str, n: int, master_seed: int,
     else:
         fading = np.ones(n, dtype=complex if cplx else float)
     return ChannelRealization(fading=fading, noise=noise * noise_scale,
-                              model=model, seed_path=(master_seed, trial_index))
+                              model=model)
 
 
 def transmit(s, model: str, master_seed: int, trial_index: int,

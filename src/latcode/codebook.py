@@ -82,21 +82,17 @@ class Codebook:
         return float(math.sqrt(best))
 
 
-def _ln_ball_volume(dim: int, radius: float) -> float:
-    """ln Vol of the Euclidean ball of the given radius in R^dim."""
-    return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) \
-        - ln_gamma(dim / 2.0 + 1.0)
-
-
-def _ln_ball_constant(field: FieldSpec) -> float:
-    """ln C_n (complex) or ln C_n^R (real): Vol(B(r)) = C * (r^2/n)^{dim/2}."""
-    dim, n = field.degree, field.ambient_n
+def _ln_ball_constant(dim: int, n: int) -> float:
+    """ln C in Vol(B(r)) = C (r^2/n)^{dim/2}, the Euclidean ball in R^dim:
+    C_n for a complex field (dim = 2n), C_n^R for a real one (dim = n)."""
     return 0.5 * dim * math.log(math.pi * n) - ln_gamma(dim / 2.0 + 1.0)
 
 
 def ball_volume(field: FieldSpec, radius: float) -> float:
     """Euclidean ball volume in the field's real dimension (2n complex, n real)."""
-    return math.exp(_ln_ball_volume(field.degree, radius))
+    dim, n = field.degree, field.ambient_n
+    return math.exp(_ln_ball_constant(dim, n)
+                    + 0.5 * dim * math.log(radius * radius / n))
 
 
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
@@ -107,7 +103,7 @@ def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
     """
     n = field.ambient_n
     d = abs(field.disc_catalog)
-    ln_c = _ln_ball_constant(field)
+    ln_c = _ln_ball_constant(field.degree, n)
     if field.totally_real:
         ln_alpha2 = math.log(power) + (2.0 / n) * ln_c \
             - 2.0 * rate * math.log(2.0) - math.log(d) / n
@@ -123,17 +119,20 @@ def count_points(basis: LatticeBasis, shift, radius: float) -> int:
 
 
 def shift_search(basis: LatticeBasis, power: float, target_count: int,
-                 seed: int, max_tries: int = _SHIFT_TRY_CAP):
+                 seed: int):
     """Find a shift meeting the averaging-lemma count Vol(B)/Vol(L).
 
     Shifts are sampled uniformly from the fundamental parallelotope; the
     lemma guarantees a qualifying shift exists, so sampling retries until
-    the bound is met.  Ties in count keep the earliest sample.
+    the bound is met, at most ``_SHIFT_TRY_CAP`` times (read at call time).
+    Ties in count keep the earliest sample.
     """
     n = basis.n
     radius = math.sqrt(n * power)
     dim = basis.rank
-    required = math.exp(_ln_ball_volume(dim, radius)) / lattice.volume(basis)
+    # Vol(B(sqrt(nP))) = C P^{dim/2}
+    required = math.exp(_ln_ball_constant(dim, n)
+                        + 0.5 * dim * math.log(power)) / lattice.volume(basis)
     if target_count > 2.0 * required:
         raise RateInfeasibleError(
             f"target count {target_count} exceeds twice the volume ratio "
@@ -142,7 +141,7 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
     Breal = basis.real_matrix
     best_count = -1
     best_shift = None
-    for _ in range(max_tries):
+    for _ in range(_SHIFT_TRY_CAP):
         frac = rng.random(dim)
         shift_real = frac @ Breal
         shift = basis.to_ambient(shift_real)

@@ -34,6 +34,7 @@ MAX_ENUM_NODES = 1 << 20
 _FADED_NODES = 256
 
 _TIE_EPS = 1e-12
+_LLL_DELTA = 0.99  # the Lovasz condition's constant in ``_lll``
 
 
 class EnumerationCapError(RuntimeError):
@@ -186,7 +187,7 @@ def volume(basis: LatticeBasis) -> float:
     return float(math.exp(0.5 * logdet))
 
 
-def _lll(B: np.ndarray, delta: float = 0.99):
+def _lll(B: np.ndarray):
     """LLL-reduce the rows of B; returns (B_reduced, U) with B_reduced = U @ B.
 
     Gram-Schmidt row r (``ortho[r]``, ``mu[r]``, ``bb[r] = ortho[r] @ ortho[r]``)
@@ -224,7 +225,7 @@ def _lll(B: np.ndarray, delta: float = 0.99):
                 rows[i] -= q * rows[j]
                 urows[i] -= q * urows[j]
                 gso_row(i)
-        if bb[i] >= (delta - mu[i][i - 1] ** 2) * bb[i - 1]:
+        if bb[i] >= (_LLL_DELTA - mu[i][i - 1] ** 2) * bb[i - 1]:
             i += 1
         else:
             rows[i - 1], rows[i] = rows[i], rows[i - 1]
@@ -402,10 +403,18 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     return ured @ U, np.atleast_2d(basis.to_ambient(vec_real))
 
 
-def product_norm(vec) -> float:
-    """Product of coordinate moduli in the ambient space."""
-    v = np.asarray(vec)
-    return float(np.prod(np.abs(v)))
+def _min_product_norm(basis: LatticeBasis, radius: float) -> float:
+    """Least product of coordinate moduli over the nonzero lattice vectors
+    within ``radius``, inf if there is none; ``ZeroProductNormError`` on the
+    first with a coordinate modulus <= 1e-9 max(1, its norm)."""
+    coords, vecs = points_in_ball(basis, np.zeros(basis.n), radius)
+    vecs = vecs[np.any(coords, axis=1)]
+    mods = np.abs(vecs)
+    norms = np.linalg.norm(vecs, axis=1)
+    zero = np.min(mods, axis=1) <= 1e-9 * np.maximum(1.0, norms)
+    if np.any(zero):
+        raise ZeroProductNormError(vecs[np.argmax(zero)])
+    return float(np.min(np.prod(mods, axis=1), initial=math.inf))
 
 
 def min_product_distance(basis: LatticeBasis, radius: float,
@@ -414,17 +423,10 @@ def min_product_distance(basis: LatticeBasis, radius: float,
 
     Returns (dp_min, dp_exact); exactness is only certified when a supplied
     theory floor is attained, since unit-norm-product vectors can have
-    unbounded Euclidean norm.
+    unbounded Euclidean norm.  A ball with no nonzero vector raises
+    ``ValueError`` naming the radius.
     """
-    coords, vecs = points_in_ball(basis, np.zeros(basis.n), radius)
-    dp = math.inf
-    for u, v in zip(coords, vecs):
-        if not np.any(u):
-            continue
-        norm = float(np.linalg.norm(v))
-        if np.min(np.abs(v)) <= 1e-9 * max(1.0, norm):
-            raise ZeroProductNormError(v)
-        dp = min(dp, product_norm(v))
+    dp = _min_product_norm(basis, radius)
     if math.isinf(dp):
         raise ValueError(f"no nonzero lattice vector within radius {radius}")
     exact = exact_hint is not None and dp <= exact_hint * (1.0 + 1e-9)

@@ -374,7 +374,8 @@ def min_ideal(f: FieldSpec, ideal: IdealSpec,
               search_radius: float | None = None) -> float:
     """min over nonzero x in I with ||psi(x)|| <= radius of the normalized norm.
 
-    Complex fields: sqrt(|Nr(x)| / N(I)); real fields: |Nr(x)| / N(I).  This
+    Complex fields: sqrt(|Nr(x)| / N(I)); real fields: |Nr(x)| / N(I), each
+    shell's minimum product norm divided once by sqrt(N(I)) or N(I).  This
     is an upper bound on min(I), exact whenever the attaining element lies
     inside the search radius.  A shell past the enumeration node budget
     raises ``lattice.EnumerationCapError``.
@@ -382,20 +383,12 @@ def min_ideal(f: FieldSpec, ideal: IdealSpec,
     if search_radius is None:
         search_radius = default_min_ideal_radius(f, ideal)
     basis = ideal_lattice(f, ideal)
+    scale = ideal.norm if f.totally_real else math.sqrt(ideal.norm)
     best = math.inf
     # N(I) divides Nr(x) for x in an integral ideal, so the normalized value
     # is >= 1; enumerate in growing shells and stop once that floor is hit
     for r in (search_radius / 4.0, search_radius / 2.0, search_radius):
-        coords, vecs = lattice.points_in_ball(basis, np.zeros(basis.n), r)
-        for u, v in zip(coords, vecs):
-            if not np.any(u):
-                continue
-            p = lattice.product_norm(v)
-            # product over chosen embeddings: sqrt(|Nr|) complex, |Nr| real
-            if f.totally_real:
-                best = min(best, p / ideal.norm)
-            else:
-                best = min(best, p / math.sqrt(ideal.norm))
+        best = min(best, lattice._min_product_norm(basis, r) / scale)
         if best <= 1.0 + 1e-9:
             break
     if math.isinf(best):

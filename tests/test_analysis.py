@@ -180,6 +180,30 @@ class TestFadingErrorBound:
         assert an.fading_error_bound(8, 1.0, epsilon=0.5,
                                      model=ch.RAYLEIGH_COMPLEX) == 1.0
 
+    @pytest.mark.parametrize("n,alpha,model", [
+        (8, 57.8, ch.RAYLEIGH_REAL), (4, 20.0, ch.RAYLEIGH_REAL),
+        (2, 30.0, ch.RAYLEIGH_COMPLEX), (8, 40.0, ch.RAYLEIGH_COMPLEX)])
+    def test_largest_slack_is_feasible(self, n, alpha, model):
+        # delta = delta_max(eps) meets the slack precondition with equality;
+        # every grid eps must score the closed form, not saturate at 1
+        dof = 2 * n if ch.is_complex(model) else n
+        for eps in np.logspace(-3, math.log10(50.0), 100):
+            eps = float(eps)
+            dmax = math.log(alpha ** 2 / (4.0 * (1.0 + eps))) - EULER_GAMMA
+            want = 1.0 if dmax <= 0 else min(
+                1.0, 2 * math.exp(-dof * eps ** 2 / 16.0)
+                + math.exp(n * chernoff_solve(dmax).exponent))
+            assert an.fading_error_bound(n, alpha, epsilon=eps, model=model) \
+                == pytest.approx(want, rel=1e-12)
+
+    def test_minimized_bound_uses_every_grid_epsilon(self):
+        n, alpha, model = 8, 47.0, ch.RAYLEIGH_REAL
+        best = min(an.fading_error_bound(n, alpha, epsilon=float(e),
+                                         model=model)
+                   for e in np.logspace(-3, math.log10(50.0), 100))
+        assert an.fading_error_bound(n, alpha, model=model) == best
+        assert best == pytest.approx(1.6067e-7, rel=1e-4)
+
     def test_explicit_terms(self):
         n, alpha, delta, eps = 8, 20.0, 0.5, 0.5
         got = an.fading_error_bound(n, alpha, delta=delta, epsilon=eps,

@@ -7,9 +7,9 @@ import pytest
 from latcode import codebook as cb
 from latcode import lattice
 from latcode import numberfield as nf
-from latcode.codebook import (CodeConfig, RateInfeasibleError, carve,
-                              count_points, energy_normalization,
-                              shift_search)
+from latcode.codebook import (CodeConfig, RateInfeasibleError,
+                              ShiftSearchError, carve, count_points,
+                              energy_normalization, shift_search)
 
 
 def field(name):
@@ -76,6 +76,21 @@ class TestShiftSearch:
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
         with pytest.raises(RateInfeasibleError):
             shift_search(B, power=2.0, target_count=10 ** 6, seed=0)
+
+    def test_try_cap_raises_with_best_count(self, monkeypatch):
+        # F4-725 at rate 1: the volume ratio is 2^4 = 16, and the first
+        # shift of seed 2 holds 14 points
+        f, rate, power = field("F4-725"), 1.0, 10.0
+        alpha = math.sqrt(energy_normalization(f, rate, power))
+        B = nf.embedding_matrix(f).scaled(alpha)
+        monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 1)
+        with pytest.raises(ShiftSearchError) as info:
+            shift_search(B, power, target_count=16, seed=2)
+        assert info.value.best_count == 14
+        assert info.value.required == pytest.approx(16.0, rel=1e-12)
+        monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 10)
+        shift = shift_search(B, power, target_count=16, seed=2)
+        assert count_points(B, shift, math.sqrt(4 * power)) >= 16
 
 
 class TestCarve:

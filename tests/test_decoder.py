@@ -149,7 +149,7 @@ class TestMlTies:
         a, b = 62, 87  # (0, 0, 0) and (1, 0, 0)
         y = (self.code.points[a] + self.code.points[b]) / 2
         r = ch.ChannelRealization(fading=np.ones(3), noise=np.zeros(3),
-                                  model=ch.AWGN_REAL, seed_path=(0, 0))
+                                  model=ch.AWGN_REAL)
         out = ml_decode(y, r, self.code, self.code.points[b])
         assert np.array_equal(out.decoded, self.code.points[a])
         assert not out.correct and out.metric == 0.25
@@ -162,7 +162,7 @@ class TestMlTies:
         s = self.code.points[88]  # (1, 0, 1)
         y = fading * s + np.array([0.4, 0.1, -0.2])
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(3),
-                                  model=ch.RAYLEIGH_REAL, seed_path=(0, 0))
+                                  model=ch.RAYLEIGH_REAL)
         out = ml_decode(y, r, self.code, s)
         idx, metric = full_scan(y, fading, self.code)
         assert np.array_equal(out.decoded, self.code.points[idx])
@@ -204,8 +204,7 @@ class TestMlProperty:
             y = fading * code.points[a] + draw((n,))
         r = ch.ChannelRealization(
             fading=fading, noise=np.zeros(n),
-            model=ch.RAYLEIGH_COMPLEX if cplx else ch.RAYLEIGH_REAL,
-            seed_path=(0, 0))
+            model=ch.RAYLEIGH_COMPLEX if cplx else ch.RAYLEIGH_REAL)
         out = ml_decode(y, r, code, code.points[a])
         ref, ref_metric = brute_force_ml(y, r, code)
         assert np.array_equal(out.decoded, ref)
@@ -250,7 +249,7 @@ class TestFadingHandling:
             fading = np.ones(code.n, dtype=np.asarray(depth).dtype)
             fading[0] = depth
             r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),
-                                      model=model, seed_path=(0, 0))
+                                      model=model)
             y = fading * s
             out = nld_decode(y, r, code, s)
             assert np.all(np.isfinite(out.decoded))
@@ -261,7 +260,7 @@ class TestFadingHandling:
         s = code.points[0]
         fading = np.array([0.0, 1.0, 1.0, 1.0])
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(4),
-                                  model=ch.RAYLEIGH_REAL, seed_path=(0, 0))
+                                  model=ch.RAYLEIGH_REAL)
         with pytest.raises(ValueError, match="singular"):
             nld_decode(fading * s, r, code, s)
 

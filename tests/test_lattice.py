@@ -173,6 +173,11 @@ class TestMinProductDistance:
         with pytest.raises(ZeroProductNormError):
             min_product_distance(Z2, 2.0)
 
+    def test_no_nonzero_vector_in_ball(self):
+        # the shortest vectors of ZSQRT2 have norm sqrt(2)
+        with pytest.raises(ValueError, match="within radius 1.2$"):
+            min_product_distance(ZSQRT2, 1.2)
+
     def test_without_hint_not_certified(self):
         dp, exact = min_product_distance(ZSQRT2, 6.0)
         assert not exact

@@ -213,6 +213,22 @@ class TestMinIdeal:
         for f in CAT:
             assert nf.min_ideal(f, f.unit_ideal()) == pytest.approx(1.0, rel=1e-9)
 
+    def test_empty_inner_shell_is_skipped(self, monkeypatch):
+        # radius 3: the 0.75 ball holds only the origin, the 1.5 ball the
+        # units +-1, +-i and the four +-1 +-i of product norm sqrt(2)
+        balls = []
+        real_points = lattice.points_in_ball
+
+        def spy(basis, center, radius):
+            out = real_points(basis, center, radius)
+            balls.append((radius, len(out[0])))
+            return out
+
+        monkeypatch.setattr(lattice, "points_in_ball", spy)
+        f = get("Qi")
+        assert nf.min_ideal(f, f.unit_ideal(), search_radius=3.0) == 1.0
+        assert balls == [(0.75, 1), (1.5, 9)]
+
     def test_radius_too_small(self):
         f = get("Qi")
         with pytest.raises(ValueError, match="radius"):

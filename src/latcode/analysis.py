@@ -152,10 +152,13 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
 
     With ``delta=None`` delta_max is used for each epsilon; with
     ``epsilon=None`` as well, the bound is minimized over a 100-point
-    log-grid of epsilon values.
+    log-grid of epsilon values.  An explicit ``delta`` <= 0 raises
+    ``ValueError`` whatever alpha and epsilon are.
     """
     if not is_fading(model):
         raise ValueError(f"fading_error_bound needs a fading model, got {model}")
+    if delta is not None and delta <= 0:
+        raise ValueError(f"fading_error_bound requires delta > 0, got {delta}")
     dof = 2 * n if is_complex(model) else n
 
     def bound_for(eps: float, dlt: float | None) -> float:

@@ -5,9 +5,13 @@ interleaved re/im); only the product norm reads coordinate pairs back as
 complex moduli.  Closest point, shortest vector and ball enumeration are one
 Schnorr-Euchner walk, exact within the rank cap ``MAX_ENUM_RANK`` and the
 node budget ``MAX_ENUM_NODES``; past either it raises
-``EnumerationCapError``.  A faded basis (``LatticeBasis.faded``) is searched
-for its closest point on its parent's LLL rows, faded, within the small
-budget ``_FADED_NODES``, and reduces its own rows only when that walk trips.
+``EnumerationCapError``.  Closest point and shortest vector stay on the
+walk.  A ball (``count_in_ball``, ``points_in_ball``) is walked within
+``_BALL_DFS_NODES`` nodes; a larger tree is enumerated again level by level
+in numpy with the walk's arithmetic, so the points, the node count and the
+cap are the walk's.  A faded basis (``LatticeBasis.faded``) is searched for
+its closest point on its parent's LLL rows, faded, within the small budget
+``_FADED_NODES``, and reduces its own rows only when that walk trips.
 """
 
 from __future__ import annotations
@@ -32,6 +36,25 @@ MAX_ENUM_NODES = 1 << 20
 #: the fading_nld benchmark (seeds 0-20) that walk visited at most 221 nodes
 #: (p99 44); a budget of 64 would have tripped 120 times.
 _FADED_NODES = 256
+#: Node budget of the walk that a ball search runs first; past it the ball is
+#: enumerated again level by level (``_enumerate_levels``), which costs a
+#: fixed 0.12 ms at rank 4 and 0.24 ms at rank 8 (per call, in-process,
+#: 2 CPUs) against the walk's 0.5-0.8 us per node, so the two cross near 230
+#: nodes at rank 4 and 340 at rank 8 (343 nodes: 0.26 ms either way; 667
+#: nodes: 0.45 ms walked, 0.27 ms level by level).  Below both, a tree past
+#: the budget wastes under 0.1 ms of walking, and the rate-1 carving balls of
+#: the rank-2 and rank-4 fields (13-31 nodes) never leave the walk.
+_BALL_DFS_NODES = 128
+#: Cap on the candidates that one level-wise step evaluates (one node may
+#: exceed it alone), which bounds the memory of the frontier, and on the rows
+#: that ``points_in_ball`` converts to integers at once.
+_LEVEL_BLOCK = 1 << 14
+#: Tries per node that a level-wise step makes past floor(2 * half-width), at
+#: least 1.  At most floor(2 * half-width) + 1 tries lie within the bound, so
+#: with 2 the last try is past it in exact arithmetic; a block in which some
+#: node's last try is still within the bound (rounding) is tried again with
+#: twice as many.
+_ZIGZAG_SPARE = 2
 
 _TIE_EPS = 1e-12
 _LLL_DELTA = 0.99  # the Lovasz condition's constant in ``_lll``
@@ -252,7 +275,7 @@ def ball_bound(radius: float) -> float:
 
 
 def _enumerate(basis: LatticeBasis, center, bound: float, leaf,
-               hinted: bool = False) -> None:
+               budget: int | None = None, hinted: bool = False) -> None:
     """Schnorr-Euchner walk over the lattice points v with ||v - center||^2 <= bound.
 
     The walk runs in the basis's LLL coordinates u, as ||R u - t||^2 with
@@ -261,13 +284,13 @@ def _enumerate(basis: LatticeBasis, center, bound: float, leaf,
     bound.  Every lattice point within the bound goes to ``leaf(u, d2)``;
     ``u`` is the live coordinate list (copy it to keep it), and the leaf
     returns the bound for the rest of the walk, so a closest-point leaf can
-    shrink it.  A rank above ``MAX_ENUM_RANK``, or more than
-    ``MAX_ENUM_NODES`` tree nodes, raises ``EnumerationCapError``.  If
-    ``hinted``, the walk runs on ``basis._faded_reduced`` within at most
-    ``_FADED_NODES`` nodes.
+    shrink it.  A rank above ``MAX_ENUM_RANK``, or more tree nodes than
+    ``budget`` (capped by ``MAX_ENUM_NODES``), raises
+    ``EnumerationCapError``.  If ``hinted``, the walk runs on
+    ``basis._faded_reduced``.
     """
     rank = basis.rank
-    budget = min(_FADED_NODES, MAX_ENUM_NODES) if hinted else MAX_ENUM_NODES
+    budget = MAX_ENUM_NODES if budget is None else min(budget, MAX_ENUM_NODES)
     if rank > MAX_ENUM_RANK:
         raise EnumerationCapError(rank, bound, 0, budget)
     _, _, Q, R = basis._faded_reduced if hinted else basis._reduced
@@ -333,7 +356,8 @@ def _nearest(basis: LatticeBasis, target, exclude_zero: bool = False,
             best_u, best_d2 = u.copy(), min(best_d2, d2)
         return best_d2 + _TIE_EPS
 
-    _enumerate(basis, target, math.inf, leaf, hinted)
+    _enumerate(basis, target, math.inf, leaf,
+               _FADED_NODES if hinted else None, hinted)
     return best_u, best_d2
 
 
@@ -369,8 +393,99 @@ def _closest(basis: LatticeBasis, target, hinted: bool = False):
     return basis.to_ambient(u.astype(float) @ Bred), u @ U
 
 
+def _enumerate_levels(basis: LatticeBasis, center, bound: float,
+                      keep: bool):
+    """``_enumerate``'s walk over the points within the constant ``bound``,
+    run level by level in numpy: (point count, their LLL coordinates as a
+    float (count, rank) array in no set order if ``keep``, else None).
+
+    A frontier block holds, for nodes at one level, their projected centers
+    y, partial squared distances and (if ``keep``) LLL coordinates, set above
+    that level.  Each node tries integers in the walk's zig-zag order with
+    the walk's arithmetic and keeps them up to its first one past the bound,
+    so the tree, its points and its node count are exactly the walk's.
+    Blocks go on a stack, each step evaluating about ``_LEVEL_BLOCK``
+    candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
+    ``EnumerationCapError``.
+    """
+    rank, budget = basis.rank, MAX_ENUM_NODES
+    if rank > MAX_ENUM_RANK:
+        raise EnumerationCapError(rank, bound, 0, budget)
+    _, _, Q, R = basis._reduced
+    R = np.array(R)
+    t = Q.T @ basis.to_real(np.asarray(center))
+    nodes, points, leaves = 0, 0, []
+    stack = [(rank - 1, t[None, :], np.zeros(1),
+              np.zeros((1, rank if keep else 0)))]
+    while stack:
+        level, y, acc, u = stack.pop()
+        rll = R[level, level]
+        # the node with the most room sets the tries of the block
+        tries = int(2.0 * math.sqrt(bound - acc.min()) / abs(rll)) \
+            + _ZIGZAG_SPARE
+        take = max(1, _LEVEL_BLOCK // tries)
+        if take < len(acc):  # the rest of the block waits on the stack
+            stack.append((level, y[take:], acc[take:], u[take:]))
+            y, acc, u = y[:take], acc[:take], u[:take]
+        yl = y[:, level]
+        ci = yl / rll
+        nearest = np.floor(ci + 0.5)
+        sign = np.where(ci >= nearest, 1.0, -1.0)
+        while True:
+            # try j of every node (row j): offsets 0, 1, -1, 2, -2, ... from
+            # the nearest integer, toward the projected center first
+            j = np.arange(tries)[:, None]
+            cand = nearest + sign * ((j + 1) // 2 * np.where(j & 1, 1.0, -1.0))
+            diff = yl - cand * rll
+            d2 = acc + diff * diff
+            # each node keeps its tries before the first past the bound
+            inside = ~np.logical_or.accumulate(d2 > bound)
+            if not inside[-1].any():
+                break
+            tries *= 2  # some node's last try is within the bound
+        keep_at = np.flatnonzero(inside)
+        nodes += len(keep_at)
+        if nodes > budget:
+            raise EnumerationCapError(rank, bound, nodes, budget)
+        node = keep_at % len(acc)
+        cand = np.take(cand, keep_at)
+        u = np.take(u, node, axis=0)
+        if keep:
+            u[:, level] = cand
+        if level == 0:
+            points += len(node)
+            if keep:
+                leaves.append(u)
+        elif len(node):
+            y = np.take(y[:, :level], node, axis=0)
+            y -= cand[:, None] * R[:level, level]
+            stack.append((level - 1, y, np.take(d2, keep_at), u))
+    if not keep:
+        return points, None
+    return points, np.concatenate(leaves) if leaves else np.zeros((0, rank))
+
+
+def _lex_order(ured: np.ndarray) -> np.ndarray:
+    """``np.lexsort(ured.T[::-1])`` of distinct integer-valued float rows.
+    Past ``_BALL_DFS_NODES`` rows it is one argsort of a mixed-radix key,
+    where that key is exact in floats; that is about where the key starts to
+    pay (on 128 rows: 8 us against lexsort's 7 us at rank 4, 14 us at 8)."""
+    if len(ured) > _BALL_DFS_NODES:
+        lo = ured.min()
+        base = ured.max() - lo + 1.0
+        if base ** ured.shape[1] < 2.0 ** 53:
+            return np.argsort((ured - lo) @ base ** np.arange(
+                ured.shape[1] - 1.0, -1.0, -1.0))
+    return np.lexsort(ured.T[::-1])
+
+
 def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
-    """Number of lattice vectors v with ||v - center|| <= radius."""
+    """Number of lattice vectors v with ||v - center|| <= radius.
+
+    The walk runs first, within ``_BALL_DFS_NODES`` nodes; a larger tree is
+    counted again level by level in numpy, with the walk's arithmetic and
+    the same count.
+    """
     r2 = ball_bound(radius)
     hits = 0
 
@@ -379,7 +494,10 @@ def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
         hits += 1
         return r2
 
-    _enumerate(basis, center, r2, leaf)
+    try:
+        _enumerate(basis, center, r2, leaf, _BALL_DFS_NODES)
+    except EnumerationCapError:
+        return _enumerate_levels(basis, center, r2, keep=False)[0]
     return hits
 
 
@@ -387,20 +505,34 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     """All lattice vectors v with ||v - center|| <= radius.
 
     Returns (coords, vectors): integer coordinates in the given basis and the
-    corresponding ambient vectors, in a deterministic order.
+    corresponding ambient vectors, sorted by their LLL coordinates.  The walk
+    runs first, within ``_BALL_DFS_NODES`` nodes; a larger tree is
+    enumerated again level by level in numpy, with the walk's arithmetic and
+    the same points, and its memory peaks below three times the coordinate
+    array returned.
     """
     r2 = ball_bound(radius)
-    flat = array.array("q")  # 8 bytes per coordinate while the walk runs
-    _enumerate(basis, center, r2, lambda u, d2: flat.extend(u) or r2)
-    if not flat:
+    flat = array.array("d")  # 8 bytes per coordinate while the walk runs
+    try:
+        _enumerate(basis, center, r2, lambda u, d2: flat.extend(u) or r2,
+                   _BALL_DFS_NODES)
+        ured = np.frombuffer(flat).reshape(-1, basis.rank)
+    except EnumerationCapError:
+        ured = _enumerate_levels(basis, center, r2, keep=True)[1]
+    if not len(ured):
         coords = np.zeros((0, basis.rank), dtype=np.int64)
         vecs = np.zeros((0, basis.n), dtype=basis.vectors.dtype)
         return coords, vecs
     Bred, U, _, _ = basis._reduced
-    ured = np.frombuffer(flat, dtype=np.int64).reshape(-1, basis.rank)
-    ured = ured[np.lexsort(ured.T[::-1])]
-    vec_real = ured.astype(float) @ Bred
-    return ured @ U, np.atleast_2d(basis.to_ambient(vec_real))
+    ured = np.take(ured, _lex_order(ured), axis=0)
+    vec_real = ured @ Bred
+    # the integer coordinates overwrite the float ones block by block, so
+    # no third array of the output's size is held
+    coords = ured.view(np.int64)
+    for lo in range(0, len(ured), _LEVEL_BLOCK):
+        block = slice(lo, lo + _LEVEL_BLOCK)
+        coords[block] = ured[block].astype(np.int64) @ U
+    return coords, np.atleast_2d(basis.to_ambient(vec_real))
 
 
 def _min_product_norm(basis: LatticeBasis, radius: float) -> float:

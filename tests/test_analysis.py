@@ -222,6 +222,14 @@ class TestFadingErrorBound:
             + math.exp(n * sol.exponent)
         assert got == pytest.approx(min(1.0, expected), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [20.0, 1.0])  # delta_max > 0, <= 0
+    @pytest.mark.parametrize("delta", [0.0, -0.5])
+    @pytest.mark.parametrize("epsilon", [0.5, None])
+    def test_rejects_nonpositive_slack(self, alpha, delta, epsilon):
+        with pytest.raises(ValueError, match="delta > 0"):
+            an.fading_error_bound(8, alpha, delta=delta, epsilon=epsilon,
+                                  model=ch.RAYLEIGH_COMPLEX)
+
     def test_auto_delta_no_worse_than_fixed(self):
         for alpha in [10.0, 30.0, 100.0]:
             auto = an.fading_error_bound(8, alpha, epsilon=0.5,

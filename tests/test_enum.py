@@ -1,6 +1,7 @@
 """The one Schnorr-Euchner kernel: identical results to the closest-point and
 ball kernels it replaced, agreement with brute force, invariance under a
-change of basis, and the rank cap and node budget."""
+change of basis, the level-wise ball search against the walk, and the rank
+cap and node budget."""
 
 import itertools
 import math
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_lll import code_bases, exact_det
@@ -16,8 +17,9 @@ from test_lll import code_bases, exact_det
 from latcode import channel as ch
 from latcode import lattice
 from latcode import numberfield as nf
-from latcode.codebook import energy_normalization
-from latcode.lattice import REAL, EnumerationCapError, LatticeBasis
+from latcode.codebook import CodeConfig, carve, energy_normalization, \
+    shift_search
+from latcode.lattice import COMPLEX, REAL, EnumerationCapError, LatticeBasis
 
 _TIE_EPS = 1e-12  # the old kernel's tie window
 
@@ -288,18 +290,33 @@ class TestAgainstBruteForce:
                             radius * radius)
 
 
+@st.composite
+def changes_of_basis(draw):
+    """A basis, a unimodular U and a point of the unit box."""
+    basis = draw(bases())
+    return (basis, draw(unimodular(basis.rank)),
+            np.array(draw(unit_box(basis.rank))))
+
+
 class TestChangeOfBasis:
     @settings(max_examples=100, deadline=None)
-    @given(bases(), st.data())
-    def test_results_unchanged(self, basis, data):
-        U = data.draw(unimodular(basis.rank))
+    @given(changes_of_basis())
+    # U @ B is rounded: the target, a point of the first lattice, lies
+    # 1.04e-12 off the second
+    @example((LatticeBasis(REAL, [[0.0, 1.0], [11.305726655165277, 0.0]]),
+              np.array([[17, 13], [13, 10]]), np.array([0.0, 1.0])))
+    def test_results_unchanged(self, case):
+        basis, U, x = case
         other = LatticeBasis(REAL, U @ basis.real_matrix)
-        x = np.array(data.draw(unit_box(basis.rank))) * 4.0
+        x = x * 4.0
         target = x @ basis.real_matrix
         v1, _ = lattice.closest_vector_coords(basis, target)
         v2, _ = lattice.closest_vector_coords(other, target)
+        # the absolute part scales with other's entries, whose rounding
+        # moves its lattice
+        scale = float(np.max(np.abs(other.real_matrix)))
         assert np.linalg.norm(v2 - target) == pytest.approx(
-            np.linalg.norm(v1 - target), rel=1e-9, abs=1e-12)
+            np.linalg.norm(v1 - target), rel=1e-9, abs=1e-12 * scale)
         _, sv = lattice.shortest_vector(basis)
         assert lattice.shortest_vector(other)[1] == pytest.approx(sv, rel=1e-9)
         # the same ball, its points mapped back to the first basis
@@ -412,6 +429,146 @@ class TestFadedHint:
         assert "_faded_reduced" not in vars(hinted)
 
 
+# ---------------------------------------------------------------- level-wise
+
+
+WALKED = {"_BALL_DFS_NODES": 1 << 62}  # the walk never hands a ball over
+LEVELLED = {"_BALL_DFS_NODES": 0}  # every ball goes level by level
+
+
+def ball_outcome(search, basis, center, radius, patch):
+    """``search`` with lattice constants patched: ("ok", its result) or
+    ("cap", the error's rank, bound and budget)."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patch.items():
+            mp.setattr(lattice, name, value)
+        try:
+            return "ok", search(basis, center, radius)
+        except EnumerationCapError as err:
+            assert err.nodes > err.budget
+            return "cap", (err.rank, err.bound, err.budget)
+
+
+def assert_levels_match_walk(basis, center, radius, **patch):
+    """Level-wise and walked ``count_in_ball`` and ``points_in_ball`` agree
+    exactly, or both raise ``EnumerationCapError`` past the same budget;
+    returns the walked count's outcome."""
+    outcomes = []
+    for search in (lattice.count_in_ball, lattice.points_in_ball):
+        want = ball_outcome(search, basis, center, radius, WALKED | patch)
+        got = ball_outcome(search, basis, center, radius, LEVELLED | patch)
+        assert got[0] == want[0]
+        if want[0] == "ok" and search is lattice.points_in_ball:
+            for g, w in zip(got[1], want[1]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert got[1] == want[1]
+        outcomes.append(want)
+    return outcomes[0]
+
+
+@st.composite
+def ball_cases(draw):
+    """A real or complex basis of rank 2 to 8, Gaussian rows with uneven
+    columns at a scale of 1e-2 to 1e2, a center in its span, a radius of
+    0.5 to 4 shortest vectors, a node budget, and the level-wise block and
+    spare tries (small ones split blocks and retry nodes)."""
+    is_complex = draw(st.booleans())
+    rank = 2 * draw(st.integers(1, 4)) if is_complex else draw(
+        st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.standard_normal((rank, rank)) * np.exp(rng.standard_normal(rank))
+    B *= 10.0 ** draw(st.floats(-2.0, 2.0))
+    if is_complex:
+        basis = LatticeBasis(COMPLEX, B[:, 0::2] + 1j * B[:, 1::2])
+    else:
+        basis = LatticeBasis(REAL, B)
+    center = basis.to_ambient(rng.uniform(-3.0, 3.0, rank) @ basis.real_matrix)
+    radius = rng.uniform(0.5, 4.0) * lattice.shortest_vector(basis)[1]
+    patch = {"MAX_ENUM_NODES": draw(st.sampled_from([20_000, 2_000, 50])),
+             "_LEVEL_BLOCK": draw(st.sampled_from([lattice._LEVEL_BLOCK, 16])),
+             "_ZIGZAG_SPARE": draw(st.sampled_from([2, 1]))}
+    return basis, center, radius, patch
+
+
+class TestLevelwiseBalls:
+    """Past ``_BALL_DFS_NODES`` a ball is enumerated level by level: the
+    same count, points and order as the walk, and the same cap."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_cases())
+    def test_matches_the_walk(self, case):
+        basis, center, radius, patch = case
+        assert_levels_match_walk(basis, center, radius, **patch)
+
+    @pytest.mark.parametrize("spare", [2, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_integer_lattice_ties_at_the_bound(self, n, spare):
+        """Half-integer centers, whose two nearest integers tie, and spheres
+        through lattice points; brute force in exact quarter-integers."""
+        rng = np.random.default_rng(n)
+        basis = LatticeBasis(REAL, np.eye(n))
+        for _ in range(10):
+            center = 0.5 * rng.integers(-5, 6, n)
+            point = np.floor(center) + rng.integers(-2, 3, n)
+            r2 = float(np.sum((point - center) ** 2))
+            kind, count = assert_levels_match_walk(
+                basis, center, math.sqrt(r2), _ZIGZAG_SPARE=spare)
+            assert kind == "ok"
+            r = math.sqrt(r2)
+            grid = np.array(list(itertools.product(
+                *[range(math.floor(c - r), math.ceil(c + r) + 1)
+                  for c in center])))
+            assert count == np.sum(np.sum((grid - center) ** 2, axis=1) <= r2)
+
+    def test_cap_trips_exactly_past_the_tree(self):
+        """Both paths raise exactly when the tree, interior nodes included,
+        has more than ``MAX_ENUM_NODES`` nodes."""
+        basis = code_lattice("F8-17")
+        center = basis.to_ambient(np.random.default_rng(6).random(8)
+                                  @ basis.real_matrix)
+        radius = 2.0 * lattice.shortest_vector(basis)[1]
+        lo, hi = 0, 1 << 20  # the walk raises within lo nodes, not within hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            kind, _ = ball_outcome(lattice.count_in_ball, basis, center,
+                                   radius, WALKED | {"MAX_ENUM_NODES": mid})
+            lo, hi = (mid, hi) if kind == "cap" else (lo, mid)
+        _, points = ball_outcome(lattice.count_in_ball, basis, center, radius,
+                                 WALKED)
+        assert 128 < points < hi
+        for budget, kind in ((points, "cap"), (hi - 1, "cap"), (hi, "ok")):
+            assert assert_levels_match_walk(
+                basis, center, radius, MAX_ENUM_NODES=budget)[0] == kind
+
+    def test_catalog_carves_identical(self):
+        for f in nf.load_catalog():
+            for rate in (0.5, 1.0, 1.5, 2.0):
+                config = CodeConfig(rate=rate, power=10.0, field=f, seed=0)
+                books = []
+                for patch in (WALKED, {}, LEVELLED):
+                    with pytest.MonkeyPatch.context() as mp:
+                        for name, value in patch.items():
+                            mp.setattr(lattice, name, value)
+                        books.append(carve(config))
+                want = books[0]
+                for got in books[1:]:
+                    assert got.points.tobytes() == want.points.tobytes()
+                    assert got.shift.tobytes() == want.shift.tobytes()
+                    assert (got.alpha, got.achieved_rate) == (
+                        want.alpha, want.achieved_rate)
+
+    def test_lex_order_matches_lexsort(self):
+        rng = np.random.default_rng(3)
+        # keys exact in floats (98^8 < 2^53, near the limit), and a span
+        # whose key would not be
+        for lo, hi, width in ((-3, 4, 5), (-49, 49, 8), (-10 ** 5, 10 ** 5, 5)):
+            rows = np.unique(rng.integers(lo, hi, (2000, width)), axis=0)
+            rows = rows[rng.permutation(len(rows))].astype(float)
+            assert np.array_equal(lattice._lex_order(rows),
+                                  np.lexsort(rows.T[::-1]))
+
+
 # ---------------------------------------------------------------- caps
 
 
@@ -438,6 +595,22 @@ class TestCaps:
         assert f"{lattice.MAX_ENUM_NODES} nodes" in str(err)
         # one int64 per coordinate per point held, with growth slack
         assert peak < 1.5 * 8 * basis.rank * lattice.MAX_ENUM_NODES
+
+    def test_rate2_carving_ball_memory(self):
+        """The rate-2 F8-17 carving ball (about 65,700 points) goes level by
+        level within three times the coordinates it returns."""
+        f = nf.catalog_field("F8-17")
+        basis = nf.embedding_matrix(f).scaled(
+            math.sqrt(energy_normalization(f, 2.0, 10.0)))
+        shift = shift_search(basis, 10.0, 2 ** 16, 0)
+        tracemalloc.start()
+        try:
+            coords, _ = lattice.points_in_ball(basis, -shift, math.sqrt(80.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(coords) > 2 ** 16
+        assert peak < 3 * 8 * basis.rank * len(coords)
 
     def test_budget_read_at_call_time(self, monkeypatch):
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))

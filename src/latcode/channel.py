@@ -41,6 +41,9 @@ def is_fading(model: str) -> bool:
 
 @dataclass(frozen=True)
 class ChannelRealization:
+    """One block's fading and noise.  A non-fading model's ``fading`` is all
+    ones: both decoders then skip the fading (NLD searches the code lattice
+    itself, ML scores on the cached row norms)."""
     fading: np.ndarray
     noise: np.ndarray
     model: str

@@ -50,8 +50,15 @@ class CodeConfig:
 
 @dataclass(frozen=True)
 class Codebook:
-    """A carved code.  ``points`` must not be mutated: ML decoding caches its
-    squared magnitudes."""
+    """A carved code.  ``points`` must not be mutated: two caches are built
+    from it on first use and never refreshed.
+
+    - ``_norms``: the squared row norms ||x||^2 and their maximum.  ``carve``
+      builds it for its power check; ML decoding scores an unfaded channel
+      on it and bounds its rescoring window with the maximum.
+    - ``_squares``: the elementwise ``|points|^2``, built only by the first
+      ML decode on a fading channel.
+    """
     points: np.ndarray
     alpha: float
     shift: np.ndarray
@@ -65,11 +72,18 @@ class Codebook:
         return len(self.points)
 
     @functools.cached_property
-    def _squares(self):
-        """(|points|^2 elementwise, the largest squared row norm), for
-        ``decoder.ml_decode``."""
-        sq = np.abs(self.points) ** 2
-        return sq, float(np.max(np.sum(sq, axis=1)))
+    def _norms(self):
+        """(squared row norms, their maximum), summed over a float view of
+        ``points`` so that no (N, n) temporary is built."""
+        pts = np.ascontiguousarray(self.points)
+        flat = pts.view(pts.real.dtype)  # a complex row as re, im pairs
+        norm2 = np.einsum("ij,ij->i", flat, flat)
+        return norm2, float(norm2.max())
+
+    @functools.cached_property
+    def _squares(self) -> np.ndarray:
+        """|points|^2 elementwise, for ``decoder.ml_decode`` on fading."""
+        return np.abs(self.points) ** 2
 
     def min_distance(self) -> float:
         """Minimum pairwise distance, over row blocks of bounded memory."""
@@ -164,16 +178,15 @@ def carve(config: CodeConfig) -> Codebook:
     target = 2.0 ** (config.rate * n)
     shift = shift_search(basis, config.power, math.ceil(target), config.seed)
     radius = math.sqrt(n * config.power)
-    _, vecs = lattice.points_in_ball(basis, -shift, radius)
-    points = vecs + shift
+    points = lattice.points_in_ball(basis, -shift, radius)[1]
+    points += shift  # a fresh array: no second one of its size
+    code = Codebook(points=points, alpha=alpha, shift=shift,
+                    achieved_rate=math.log2(len(points)) / n, n=n,
+                    basis=basis, power=config.power)
     # power constraint must hold by the ball cut; tolerate roundoff only
-    sym_power = np.sum(np.abs(points) ** 2, axis=1) / n
-    if np.any(sym_power > config.power * (1.0 + 1e-9)):
+    if code._norms[1] / n > config.power * (1.0 + 1e-9):
         raise RuntimeError("carved point violates the power constraint")
-    achieved_rate = math.log2(len(points)) / n
-    return Codebook(points=points, alpha=alpha, shift=shift,
-                    achieved_rate=achieved_rate, n=n, basis=basis,
-                    power=config.power)
+    return code
 
 
 def export_csv(codebook: Codebook, path: str) -> None:

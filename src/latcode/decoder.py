@@ -74,9 +74,12 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     """Exhaustive minimum-distance search over the finite codebook.
 
     Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
-    sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i: one matrix-vector
-    product with the codebook's cached ``|points|^2`` and one with
-    ``points``, so a call allocates codebook-length temporaries only.
+    sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum is
+    one matrix-vector product with ``points``.  On a fading channel the first
+    is another, with the codebook's cached ``|points|^2``; an unfaded channel
+    has unit fading, so the first sum is the cached row norm ||x||^2 and the
+    call does one product.  A call allocates codebook-length temporaries
+    only.
 
     Both sums are at most M = ||y||^2 + max|h|^2 max||x||^2 in magnitude,
     and the exact metric at most 2M, so a score and the exact metric less
@@ -87,16 +90,22 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     first index among the exact minima wins: the decision and ``metric`` are
     those of a full scan, bit for bit.  Usually only the winner is rescored;
     an exactly zero fading coefficient makes rows that differ only there tie
-    exactly, and all of them are rescored.
+    exactly, and all of them are rescored.  The rows are taken by their
+    indices (``nonzero``), in codebook order: a boolean mask over the rows
+    of a 2-D array costs about as much as a product on a large code.
     """
     fading, y, points = realization.fading, np.asarray(y), codebook.points
-    sq, max_norm2 = codebook._squares
-    w = (fading.conj() * fading).real
-    scores = sq @ w
-    scores -= (points @ (2.0 * y.conj() * fading)).real
-    window = _ML_WINDOW * (np.vdot(y, y).real
-                           + np.maximum.reduce(w) * max_norm2)
-    rows = points[scores <= scores[scores.argmin()] + window]
+    norm2, max_norm2 = codebook._norms
+    scores = (points @ (-2.0 * y.conj() * fading)).real
+    if realization.is_fading:
+        w = (fading.conj() * fading).real
+        scores += codebook._squares @ w
+        max_w = np.maximum.reduce(w)
+    else:
+        scores += norm2
+        max_w = 1.0
+    window = _ML_WINDOW * (np.vdot(y, y).real + max_w * max_norm2)
+    rows = points[(scores <= scores[scores.argmin()] + window).nonzero()[0]]
     metrics = _exact_metrics(y, fading, rows)
     best = metrics.argmin()  # first index wins ties
     decoded = rows[best]

@@ -151,6 +151,19 @@ class TestCarve:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    def test_carve_memory_is_bounded(self):
+        # the rate-2 ball holds about 65k points; the ball search itself
+        # peaks below three times their coordinate array
+        cfg = CodeConfig(rate=2.0, power=10.0, field=field("F8-17"), seed=5)
+        tracemalloc.start()
+        try:
+            code = carve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code.size > 60_000
+        assert peak < 3 * code.points.nbytes
+
     def test_deterministic(self):
         cfg = CodeConfig(rate=1.0, power=10.0, field=field("F4-725"), seed=5)
         c1, c2 = carve(cfg), carve(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -100,20 +101,32 @@ class TestMlOracle:
             assert out.metric == metric
             assert np.array_equal(out.decoded, code.points[idx])
 
-    def test_memory_is_bounded(self, f8_rate2):
-        code = f8_rate2
+    @staticmethod
+    def decode_peak(code, model):
+        """Peak traced memory of one warm ML decode."""
         s = code.points[0]
-        y, r = ch.transmit(s, ch.RAYLEIGH_REAL, 29, 0)
-        ml_decode(y, r, code, s)  # fills the codebook's cached squares
+        y, r = ch.transmit(s, model, 29, 0)
+        ml_decode(y, r, code, s)  # fills the codebook's caches
         tracemalloc.start()
         try:
             ml_decode(y, r, code, s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_memory_is_bounded(self, f8_rate2):
+        peak = self.decode_peak(f8_rate2, ch.RAYLEIGH_REAL)
         # one (N, n) temporary would take code.n times as much
+        assert peak < 4 * 8 * f8_rate2.size
+        assert 4 < f8_rate2.n
+
+    def test_awgn_memory_is_bounded_without_squares(self, f8_rate2):
+        code = dataclasses.replace(f8_rate2)  # the same code, no caches yet
+        peak = self.decode_peak(code, ch.AWGN_REAL)
         assert peak < 4 * 8 * code.size
-        assert 4 < code.n
+        # the (N, n) |points|^2 is built for fading decodes only
+        assert "_squares" not in code.__dict__
 
     def test_ml_never_beaten_by_nld_inside_codebook(self):
         # when nld lands inside the codebook its metric cannot beat ml
@@ -174,15 +187,15 @@ class TestMlTies:
 
 
 class TestMlProperty:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 300),
            n=st.integers(1, 6), cplx=st.booleans(),
            scale=st.floats(-3.0, 3.0), integral=st.booleans(),
-           midpoint=st.booleans(),
+           midpoint=st.booleans(), fades=st.booleans(),
            kinds=st.lists(st.sampled_from(["rand", "tiny", "zero"]),
                           min_size=6, max_size=6))
     def test_equals_full_scan(self, seed, size, n, cplx, scale, integral,
-                              midpoint, kinds):
+                              midpoint, fades, kinds):
         rng = np.random.default_rng(seed)
 
         def draw(shape):
@@ -197,6 +210,8 @@ class TestMlProperty:
         fading = np.where(np.array(kinds[:n]) == "tiny", 1e-8 * fading,
                           fading)
         fading = np.where(np.array(kinds[:n]) == "zero", 0.0, fading)
+        if not fades:  # an unfaded realization, as the channel draws it
+            fading = np.ones(n, dtype=complex if cplx else float)
         a, b = rng.integers(0, size, 2)
         if midpoint:
             y = fading * (code.points[a] + code.points[b]) / 2
@@ -204,7 +219,8 @@ class TestMlProperty:
             y = fading * code.points[a] + draw((n,))
         r = ch.ChannelRealization(
             fading=fading, noise=np.zeros(n),
-            model=ch.RAYLEIGH_COMPLEX if cplx else ch.RAYLEIGH_REAL)
+            model=[[ch.AWGN_REAL, ch.AWGN_COMPLEX],
+                   [ch.RAYLEIGH_REAL, ch.RAYLEIGH_COMPLEX]][fades][cplx])
         out = ml_decode(y, r, code, code.points[a])
         ref, ref_metric = brute_force_ml(y, r, code)
         assert np.array_equal(out.decoded, ref)

@@ -5,11 +5,17 @@ one channel realization via a counter-based Philox generator keyed by
 (master_seed, 4*trial_index + stream), with stream 0 for fading, stream 1
 for noise, and stream 2 reserved for message selection in simulation
 drivers.  Realizations are independent of execution order or thread count.
+
+``stream_rng`` does not build a generator per call: each thread keeps one
+Philox generator per stream and re-keys it, counter 0 and empty buffer, so
+a returned generator stays valid only until the next call for the same
+stream in the same thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +59,38 @@ class ChannelRealization:
         return is_fading(self.model)
 
 
+_generators = threading.local()  # .by_stream: {stream: Generator}, per thread
+_EMPTY = (0, 0, 0, 0)
+
+
 def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, trial, stream) triple."""
-    return np.random.Generator(
-        np.random.Philox(key=(master_seed, 4 * trial_index + stream)))
+    """Counter-based generator for one (seed, trial, stream) triple.
+
+    Its draws are those of a fresh
+    ``Generator(Philox(key=(master_seed, 4 * trial_index + stream)))``, but
+    the generator is this thread's one for ``stream``, re-keyed: it stays
+    valid only until the next call for the same stream.  The key goes
+    through Philox's own conversion of an array key, so seed -1 wraps to
+    2**64 - 1 as it does for a fresh generator.
+    """
+    try:
+        by_stream = _generators.by_stream
+    except AttributeError:
+        by_stream = _generators.by_stream = {}
+    gen = by_stream.get(stream)
+    if gen is None:
+        gen = by_stream[stream] = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _EMPTY, "key": np.asarray(
+            (master_seed, 4 * trial_index + stream)).astype(np.uint64)},
+        "buffer": _EMPTY, "buffer_pos": 4,  # position 4 of 4: buffer empty
+        "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
+# The channel's own draws go through this alias, so a tracer that wraps
+# ``stream_rng`` sees one call per trial: the driver's message draw.
 _rng = stream_rng
 
 
@@ -80,8 +112,9 @@ def sample_realization(model: str, n: int, master_seed: int,
             fading = np.abs(fading)
     else:
         fading = np.ones(n, dtype=complex if cplx else float)
-    return ChannelRealization(fading=fading, noise=noise * noise_scale,
-                              model=model)
+    if noise_scale != 1.0:
+        noise = noise * noise_scale
+    return ChannelRealization(fading=fading, noise=noise, model=model)
 
 
 def transmit(s, model: str, master_seed: int, trial_index: int,
@@ -92,14 +125,16 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
     variance conventions are fixed by the model.
     """
     s = np.asarray(s)
-    real = not is_complex(model)
-    if real and np.iscomplexobj(s) and np.max(np.abs(s.imag)) > 0:
+    if is_complex(model):
+        s = s.astype(complex, copy=False)
+    elif np.iscomplexobj(s) and np.max(np.abs(s.imag)) > 0:
         raise ValueError(f"real model {model} needs a real codeword")
-    if not real:
-        s = s.astype(complex)
     realization = sample_realization(model, len(s), master_seed, trial_index,
                                      noise_scale=noise_scale)
-    y = realization.fading * s + realization.noise
+    if realization.is_fading:
+        y = realization.fading * s + realization.noise
+    else:  # unit fading: a product by 1 is exact, so it is left out
+        y = s + realization.noise
     return y, realization
 
 

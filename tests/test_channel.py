@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +105,95 @@ class TestTransmit:
         s = np.array([0.3 + 0.1j, -1.2 + 0j])
         y, r = ch.transmit(s, ch.RAYLEIGH_COMPLEX, 5, 3)
         assert np.allclose(y, r.fading * s + r.noise)
+
+
+def fresh_rng(seed, trial, stream):
+    """The generator the reproducibility contract names, built afresh."""
+    return np.random.Generator(np.random.Philox(key=(seed, 4 * trial + stream)))
+
+
+def fresh_realization(model, n, seed, trial):
+    """(fading, noise) drawn from fresh generators."""
+    cplx = ch.is_complex(model)
+    nrng = fresh_rng(seed, trial, 1)
+    noise = ch._complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)
+    if not ch.is_fading(model):
+        return np.ones(n, dtype=noise.dtype), noise
+    fading = ch._complex_std_normal(fresh_rng(seed, trial, 0), n)
+    return (fading if cplx else np.abs(fading)), noise
+
+
+class TestStreamContract:
+    """Re-keyed stream generators draw bit for bit what fresh Philox
+    generators keyed (seed, 4 * trial + stream) draw."""
+
+    SEEDS = [0, 1, 7, 101, -1, 2 ** 63]
+    SIZES = [5, 16, 268, 65536]  # codebook sizes for the message draw
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_equal_fresh_generators(self, seed):
+        for t in range(200):
+            for stream in range(3):
+                got, ref = ch.stream_rng(seed, t, stream), fresh_rng(seed, t, stream)
+                size = self.SIZES[t % 4]
+                assert got.integers(size) == ref.integers(size)
+                assert np.array_equal(got.standard_normal(7),
+                                      ref.standard_normal(7))
+                assert np.array_equal(ch._complex_std_normal(got, 5),
+                                      ch._complex_std_normal(ref, 5))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("model", ch.MODELS)
+    def test_simulation_interleaving(self, seed, model):
+        """The message draw, then the channel's noise and fading draws, as
+        ``cli._simulate_chunk`` runs them; the message generator draws
+        again after the channel has re-keyed its own streams."""
+        n = 8
+        s = np.arange(1.0, n + 1)
+        for t in range(200):
+            size = self.SIZES[t % 4]
+            mrng = ch.stream_rng(seed, t, ch.STREAM_MESSAGE)
+            first = mrng.integers(size)
+            y, r = ch.transmit(s, model, seed, t)
+            second = mrng.integers(size)
+            ref = fresh_rng(seed, t, ch.STREAM_MESSAGE)
+            assert (first, second) == (ref.integers(size), ref.integers(size))
+            fading, noise = fresh_realization(model, n, seed, t)
+            assert np.array_equal(r.fading, fading)
+            assert np.array_equal(r.noise, noise)
+            assert np.array_equal(y, fading * s + noise)
+            assert y.dtype == (complex if ch.is_complex(model) else float)
+
+    def test_one_generator_per_stream(self):
+        """The documented limit: a call re-keys the generator that the last
+        call for the same stream returned."""
+        a = ch.stream_rng(3, 0, 1)
+        assert ch.stream_rng(3, 1, 1) is a
+        assert ch.stream_rng(3, 1, 2) is not a
+        assert np.array_equal(a.standard_normal(4),
+                              fresh_rng(3, 1, 1).standard_normal(4))
+
+    def test_threads_keep_their_own_generators(self):
+        """Two threads re-key the same stream in lockstep: each still draws
+        its own trial's values, so realizations do not depend on threads."""
+        barrier = threading.Barrier(2, timeout=30)
+        failures = []
+
+        def run(seed):
+            for t in range(100):
+                rng = ch.stream_rng(seed, t, 1)
+                barrier.wait()  # the other thread has re-keyed stream 1 too
+                if not np.array_equal(rng.standard_normal(6),
+                                      fresh_rng(seed, t, 1).standard_normal(6)):
+                    failures.append((seed, t))
+                barrier.wait()
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert failures == []
 
 
 class TestGeometricMean:

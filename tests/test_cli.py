@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 from importlib import resources
@@ -177,6 +178,44 @@ class TestSimulateCommand:
     def test_missing_snr_fails(self, capsys):
         assert cli.main(["simulate", "--field", "F4-725",
                          "--model", "awgn_real"]) == 1
+
+
+class TestPinnedOutput:
+    """Seeded simulate CSVs, less the ``# config:`` line, pinned by digest.
+
+    A draw or decision that moves in any trial changes a digest.  The
+    digests hold for this channel contract and decoder arithmetic; the
+    bound columns are printed to 12 digits, so a platform whose libm
+    rounds differently may need them re-taken.
+    """
+
+    DIGESTS = {
+        ("F8-17", "awgn_real", 1):
+            "27be2dfe89ed226f3422c444bad3dddc7570d690dc26e0d0a96ecb6f04b5d2c8",
+        ("F8-17", "awgn_real", -1):
+            "159c22cf4e1b3cc470cb8dafbb5a690f7006fc6bf851c325b82b94cb0e8bd7ec",
+        ("F4-725", "rayleigh_real", 1):
+            "2b20de5c0e2b8edec5df2ff4ac685bdfc883faca8ff06db1d16109df0c7cd4e2",
+        ("F4-725", "rayleigh_real", -1):
+            "dbeb79ea2f90ba63d187f9b4eb48b9f5f35d4f354fd3870bde4524b11f987c59",
+        ("Qzeta5", "rayleigh_complex", 1):
+            "0f8c3823a28075c740507b45e113e86340f472f234190235d3823a665bcd1804",
+        ("Qzeta5", "rayleigh_complex", -1):
+            "7588ba88d3e4bcf42d731635ba7d68e4c8ca4215e3ef8e6703a726b507862c49",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("field,model,seed", sorted(DIGESTS))
+    def test_digest(self, tmp_path, field, model, seed, workers):
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--field", field, "--model", model,
+                         "--rate", "1", "--snr", "6,12", "--trials", "200",
+                         f"--seed={seed}", "--decoder", "both",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+        body = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == \
+            self.DIGESTS[field, model, seed]
 
 
 class TestConfigFile:

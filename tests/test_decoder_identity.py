@@ -1,0 +1,140 @@
+"""The trimmed NLD and ML epilogues and ML's whole-code scan of small codes:
+bit-identical outcomes to the decoders they replaced, on seeded AWGN and
+Rayleigh decodes and on deep fades.  (``test_decoder.TestMlProperty`` checks
+ML against a full scan on random codes on both sides of the scan size.)"""
+
+import math
+
+import numpy as np
+import pytest
+
+from latcode import channel as ch
+from latcode import decoder
+from latcode import lattice
+from latcode import numberfield as nf
+from latcode.codebook import CodeConfig, carve
+from latcode.decoder import DecodeOutcome, ml_decode, nld_decode
+
+# The decoders before the epilogues were trimmed, kept verbatim as references
+# that the trimmed ones must match exactly.
+
+
+def reference_matches(a, b) -> bool:
+    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= decoder._MATCH_TOL)
+
+
+def reference_nld_decode(y, realization, codebook, transmitted):
+    fading = realization.fading
+    basis = codebook.basis
+    if realization.is_fading:
+        basis = basis.faded(fading)
+    target = np.asarray(y) - fading * codebook.shift
+    _, coords = lattice.closest_vector_coords(basis, target)
+    decoded = codebook.shift + coords.astype(float) @ codebook.basis.vectors
+    metric = float(np.sum(np.abs(np.asarray(y) - fading * decoded) ** 2))
+    radius = math.sqrt(codebook.n * codebook.power)
+    is_codeword = float(np.sum(np.abs(decoded) ** 2)) <= lattice.ball_bound(radius)
+    return DecodeOutcome(decoded=decoded, is_codeword=is_codeword,
+                         correct=reference_matches(decoded, transmitted),
+                         metric=metric)
+
+
+def reference_exact_metrics(y, fading, rows) -> np.ndarray:
+    return np.add.reduce(np.abs(y - fading[None] * rows) ** 2, axis=1)
+
+
+def reference_ml_decode(y, realization, codebook, transmitted):
+    fading, y, points = realization.fading, np.asarray(y), codebook.points
+    norm2, max_norm2 = codebook._norms
+    scores = (points @ (-2.0 * y.conj() * fading)).real
+    if realization.is_fading:
+        w = (fading.conj() * fading).real
+        scores += codebook._squares @ w
+        max_w = np.maximum.reduce(w)
+    else:
+        scores += norm2
+        max_w = 1.0
+    window = decoder._ML_WINDOW * (np.vdot(y, y).real + max_w * max_norm2)
+    rows = points[(scores <= scores[scores.argmin()] + window).nonzero()[0]]
+    metrics = reference_exact_metrics(y, fading, rows)
+    best = metrics.argmin()
+    decoded = rows[best]
+    return DecodeOutcome(decoded=decoded, is_codeword=True,
+                         correct=reference_matches(decoded, transmitted),
+                         metric=float(metrics[best]))
+
+
+def assert_same(got, ref):
+    assert np.array_equal(got.decoded, ref.decoded)
+    assert got.is_codeword == ref.is_codeword
+    assert got.correct == ref.correct
+    assert got.metric == ref.metric
+
+
+def make_code(name, rate=1.0, snr_db=10.0):
+    return carve(CodeConfig(rate=rate, power=10.0 ** (snr_db / 10.0),
+                            field=nf.catalog_field(name), seed=5))
+
+
+CODES = [("F8-17", 1.0, (ch.AWGN_REAL, ch.RAYLEIGH_REAL)),
+         ("F8-17", 1.5, (ch.AWGN_REAL, ch.RAYLEIGH_REAL)),
+         ("F4-725", 1.0, (ch.AWGN_REAL, ch.RAYLEIGH_REAL)),
+         ("Qzeta5", 1.0, (ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX))]
+
+
+@pytest.mark.parametrize("name,rate,models", CODES)
+@pytest.mark.parametrize("snr_db", [3.0, 12.0])
+def test_seeded_decodes_match(name, rate, models, snr_db):
+    code = make_code(name, rate, snr_db)
+    wrong = 0
+    for model in models:
+        for t in range(150):
+            seed = (1, -1, 7)[t % 3]
+            s = code.points[int(ch.stream_rng(seed, t, ch.STREAM_MESSAGE)
+                                .integers(code.size))]
+            y, r = ch.transmit(s, model, seed, t)
+            for got, ref in ((nld_decode, reference_nld_decode),
+                             (ml_decode, reference_ml_decode)):
+                out = got(y, r, code, s)
+                assert_same(out, ref(y, r, code, s))
+                wrong += not out.correct
+    if snr_db == 3.0:
+        assert wrong > 0  # the errors and off-codebook decisions are covered
+
+
+@pytest.mark.parametrize("name,model,depth", [
+    ("F4-725", ch.RAYLEIGH_REAL, 1e-6),
+    ("F4-725", ch.RAYLEIGH_REAL, 1e-8),
+    ("F8-17", ch.RAYLEIGH_REAL, 1e-8),
+    ("Qzeta5", ch.RAYLEIGH_COMPLEX, 1e-8 * np.exp(0.7j))])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_deep_fades_match(name, model, depth, noisy):
+    code = make_code(name)
+    cplx = ch.is_complex(model)
+    fading = np.ones(code.n, dtype=complex if cplx else float)
+    fading[0] = depth
+    r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),
+                              model=model)
+    for i in range(min(code.size, 12)):
+        s = code.points[i]
+        y = fading * s
+        if noisy:
+            y = y + 0.3 * ch.sample_realization(model, code.n, 9, i).noise
+        for got, ref in ((nld_decode, reference_nld_decode),
+                         (ml_decode, reference_ml_decode)):
+            assert_same(got(y, r, code, s), ref(y, r, code, s))
+
+
+def test_zero_fading_matches():
+    """A zero coefficient: ML decodes it as before, NLD raises as before."""
+    code = make_code("F4-725")
+    fading = np.array([0.0, 1.0, 0.5, 1.0])
+    r = ch.ChannelRealization(fading=fading, noise=np.zeros(4),
+                              model=ch.RAYLEIGH_REAL)
+    for i in range(code.size):
+        s = code.points[i]
+        y = fading * s + np.array([0.2, -0.1, 0.3, 0.05])
+        assert_same(ml_decode(y, r, code, s), reference_ml_decode(y, r, code, s))
+        with pytest.raises(ValueError, match="singular"):
+            nld_decode(y, r, code, s)
+

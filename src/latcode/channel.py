@@ -127,8 +127,10 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
     s = np.asarray(s)
     if is_complex(model):
         s = s.astype(complex, copy=False)
-    elif np.iscomplexobj(s) and np.max(np.abs(s.imag)) > 0:
-        raise ValueError(f"real model {model} needs a real codeword")
+    elif np.iscomplexobj(s):
+        if np.max(np.abs(s.imag)) > 0:
+            raise ValueError(f"real model {model} needs a real codeword")
+        s = s.real  # a real model sends and returns real vectors
     realization = sample_realization(model, len(s), master_seed, trial_index,
                                      noise_scale=noise_scale)
     if realization.is_fading:

@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.subcommand == "simulate":
             if not self.snr_db_grid:
                 raise ValueError("simulate requires a nonempty SNR grid")

@@ -1,9 +1,9 @@
 """Naive lattice decoding and ML decoding with receiver-side channel knowledge.
 
 Fading is folded into the lattice basis (never divided out), so tiny
-coefficients cannot blow up numerically.  The faded basis carries the code
-lattice as a hint: the closest-point search first walks the code lattice's
-cached LLL rows, faded, within a small node budget, and LLL-reduces the
+coefficients cannot blow up numerically.  The faded basis carries a hint,
+the code lattice's cached reduction with its rows faded: the closest-point
+search first walks it within a small node budget, and LLL-reduces the
 faded basis itself only when a deep fade trips that budget.  An exactly zero
 coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
 it; ML decodes it.

@@ -2,16 +2,22 @@
 
 Complex ambient spaces are handled internally as R^{2n} (coordinates
 interleaved re/im); only the product norm reads coordinate pairs back as
-complex moduli.  Closest point, shortest vector and ball enumeration are one
-Schnorr-Euchner walk, exact within the rank cap ``MAX_ENUM_RANK`` and the
-node budget ``MAX_ENUM_NODES``; past either it raises
-``EnumerationCapError``.  Closest point and shortest vector stay on the
-walk.  A ball (``count_in_ball``, ``points_in_ball``) is walked within
-``_BALL_DFS_NODES`` nodes; a larger tree is enumerated again level by level
-in numpy with the walk's arithmetic, so the points, the node count and the
-cap are the walk's.  A faded basis (``LatticeBasis.faded``) is searched for
-its closest point on its parent's LLL rows, faded, within the small budget
-``_FADED_NODES``, and reduces its own rows only when that walk trips.
+complex moduli.  Every search walks a ``Reduction``: spanning rows, their
+unimodular ``U`` from the caller's basis, and the QR the walk reads.
+``LatticeBasis._reduced`` is the basis's LLL reduction, built once.
+Closest point, shortest vector and ball enumeration are one Schnorr-Euchner
+walk, exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
+``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, and the
+rank cap is checked before any reduction is built.  Closest point and
+shortest vector stay on the walk.  A ball (``count_in_ball``,
+``points_in_ball``) is walked within ``_BALL_DFS_NODES`` nodes; a larger tree
+is enumerated again level by level in numpy with the walk's arithmetic, so
+the points, the node count and the cap are the walk's.  ``points_in_ball``
+returns the points' coordinates in ``_reduced.rows``, as the integer-valued
+floats the enumeration holds.  A faded basis (``LatticeBasis.faded``)
+carries a hint, its parent's reduction with the rows faded, and its closest
+point is searched on the hint within the small budget ``_FADED_NODES``; it
+reduces its own rows only when that walk trips.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ MAX_ENUM_RANK = 24
 #: Cap on the tree nodes (integers fixed at some level) that one enumeration
 #: visits, and so on the points it holds.  Read at call time.
 MAX_ENUM_NODES = 1 << 20
-#: Node budget of the closest-point walk on a faded basis's hinted rows,
+#: Node budget of the closest-point walk on a faded basis's hint,
 #: capped by ``MAX_ENUM_NODES``.  On the 29,400 seeded Rayleigh decodes of
 #: the fading_nld benchmark (seeds 0-20) that walk visited at most 221 nodes
 #: (p99 44); a budget of 64 would have tripped 120 times.
@@ -46,8 +52,7 @@ _FADED_NODES = 256
 #: the rank-2 and rank-4 fields (13-31 nodes) never leave the walk.
 _BALL_DFS_NODES = 128
 #: Cap on the candidates that one level-wise step evaluates (one node may
-#: exceed it alone), which bounds the memory of the frontier, and on the rows
-#: that ``points_in_ball`` converts to integers at once.
+#: exceed it alone), which bounds the memory of the frontier.
 _LEVEL_BLOCK = 1 << 14
 #: Tries per node that a level-wise step makes past floor(2 * half-width), at
 #: least 1.  At most floor(2 * half-width) + 1 tries lie within the bound, so
@@ -85,13 +90,29 @@ class ZeroProductNormError(ValueError):
 
 
 @dataclass(frozen=True)
+class Reduction:
+    """Rows that span a lattice, ``rows = U @ real_matrix``, and the QR of
+    ``rows.T`` that the walk reads, with R as nested lists."""
+
+    rows: np.ndarray
+    U: np.ndarray
+    Q: np.ndarray
+    R: list
+
+
+def _reduction(rows: np.ndarray, U: np.ndarray) -> Reduction:
+    Q, R = _qr(rows)
+    return Reduction(rows, U, Q, R.tolist())
+
+
+@dataclass(frozen=True)
 class LatticeBasis:
     """Full-rank lattice given by basis row vectors over a real or complex ambient."""
 
     ambient: str
     vectors: np.ndarray
-    #: (parent, h) on a basis built by ``faded``; not a dataclass field
-    _fade = None
+    #: the closest-point hint of a basis built by ``faded``; not a field
+    _hint = None
 
     def __post_init__(self):
         if self.ambient not in (REAL, COMPLEX):
@@ -144,31 +165,20 @@ class LatticeBasis:
     def faded(self, h) -> "LatticeBasis":
         """This lattice with ambient coordinate i scaled by h[i].
 
-        The result keeps this basis as a hint for ``closest_vector_coords``;
-        no other search reads it.
+        The result's ``_hint`` is this basis's reduction with its rows faded
+        (not LLL-reduced on a deep fade), which only
+        ``closest_vector_coords`` reads.
         """
         out = LatticeBasis(self.ambient, self.vectors * h)
-        object.__setattr__(out, "_fade", (self, h))
+        red = self._reduced
+        object.__setattr__(out, "_hint", _reduction(
+            out.to_real(out.to_ambient(red.rows) * h), red.U))
         return out
 
     @functools.cached_property
-    def _reduced(self):
-        """(Bred, U, Q, R): LLL rows Bred = U @ real_matrix, the QR of Bred.T
-        with R as nested lists.  Cached: ``vectors`` must not be mutated."""
-        Bred, U = _lll(self.real_matrix)
-        Q, R = _qr(Bred)
-        return Bred, U, Q, R.tolist()
-
-    @functools.cached_property
-    def _faded_reduced(self):
-        """``_reduced`` of the parent with its LLL rows faded: (Bred h, U, Q,
-        R).  The rows span this lattice, but are not LLL-reduced on a deep
-        fade."""
-        parent, h = self._fade
-        Bred, U, _, _ = parent._reduced
-        Bred = self.to_real(self.to_ambient(Bred) * h)
-        Q, R = _qr(Bred)
-        return Bred, U, Q, R.tolist()
+    def _reduced(self) -> Reduction:
+        """The LLL reduction.  Cached: ``vectors`` must not be mutated."""
+        return _reduction(*_lll(self.real_matrix))
 
 
 @dataclass(frozen=True)
@@ -274,27 +284,30 @@ def ball_bound(radius: float) -> float:
     return radius * radius * (1.0 + 1e-12) + 1e-12
 
 
-def _enumerate(basis: LatticeBasis, center, bound: float, leaf,
-               budget: int | None = None, hinted: bool = False) -> None:
+def _check_rank(rank: int, bound: float) -> None:
+    """The rank cap, checked once per search before any reduction is built."""
+    if rank > MAX_ENUM_RANK:
+        raise EnumerationCapError(rank, bound, 0, MAX_ENUM_NODES)
+
+
+def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
+               budget: int | None = None) -> None:
     """Schnorr-Euchner walk over the lattice points v with ||v - center||^2 <= bound.
 
-    The walk runs in the basis's LLL coordinates u, as ||R u - t||^2 with
-    t = Q^T center.  Each level tries integers in zig-zag order around its
-    projected center, nearest first, and stops at the first one past the
-    bound.  Every lattice point within the bound goes to ``leaf(u, d2)``;
-    ``u`` is the live coordinate list (copy it to keep it), and the leaf
-    returns the bound for the rest of the walk, so a closest-point leaf can
-    shrink it.  A rank above ``MAX_ENUM_RANK``, or more tree nodes than
-    ``budget`` (capped by ``MAX_ENUM_NODES``), raises
-    ``EnumerationCapError``.  If ``hinted``, the walk runs on
-    ``basis._faded_reduced``.
+    The walk runs in the coordinates u of ``red.rows``, as ||R u - t||^2 with
+    t = Q^T center (``center`` in the real representation).  Each level
+    tries integers in zig-zag order around its projected center, nearest
+    first, and stops at the first one past the bound.  Every lattice point
+    within the bound goes to ``leaf(u, d2)``; ``u`` is the live coordinate
+    list (copy it to keep it), and the leaf returns the bound for the rest
+    of the walk, so a closest-point leaf can shrink it.  More tree nodes
+    than ``budget`` (capped by ``MAX_ENUM_NODES``) raise
+    ``EnumerationCapError``; the caller checks the rank cap.
     """
-    rank = basis.rank
+    R = red.R
+    rank = len(R)
     budget = MAX_ENUM_NODES if budget is None else min(budget, MAX_ENUM_NODES)
-    if rank > MAX_ENUM_RANK:
-        raise EnumerationCapError(rank, bound, 0, budget)
-    _, _, Q, R = basis._faded_reduced if hinted else basis._reduced
-    t = Q.T @ basis.to_real(np.asarray(center))
+    t = red.Q.T @ center
     u = [0] * rank
     nodes = 0
 
@@ -328,21 +341,20 @@ def _enumerate(basis: LatticeBasis, center, bound: float, leaf,
     rec(rank - 1, [float(v) for v in t], 0.0)
 
 
-def _nearest(basis: LatticeBasis, target, exclude_zero: bool = False,
-             hinted: bool = False):
-    """Reduced coordinates u and squared distance of the lattice point
-    nearest ``target`` (nonzero if ``exclude_zero``), in the rows that
-    ``_enumerate`` walks.
+def _nearest(red: Reduction, target: np.ndarray, exclude_zero: bool = False,
+             budget: int | None = None):
+    """Coordinates u in ``red.rows`` and squared distance of the lattice
+    point nearest the real ``target`` (nonzero if ``exclude_zero``).
 
     Ties within an absolute 1e-12 in squared distance break to the
-    lexicographically smaller u in the walked basis, not the caller's: on a
-    hinted walk the parent's LLL rows, faded; otherwise the basis's own LLL
-    rows, so a faded basis whose hinted walk tripped breaks ties in its own
-    reduction.  Under continuous noise exact ties have probability zero.  The
-    window does not scale with the lattice: once squared distances are large
-    enough that 1e-12 is below their float resolution, near-ties that differ
-    only by rounding are settled by that rounding, not by the coordinate
-    order.
+    lexicographically smaller u in the walked rows, not the caller's basis:
+    on a faded basis's hint the parent's LLL rows, faded; otherwise the
+    basis's own LLL rows, so a faded basis whose hint tripped breaks ties in
+    its own reduction.  Under continuous noise exact ties have probability
+    zero.  The window does not scale with the lattice: once squared
+    distances are large enough that 1e-12 is below their float resolution,
+    near-ties that differ only by rounding are settled by that rounding, not
+    by the coordinate order.
     """
     best_u, best_d2 = None, math.inf
 
@@ -356,51 +368,53 @@ def _nearest(basis: LatticeBasis, target, exclude_zero: bool = False,
             best_u, best_d2 = u.copy(), min(best_d2, d2)
         return best_d2 + _TIE_EPS
 
-    _enumerate(basis, target, math.inf, leaf,
-               _FADED_NODES if hinted else None, hinted)
+    _enumerate(red, target, math.inf, leaf, budget)
     return best_u, best_d2
 
 
 def shortest_vector(basis: LatticeBasis):
     """Exact shortest nonzero lattice vector and its Euclidean norm."""
-    u, d2 = _nearest(basis, np.zeros(basis.n), exclude_zero=True)
-    vec_real = np.asarray(u, dtype=float) @ basis._reduced[0]
+    _check_rank(basis.rank, math.inf)
+    red = basis._reduced
+    u, d2 = _nearest(red, np.zeros(basis.rank), exclude_zero=True)
+    vec_real = np.asarray(u, dtype=float) @ red.rows
     return basis.to_ambient(vec_real), math.sqrt(d2)
 
 
 def closest_vector_coords(basis: LatticeBasis, target):
     """Closest lattice vector and its integer coordinates in the given basis.
 
-    A basis built by ``faded`` is first searched on its parent's LLL rows,
-    faded, within ``_FADED_NODES`` nodes.  A deep fade can make those rows
-    far from reduced; if that walk trips, the basis is LLL-reduced itself
-    and searched exactly as an unhinted basis is.
+    A basis built by ``faded`` is first searched on its hint within
+    ``_FADED_NODES`` nodes.  A deep fade can make the hint's rows far from
+    reduced; if that walk trips, the basis is LLL-reduced itself and
+    searched exactly as any other basis is.
     """
-    if basis._fade is not None:
+    _check_rank(basis.rank, math.inf)
+    if basis._hint is not None:
         try:
-            return _closest(basis, target, hinted=True)
+            return _closest(basis, basis._hint, target, _FADED_NODES)
         except EnumerationCapError:
-            pass  # past the fast budget (or the rank cap, raised again below)
-    return _closest(basis, target)
+            pass  # past the fast budget
+    return _closest(basis, basis._reduced, target)
 
 
-def _closest(basis: LatticeBasis, target, hinted: bool = False):
-    """``closest_vector_coords`` on one reduction: the hinted rows or the
-    basis's own."""
-    u, _ = _nearest(basis, target, hinted=hinted)
-    Bred, U, _, _ = basis._faded_reduced if hinted else basis._reduced
+def _closest(basis: LatticeBasis, red: Reduction, target,
+             budget: int | None = None):
+    """``closest_vector_coords`` walked on ``red``, within ``budget``."""
+    u, _ = _nearest(red, basis.to_real(np.asarray(target)), budget=budget)
     u = np.asarray(u, dtype=np.int64)
-    return basis.to_ambient(u.astype(float) @ Bred), u @ U
+    return basis.to_ambient(u.astype(float) @ red.rows), u @ red.U
 
 
-def _enumerate_levels(basis: LatticeBasis, center, bound: float,
+def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
                       keep: bool):
     """``_enumerate``'s walk over the points within the constant ``bound``,
-    run level by level in numpy: (point count, their LLL coordinates as a
-    float (count, rank) array in no set order if ``keep``, else None).
+    run level by level in numpy: (point count, their coordinates in
+    ``red.rows`` as a float (count, rank) array in no set order if ``keep``,
+    else None).
 
     A frontier block holds, for nodes at one level, their projected centers
-    y, partial squared distances and (if ``keep``) LLL coordinates, set above
+    y, partial squared distances and (if ``keep``) coordinates, set above
     that level.  Each node tries integers in the walk's zig-zag order with
     the walk's arithmetic and keeps them up to its first one past the bound,
     so the tree, its points and its node count are exactly the walk's.
@@ -408,12 +422,9 @@ def _enumerate_levels(basis: LatticeBasis, center, bound: float,
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
     ``EnumerationCapError``.
     """
-    rank, budget = basis.rank, MAX_ENUM_NODES
-    if rank > MAX_ENUM_RANK:
-        raise EnumerationCapError(rank, bound, 0, budget)
-    _, _, Q, R = basis._reduced
-    R = np.array(R)
-    t = Q.T @ basis.to_real(np.asarray(center))
+    R = np.array(red.R)
+    rank, budget = len(R), MAX_ENUM_NODES
+    t = red.Q.T @ center
     nodes, points, leaves = 0, 0, []
     stack = [(rank - 1, t[None, :], np.zeros(1),
               np.zeros((1, rank if keep else 0)))]
@@ -479,60 +490,44 @@ def _lex_order(ured: np.ndarray) -> np.ndarray:
     return np.lexsort(ured.T[::-1])
 
 
-def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
-    """Number of lattice vectors v with ||v - center|| <= radius.
-
-    The walk runs first, within ``_BALL_DFS_NODES`` nodes; a larger tree is
-    counted again level by level in numpy, with the walk's arithmetic and
-    the same count.
-    """
+def _ball(basis: LatticeBasis, center, radius: float, keep: bool):
+    """``_enumerate_levels``'s (count, coordinates) for the closed ball
+    B(center, radius) on ``basis._reduced``.  The walk runs first, within
+    ``_BALL_DFS_NODES`` nodes; a larger tree is enumerated again level by
+    level in numpy, with the walk's arithmetic and the same points."""
     r2 = ball_bound(radius)
-    hits = 0
-
-    def leaf(u, d2):
-        nonlocal hits
-        hits += 1
-        return r2
-
+    _check_rank(basis.rank, r2)
+    red = basis._reduced
+    center = basis.to_real(np.asarray(center))
+    flat = array.array("d")  # 8 bytes per coordinate while the walk runs
     try:
-        _enumerate(basis, center, r2, leaf, _BALL_DFS_NODES)
+        _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2,
+                   _BALL_DFS_NODES)
     except EnumerationCapError:
-        return _enumerate_levels(basis, center, r2, keep=False)[0]
-    return hits
+        return _enumerate_levels(red, center, r2, keep)
+    ured = np.frombuffer(flat).reshape(-1, basis.rank)
+    return len(ured), ured if keep else None
+
+
+def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
+    """Number of lattice vectors v with ||v - center|| <= radius."""
+    return _ball(basis, center, radius, keep=False)[0]
 
 
 def points_in_ball(basis: LatticeBasis, center, radius: float):
     """All lattice vectors v with ||v - center|| <= radius.
 
-    Returns (coords, vectors): integer coordinates in the given basis and the
-    corresponding ambient vectors, sorted by their LLL coordinates.  The walk
-    runs first, within ``_BALL_DFS_NODES`` nodes; a larger tree is
-    enumerated again level by level in numpy, with the walk's arithmetic and
-    the same points, and its memory peaks below three times the coordinate
-    array returned.
+    Returns (coords, vectors), sorted by coords: the points' coordinates in
+    ``basis._reduced.rows`` as an integer-valued float (count, rank) array
+    (``coords @ basis._reduced.U`` are those in the given basis), and the
+    ambient vectors.  A ball past ``_BALL_DFS_NODES`` walk nodes goes level
+    by level, and its memory peaks below three times the coordinate array
+    returned.
     """
-    r2 = ball_bound(radius)
-    flat = array.array("d")  # 8 bytes per coordinate while the walk runs
-    try:
-        _enumerate(basis, center, r2, lambda u, d2: flat.extend(u) or r2,
-                   _BALL_DFS_NODES)
-        ured = np.frombuffer(flat).reshape(-1, basis.rank)
-    except EnumerationCapError:
-        ured = _enumerate_levels(basis, center, r2, keep=True)[1]
-    if not len(ured):
-        coords = np.zeros((0, basis.rank), dtype=np.int64)
-        vecs = np.zeros((0, basis.n), dtype=basis.vectors.dtype)
-        return coords, vecs
-    Bred, U, _, _ = basis._reduced
+    ured = _ball(basis, center, radius, keep=True)[1]
     ured = np.take(ured, _lex_order(ured), axis=0)
-    vec_real = ured @ Bred
-    # the integer coordinates overwrite the float ones block by block, so
-    # no third array of the output's size is held
-    coords = ured.view(np.int64)
-    for lo in range(0, len(ured), _LEVEL_BLOCK):
-        block = slice(lo, lo + _LEVEL_BLOCK)
-        coords[block] = ured[block].astype(np.int64) @ U
-    return coords, np.atleast_2d(basis.to_ambient(vec_real))
+    vec_real = ured @ basis._reduced.rows
+    return ured, np.atleast_2d(basis.to_ambient(vec_real))
 
 
 def _min_product_norm(basis: LatticeBasis, radius: float) -> float:

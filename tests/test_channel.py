@@ -101,6 +101,14 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ch.transmit(np.array([1.0 + 1j]), ch.AWGN_REAL, 0, 0)
 
+    @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
+    def test_real_model_returns_real_y(self, model):
+        """A complex codeword with zero imaginary parts on a real model gives
+        the real y that its real part gives."""
+        y, _ = ch.transmit(np.array([1 + 0j, 2 + 0j]), model, 1, 0)
+        want, _ = ch.transmit(np.array([1.0, 2.0]), model, 1, 0)
+        assert y.dtype == np.float64 and np.array_equal(y, want)
+
     def test_additive_structure(self):
         s = np.array([0.3 + 0.1j, -1.2 + 0j])
         y, r = ch.transmit(s, ch.RAYLEIGH_COMPLEX, 5, 3)

@@ -179,6 +179,15 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--field", "F4-725",
                          "--model", "awgn_real"]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fail(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--field", "F4-725", "--model",
+                         "awgn_real", "--snr", "10", "--trials", "10",
+                         "--workers", workers, "--out", str(out)]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPinnedOutput:
     """Seeded simulate CSVs, less the ``# config:`` line, pinned by digest.

@@ -118,29 +118,30 @@ def reference_enum_ball(Rl, t, radius):
 
 
 def reduced_target(basis, center):
-    _, _, Q, R = basis._reduced
-    return R, Q.T @ basis.to_real(np.asarray(center))
+    """R of the basis's reduction and the real center, and Q^T of it."""
+    red = basis._reduced
+    real = basis.to_real(np.asarray(center))
+    return red.R, real, red.Q.T @ real
 
 
 def assert_same_closest(basis, target):
-    R, t = reduced_target(basis, target)
-    assert lattice._nearest(basis, target) == reference_se_closest(R, t)
+    R, real, t = reduced_target(basis, target)
+    assert (lattice._nearest(basis._reduced, real)
+            == reference_se_closest(R, t))
 
 
 def assert_same_shortest(basis):
-    R, _ = reduced_target(basis, np.zeros(basis.n))
-    assert (lattice._nearest(basis, np.zeros(basis.n), exclude_zero=True)
+    R, real, _ = reduced_target(basis, np.zeros(basis.n))
+    assert (lattice._nearest(basis._reduced, real, exclude_zero=True)
             == reference_se_closest(R, [0.0] * basis.rank, exclude_zero=True))
 
 
 def assert_same_ball(basis, center, radius):
-    R, t = reduced_target(basis, center)
+    R, _, t = reduced_target(basis, center)
     ref = sorted(reference_enum_ball(R, t, radius))
     assert lattice.count_in_ball(basis, center, radius) == len(ref)
     coords, vecs = lattice.points_in_ball(basis, center, radius)
-    U = basis._reduced[1]
-    assert np.array_equal(coords, np.array(ref, dtype=np.int64)
-                          .reshape(-1, basis.rank) @ U)
+    assert np.array_equal(coords, np.array(ref).reshape(-1, basis.rank))
     return len(ref)
 
 
@@ -207,9 +208,8 @@ class TestMatchesOldKernels:
 
 def box_points(basis, center, radius):
     """Every lattice point whose LLL coordinates lie in the box that holds the
-    ball B(center, radius): (coordinates in the caller's basis, squared
-    distances)."""
-    Bred, U, _, _ = basis._reduced
+    ball B(center, radius): (those coordinates, squared distances)."""
+    Bred = basis._reduced.rows
     inv = np.linalg.inv(Bred)
     mid = basis.to_real(np.asarray(center)) @ inv
     half = radius * np.linalg.norm(inv, axis=0) * (1 + 1e-9) + 1e-9
@@ -219,12 +219,16 @@ def box_points(basis, center, radius):
     ured = np.array(list(itertools.product(*ranges)), dtype=np.int64)
     ured = ured.reshape(-1, basis.rank)
     d2 = np.sum((ured @ Bred - basis.to_real(np.asarray(center))) ** 2, axis=1)
-    return ured @ U, d2
+    return ured, d2
 
 
-def ball_coords(basis, center, radius):
+def ball_coords(basis, center, radius, U=None):
+    """The coordinates that ``points_in_ball`` returns, or with ``U`` given,
+    the points' coordinates in the basis B with ``basis`` = U @ B."""
     coords, _ = lattice.points_in_ball(basis, center, radius)
-    return {tuple(c) for c in coords}
+    if U is not None:
+        coords = coords @ basis._reduced.U @ U
+    return {tuple(c) for c in coords.astype(np.int64)}
 
 
 def assert_ball_matches(got, coords, d2, r2):
@@ -319,11 +323,12 @@ class TestChangeOfBasis:
             np.linalg.norm(v1 - target), rel=1e-9, abs=1e-12 * scale)
         _, sv = lattice.shortest_vector(basis)
         assert lattice.shortest_vector(other)[1] == pytest.approx(sv, rel=1e-9)
-        # the same ball, its points mapped back to the first basis
+        # the same ball, both in the first basis's coordinates
         radius = 2.0 * sv
         coords, d2 = box_points(basis, target, radius)
-        back = {tuple(c @ U) for c in ball_coords(other, target, radius)}
-        assert_ball_matches(back, coords, d2, radius * radius)
+        back = ball_coords(other, target, radius, U)
+        assert_ball_matches(back, coords @ basis._reduced.U, d2,
+                            radius * radius)
 
 
 # ---------------------------------------------------------------- faded hint
@@ -345,10 +350,10 @@ def single_fades(n, depths=(1e-2, 1e-3, 1e-5, 1e-8)):
 
 
 def assert_hint_exact(basis, fadings, rng, targets=3):
-    """A hinted faded basis and a plain one built from the same faded rows
-    give the same closest point and coordinates, on noisy faded lattice points
-    and on uniform targets.  Each decode gets a fresh hinted basis, as in
-    NLD; returns how many of them ran ``_lll`` (the fallback) and how many
+    """A faded basis with its hint and a plain one built from the same faded
+    rows give the same closest point and coordinates, on noisy faded lattice
+    points and on uniform targets.  Each decode gets a fresh faded basis, as
+    in NLD; returns how many of them ran ``_lll`` (the fallback) and how many
     decodes there were.  The parent must already be reduced."""
     lll_calls = []
     real_lll = lattice._lll
@@ -364,10 +369,10 @@ def assert_hint_exact(basis, fadings, rng, targets=3):
             else:
                 x = 3.0 * rng.standard_normal(basis.rank) @ B
             target = plain.to_ambient(x)
-            hinted = basis.faded(fading)
+            faded = basis.faded(fading)
             lattice._lll = lambda M: lll_calls.append(1) or real_lll(M)
             try:
-                vec, got = lattice.closest_vector_coords(hinted, target)
+                vec, got = lattice.closest_vector_coords(faded, target)
             finally:
                 lattice._lll = real_lll
             want_vec, want = lattice.closest_vector_coords(plain, target)
@@ -418,15 +423,14 @@ class TestFadedHint:
     def test_other_searches_ignore_the_hint(self):
         basis = code_lattice("F4-725")
         fading = ch.sample_realization(ch.RAYLEIGH_REAL, 4, 3, 1).fading
-        hinted = basis.faded(fading)
+        faded = basis.faded(fading)
         plain = LatticeBasis(basis.ambient, basis.vectors * fading)
         _, sv = lattice.shortest_vector(plain)
-        assert lattice.shortest_vector(hinted)[1] == sv
+        assert lattice.shortest_vector(faded)[1] == sv
         for got, want in zip(
-                lattice.points_in_ball(hinted, np.zeros(4), 2.0 * sv),
+                lattice.points_in_ball(faded, np.zeros(4), 2.0 * sv),
                 lattice.points_in_ball(plain, np.zeros(4), 2.0 * sv)):
             assert np.array_equal(got, want)
-        assert "_faded_reduced" not in vars(hinted)
 
 
 # ---------------------------------------------------------------- level-wise
@@ -648,7 +652,7 @@ class TestCaps:
         target = faded.to_ambient(
             np.random.default_rng(4).standard_normal(8) @ faded.real_matrix)
         with pytest.raises(EnumerationCapError) as info:
-            lattice._closest(faded, target, hinted=True)
+            lattice._closest(faded, faded._hint, target, lattice._FADED_NODES)
         assert info.value.budget == lattice._FADED_NODES
         assert info.value.nodes > lattice._FADED_NODES
         assert f"{lattice._FADED_NODES} nodes" in str(info.value)

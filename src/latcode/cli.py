@@ -50,6 +50,8 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.subcommand == "simulate":
+            if not self.field_name:
+                raise ValueError("simulate requires --field")
             if not self.snr_db_grid:
                 raise ValueError("simulate requires a nonempty SNR grid")
             if self.model not in MODELS:

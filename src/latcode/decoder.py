@@ -18,13 +18,20 @@ import numpy as np
 
 from . import lattice
 from .channel import ChannelRealization
-from .codebook import Codebook
+from .codebook import Codebook, PrefixIndex
 
 _MATCH_TOL = 1e-8
 _ML_WINDOW = 1e-9  # relative to the score bound M in _near_best
 # ml_decode scans codes this small without scoring them first; scoring
 # cost less than a scan on a 256-point Rayleigh code
 _ML_SCAN_ROWS = 64
+# ml_decode prunes the scoring of an unfaded code whose points take at least
+# this many bytes by its prefix groups (_pruned_rows).  Median per decode
+# (in-process, 2 CPUs): at 0.5 MiB pruning cost 73 against 61 us on F8-17
+# (8,229 rows) but 60 against 71 us on F4-725 and 93 against 156 us on
+# Qzeta5; from 1 MiB (16,408 F8-17 rows: 82 against 126 us) to 4 MiB
+# (65,577 F8-17 rows: 81 against 274 us) it won on every code.
+_ML_PRUNE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,13 +94,24 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     the exact metric ||y - h x||^2 in one pass, which costs less than
     scoring it first.  A larger code is scored (``_near_best``) and only the
     rows near the best score are rescored with the same per-row arithmetic.
-    Either way the first index among the exact minima wins, so the decision
-    and ``metric`` are those of a full scan, bit for bit.
+    On an unfaded channel, a code of at least ``_ML_PRUNE_BYTES`` that has a
+    prefix index (``Codebook._prefixes``) is scored only on the row groups
+    that a lower bound from the walk's top levels does not exclude
+    (``_pruned_rows``, Agrell, Eriksson, Vardy and Zeger, "Closest point
+    search in lattices", IEEE Trans. IT 2002); any other code, and every
+    fading decode, is scored on every row.  Either way the first index
+    among the exact minima wins, so the decision and ``metric`` are those of
+    a full scan, bit for bit.
     """
     points = codebook.points
     fading = realization.fading if realization.is_fading else None
-    rows = (points if len(points) <= _ML_SCAN_ROWS
-            else points[_near_best(y, fading, codebook)])
+    if len(points) <= _ML_SCAN_ROWS:
+        rows = points
+    else:
+        index = (codebook._prefixes if fading is None
+                 and points.nbytes >= _ML_PRUNE_BYTES else None)
+        among = None if index is None else _pruned_rows(y, index, codebook)
+        rows = points[_near_best(y, fading, codebook, among)]
     metrics = _exact_metrics(y, fading, rows)
     best = metrics.argmin()  # first index wins ties
     decoded = rows[best]
@@ -102,9 +120,10 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
                          metric=float(metrics[best]))
 
 
-def _near_best(y, fading, codebook: Codebook) -> np.ndarray:
+def _near_best(y, fading, codebook: Codebook, among=None) -> np.ndarray:
     """Indices, in codebook order, of the rows whose score lies within the
-    rescoring window of the lowest; ``fading`` None is unit fading.
+    rescoring window of the lowest; ``fading`` None is unit fading.  Only
+    the rows at the increasing indices ``among`` are scored, if given.
 
     Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
     sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum is
@@ -118,14 +137,17 @@ def _near_best(y, fading, codebook: Codebook) -> np.ndarray:
     and the exact metric at most 2M, so a score and the exact metric less
     ||y||^2 differ by a few n ulps of M.  If they differ by at most e on
     every row, the first exact minimizer scores within 2e of the lowest
-    score.  Every row scoring within ``_ML_WINDOW`` * M of the lowest, far
-    above 2e, is returned for rescoring.  Usually only the winner is; an
+    score, on every set of rows that holds it, as ``among`` does.  Every
+    row scoring within ``_ML_WINDOW`` * M of the lowest, far above 2e, is
+    returned for rescoring.  Usually only the winner is; an
     exactly zero fading coefficient makes rows that differ only there tie
     exactly, and all of them are.  The rows are given by their indices
     (``nonzero``): a boolean mask over the rows of a 2-D array costs about
     as much as a product on a large code.
     """
     points, (norm2, max_norm2) = codebook.points, codebook._norms
+    if among is not None:
+        points, norm2 = np.take(points, among, axis=0), np.take(norm2, among)
     weights = -2.0 * np.conjugate(y)
     if fading is None:
         scores = (points @ weights).real
@@ -137,4 +159,40 @@ def _near_best(y, fading, codebook: Codebook) -> np.ndarray:
         scores += codebook._squares @ w
         max_w = np.maximum.reduce(w)
     window = _ML_WINDOW * (np.vdot(y, y).real + max_w * max_norm2)
-    return (scores <= scores[scores.argmin()] + window).nonzero()[0]
+    near = (scores <= scores[scores.argmin()] + window).nonzero()[0]
+    return near if among is None else among[near]
+
+
+def _pruned_rows(y, index: PrefixIndex, codebook: Codebook):
+    """Indices, in codebook order, of the rows of every prefix group whose
+    lower bound does not exclude the first exact minimizer of ||y - x||^2;
+    None if they are more than half the code.
+
+    Group g's bound b_g (``PrefixIndex``) is at most the exact metric of
+    each of its rows.  The group with the lowest bound is scored first: its
+    best score plus ||y||^2, u, is at least the exact minimum.  A group
+    holding a minimizer then has b_g <= u in exact arithmetic, and only
+    groups with b_g <= u + ``_ML_WINDOW`` * M' are kept, for
+    M' = (||y|| + reach)^2.  Every term of the bound, of the score and of
+    the exact metric is at most M' in magnitude (reach bounds ||shift|| and
+    sum_j |u_j| ||rows_j|| over the code), and a rounded prefix is within
+    ``codebook._PREFIX_TOL`` of its coordinate, so b_g, u and the exact
+    metric each err by a few dim ulps of M' at most, far below the window.
+    """
+    starts = index.starts
+    gap = index.levels - (index.q @ codebook.basis.to_real(y))[:, None]
+    gap *= gap
+    bound = np.add.reduce(gap)
+    g = bound.argmin()
+    lo, hi = starts[g], starts[g + 1]
+    yy = np.vdot(y, y).real
+    upper = np.minimum.reduce(
+        (codebook.points[lo:hi] @ (-2.0 * np.conjugate(y))).real
+        + codebook._norms[0][lo:hi]) + yy
+    keep = (bound <= upper + _ML_WINDOW * (math.sqrt(yy) + index.reach) ** 2
+            ).nonzero()[0]
+    size = index.sizes[keep]
+    ends = size.cumsum()
+    if 2 * ends[-1] > starts[-1]:
+        return None  # a scan of every row costs less than gathering these
+    return np.arange(ends[-1]) + (starts[keep] - ends + size).repeat(size)

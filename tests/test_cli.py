@@ -175,6 +175,14 @@ class TestSimulateCommand:
         assert cli.main(args) == 1
         assert "incompatible" in capsys.readouterr().err
 
+    def test_missing_field_fails(self, tmp_path, capsys):
+        # no catalog field is taken by default, not even one the model fits
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--model", "awgn_complex", "--snr", "10",
+                         "--trials", "10", "--out", str(out)]) == 1
+        assert "simulate requires --field" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_snr_fails(self, capsys):
         assert cli.main(["simulate", "--field", "F4-725",
                          "--model", "awgn_real"]) == 1

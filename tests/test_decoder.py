@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcode import channel as ch
+from latcode import codebook as cbmod
 from latcode import decoder
 from latcode import numberfield as nf
 from latcode.codebook import Codebook, CodeConfig, carve
@@ -231,6 +233,140 @@ class TestMlProperty:
             idx, metric = full_scan(y, fading, code)
             assert np.array_equal(out.decoded, code.points[idx])
             assert out.metric == metric
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_code(name, rate, seed):
+    return make_code(name, rate=rate, seed=seed)
+
+
+def force_pruned(mp):
+    """Patch every code onto the pruned path; returns the list of calls that
+    reached ``_pruned_rows``."""
+    calls = []
+    rows = decoder._pruned_rows
+
+    def spy(y, index, codebook):
+        calls.append(index)
+        return rows(y, index, codebook)
+
+    mp.setattr(decoder, "_ML_SCAN_ROWS", 0)
+    mp.setattr(decoder, "_ML_PRUNE_BYTES", 0)
+    mp.setattr(decoder, "_pruned_rows", spy)
+    return calls
+
+
+def unfaded(code):
+    model = ch.AWGN_COMPLEX if np.iscomplexobj(code.points) else ch.AWGN_REAL
+    return ch.ChannelRealization(fading=np.ones(code.n), noise=np.zeros(code.n),
+                                 model=model)
+
+
+class TestMlPruned:
+    """The pruned scoring of large unfaded codes (``Codebook._prefixes``,
+    ``decoder._pruned_rows``), forced onto every code size by patching the
+    size thresholds: the decision and metric are a full scan's, bit for
+    bit, and every other code or channel falls back to ``_near_best``."""
+
+    CODES = [(name, rate, seed)
+             for name in ("F4-725", "F8-17", "Qzeta5", "Qi")
+             for rate in (0.5, 1.0, 1.5, 2.0)
+             for seed in ((5,) if (name, rate) == ("F8-17", 2.0)
+                          else (0, 1, 2))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(CODES), group_rows=st.sampled_from([1, 4, 32]),
+           kind=st.sampled_from(["inside", "on", "outside", "midpoint",
+                                 "zero"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_scan(self, key, group_rows, kind, seed):
+        rng = np.random.default_rng(seed)
+        code = catalog_code(*key)
+        a, b = rng.integers(0, code.size, 2)
+        n, radius = code.n, np.sqrt(code.n * code.power)
+
+        def direction():
+            d = rng.standard_normal(n) + (1j * rng.standard_normal(n)
+                                          if np.iscomplexobj(code.points)
+                                          else 0.0)
+            return d / np.linalg.norm(d)
+
+        y = {"inside": lambda: code.points[a] + 10.0 ** rng.uniform(-3, 0)
+             * radius * direction(),
+             "on": lambda: radius * direction(),
+             "outside": lambda: 10.0 ** rng.uniform(0.2, 3) * radius
+             * direction(),
+             "midpoint": lambda: (code.points[a] + code.points[b]) / 2,
+             "zero": lambda: code.points[a].copy()}[kind]()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = force_pruned(mp)
+            mp.setattr(cbmod, "_PREFIX_GROUP_ROWS", group_rows)
+            code = dataclasses.replace(code)  # a fresh index for this L
+            r = unfaded(code)
+            out = ml_decode(y, r, code, code.points[a])
+            assert code._prefixes is not None and len(calls) == 1
+        idx, metric = full_scan(y, r.fading, code)
+        assert np.array_equal(out.decoded, code.points[idx])
+        assert out.metric == metric
+
+    def test_prunes_the_rate_2_code(self, f8_rate2):
+        """On the F8-17 rate-2 code the bound keeps a small share of the
+        rows, in a few contiguous runs, and all of them on a noiseless
+        target are in the transmitted point's group."""
+        index, kept = f8_rate2._prefixes, []
+        assert index.levels.shape[0] >= 3
+        for t in range(40):
+            s = f8_rate2.points[(7919 * t) % f8_rate2.size]
+            y, r = ch.transmit(s, ch.AWGN_REAL, 61, t)
+            rows = decoder._pruned_rows(y, index, f8_rate2)
+            kept.append(f8_rate2.size if rows is None else len(rows))
+            assert ml_decode(y, r, f8_rate2, s).metric == \
+                full_scan(y, r.fading, f8_rate2)[1]
+        assert np.median(kept) < f8_rate2.size / 20
+
+    @pytest.mark.parametrize("case", ["off_lattice", "permuted", "fading"])
+    def test_falls_back_to_near_best(self, case, monkeypatch):
+        calls = force_pruned(monkeypatch)
+        near = []
+        real = decoder._near_best
+        monkeypatch.setattr(decoder, "_near_best", lambda *a: near.append(
+            a[3]) or real(*a))
+        rng = np.random.default_rng(3)
+        code = make_code("F4-725", rate=2.0)
+        r = unfaded(code)
+        if case == "off_lattice":
+            code = plain_code(rng.standard_normal((300, 4)))
+        elif case == "permuted":
+            code = dataclasses.replace(
+                code, points=code.points[rng.permutation(code.size)])
+        else:
+            r = ch.ChannelRealization(fading=rng.rayleigh(size=4),
+                                      noise=np.zeros(4),
+                                      model=ch.RAYLEIGH_REAL)
+        for t in range(10):
+            y = r.fading * code.points[t] + 0.3 * rng.standard_normal(4)
+            out = ml_decode(y, r, code, code.points[t])
+            idx, metric = full_scan(y, r.fading, code)
+            assert np.array_equal(out.decoded, code.points[idx])
+            assert out.metric == metric
+        assert not calls and near == [None] * 10
+        if case == "fading":
+            assert "_prefixes" not in code.__dict__  # never built
+        else:
+            assert code._prefixes is None
+
+    def test_index_build_memory_is_bounded(self, f8_rate2):
+        code = dataclasses.replace(f8_rate2)  # the same code, no caches yet
+        code._norms  # carve builds it
+        tracemalloc.start()
+        try:
+            index = code._prefixes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index is not None
+        # the prefix coordinates and their rounding: two (L, N) float arrays
+        assert peak <= 2 * 8 * cbmod._PREFIX_LEVELS * code.size + (1 << 16)
 
 
 class TestDominance:

@@ -57,8 +57,11 @@ class CodeConfig:
     seed: int
 
     def __post_init__(self):
-        if self.rate <= 0 or self.power <= 0:
-            raise ValueError("rate and power must be positive")
+        for name in ("rate", "power"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # False for NaN
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Fading is folded into the lattice basis (never divided out), so tiny
 coefficients cannot blow up numerically.  The faded basis carries a hint,
 the code lattice's cached reduction with its rows faded: the closest-point
 search first walks it within a small node budget, and LLL-reduces the
-faded basis itself only when a deep fade trips that budget.  An exactly zero
+faded basis itself only when a deep fade trips that budget.  A simulation
+builds a block of trials' faded bases at once and hands each to
+``nld_decode``; a single decode builds its own.  An exactly zero
 coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
 it; ML decodes it.
 """
@@ -47,24 +49,29 @@ def _matches(a, b) -> bool:
 
 
 def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
-               transmitted) -> DecodeOutcome:
+               transmitted, faded: lattice.LatticeBasis | None = None
+               ) -> DecodeOutcome:
     """Closest point in the infinite shifted faded lattice.
 
     Decoding lands on shift + alpha*psi(x) for some algebraic integer x; a
     result outside the finite codebook counts as an error.  Unit fading is
-    left out of every product: a product by 1 is exact.
+    left out of every product: a product by 1 is exact.  On a fading
+    channel, ``faded`` is the code lattice faded by this realization, as a
+    caller that builds a block of them at once (``LatticeBasis.faded``)
+    passes it; without it the decode builds its own.
     """
     shift, fading = codebook.shift, realization.fading
-    faded = realization.is_fading
+    is_faded = realization.is_fading
     # unfaded, the code lattice itself is searched: one cached reduction;
     # faded, its cached LLL rows are faded and searched first
-    if faded:
-        basis, target = codebook.basis.faded(fading), y - fading * shift
+    if is_faded:
+        basis = codebook.basis.faded(fading) if faded is None else faded
+        target = y - fading * shift
     else:
         basis, target = codebook.basis, y - shift
     _, coords = lattice.closest_vector_coords(basis, target)
     decoded = shift + coords.astype(float) @ codebook.basis.vectors
-    residual = y - fading * decoded if faded else y - decoded
+    residual = y - fading * decoded if is_faded else y - decoded
     metric = float(np.add.reduce(np.abs(residual) ** 2))
     # the codebook is every shifted lattice point in carve's ball
     radius = math.sqrt(codebook.n * codebook.power)

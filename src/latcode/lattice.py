@@ -7,17 +7,21 @@ unimodular ``U`` from the caller's basis, and the QR the walk reads.
 ``LatticeBasis._reduced`` is the basis's LLL reduction, built once.
 Closest point, shortest vector and ball enumeration are one Schnorr-Euchner
 walk, exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
-``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, and the
-rank cap is checked before any reduction is built.  Closest point and
+``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, the rank
+cap before any reduction is built and the budget at the node past it.  Closest point and
 shortest vector stay on the walk.  A ball (``count_in_ball``,
 ``points_in_ball``) is walked within ``_BALL_DFS_NODES`` nodes; a larger tree
 is enumerated again level by level in numpy with the walk's arithmetic, so
 the points, the node count and the cap are the walk's.  ``points_in_ball``
 returns the points' coordinates in ``_reduced.rows``, as the integer-valued
-floats the enumeration holds.  A faded basis (``LatticeBasis.faded``)
-carries a hint, its parent's reduction with the rows faded, and its closest
-point is searched on the hint within the small budget ``_FADED_NODES``; it
-reduces its own rows only when that walk trips.
+floats the enumeration holds.  A ball's slack for roundoff
+(``ball_bound``) is relative to its squared radius.  A faded basis
+(``LatticeBasis.faded``) carries a hint, its parent's reduction with the
+rows faded, and its closest point is searched on the hint within the small
+budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
+``faded`` takes a stack of fadings and builds all their bases with one
+singularity test and one QR over the stack (``_qr`` takes one matrix or a
+stack), bit-identical to building each alone.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ _LEVEL_BLOCK = 1 << 14
 _ZIGZAG_SPARE = 2
 
 _TIE_EPS = 1e-12
+_BALL_SLACK = 1e-12  # relative widening of the closed ball, ``ball_bound``
 _LLL_DELTA = 0.99  # the Lovasz condition's constant in ``_lll``
 
 
@@ -87,6 +92,16 @@ class ZeroProductNormError(ValueError):
         self.vector = np.asarray(vector)
         super().__init__(
             f"zero product norm encountered at lattice vector {self.vector}")
+
+
+class SingularBasisError(ValueError):
+    """A basis that does not have full rank; ``index`` is the place in the
+    stack of the fading that made it so (``LatticeBasis.faded``), or None."""
+
+    def __init__(self, index: int | None = None):
+        self.index = index
+        super().__init__("basis is singular" if index is None
+                         else f"basis is singular under fading {index}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +148,7 @@ class LatticeBasis:
         # rank is tested on the square basis itself: a Gram-matrix test
         # squares the condition number and rejects valid deep fades
         if np.linalg.slogdet(self.real_matrix)[0] == 0:
-            raise ValueError("basis is singular")
+            raise SingularBasisError()
 
     @property
     def n(self) -> int:
@@ -162,18 +177,39 @@ class LatticeBasis:
     def scaled(self, c: float) -> "LatticeBasis":
         return LatticeBasis(self.ambient, self.vectors * c)
 
-    def faded(self, h) -> "LatticeBasis":
-        """This lattice with ambient coordinate i scaled by h[i].
+    def faded(self, h):
+        """This lattice with ambient coordinate i scaled by h[i]; for a
+        (T, n) stack of fadings, the list of the T faded bases.
 
-        The result's ``_hint`` is this basis's reduction with its rows faded
-        (not LLL-reduced on a deep fade), which only
-        ``closest_vector_coords`` reads.
+        Each result's ``_hint`` is this basis's reduction with its rows
+        faded (not LLL-reduced on a deep fade), which only
+        ``closest_vector_coords`` reads.  The whole stack is built with one
+        singularity test and one QR (``_qr``), each on the (T, dim, dim)
+        real stack; numpy factors a stack matrix by matrix with the 2-D
+        call's arithmetic, so every result is bit-identical to a fading
+        given alone.  A singular faded basis raises
+        ``SingularBasisError`` naming its fading's place in the stack.
         """
-        out = LatticeBasis(self.ambient, self.vectors * h)
+        h = np.asarray(h)
+        stack = h[None] if h.ndim == 1 else h
+        vectors = np.asarray(
+            self.vectors * stack[:, None, :],
+            dtype=complex if self.ambient == COMPLEX else float)
+        singular = np.linalg.slogdet(self.to_real(vectors))[0] == 0
+        if singular.any():
+            raise SingularBasisError(
+                int(singular.argmax()) if h.ndim > 1 else None)
         red = self._reduced
-        object.__setattr__(out, "_hint", _reduction(
-            out.to_real(out.to_ambient(red.rows) * h), red.U))
-        return out
+        rows = self.to_real(self.to_ambient(red.rows) * stack[:, None, :])
+        Q, R = _qr(rows)
+        out = []
+        for vecs, r, q, rl in zip(vectors, rows, Q, R.tolist()):
+            basis = object.__new__(LatticeBasis)  # checked above
+            object.__setattr__(basis, "ambient", self.ambient)
+            object.__setattr__(basis, "vectors", vecs)
+            object.__setattr__(basis, "_hint", Reduction(r, red.U, q, rl))
+            out.append(basis)
+        return out if h.ndim > 1 else out[0]
 
     @functools.cached_property
     def _reduced(self) -> Reduction:
@@ -194,21 +230,17 @@ class LatticeInvariants:
 
 
 def _complex_to_real(vecs: np.ndarray) -> np.ndarray:
+    """Interleave re/im along the last axis, of a vector or a stack of them."""
     arr = np.asarray(vecs, dtype=complex)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    out = np.empty((arr.shape[0], 2 * arr.shape[1]))
-    out[:, 0::2] = arr.real
-    out[:, 1::2] = arr.imag
-    return out[0] if single else out
+    out = np.empty(arr.shape[:-1] + (2 * arr.shape[-1],))
+    out[..., 0::2] = arr.real
+    out[..., 1::2] = arr.imag
+    return out
 
 
 def _real_to_complex(vecs: np.ndarray) -> np.ndarray:
     arr = np.asarray(vecs, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    out = arr[:, 0::2] + 1j * arr[:, 1::2]
-    return out[0] if single else out
+    return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
 def volume(basis: LatticeBasis) -> float:
@@ -271,17 +303,20 @@ def _lll(B: np.ndarray):
 
 
 def _qr(B: np.ndarray):
-    """QR of the column-vector matrix B.T with positive diagonal in R."""
-    Q, R = np.linalg.qr(B.T)
-    signs = np.sign(np.diag(R))
+    """QR of the column-vector matrix B.T with positive diagonal in R; of
+    each matrix, for a stack B of shape (T, k, k)."""
+    Q, R = np.linalg.qr(np.swapaxes(B, -1, -2))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return Q * signs, R * signs[:, None]
+    return Q * signs[..., None, :], R * signs[..., :, None]
 
 
 def ball_bound(radius: float) -> float:
     """Squared radius, widened for roundoff, within which a point is in the
-    closed ball: the one test for carving, counting and codebook membership."""
-    return radius * radius * (1.0 + 1e-12) + 1e-12
+    closed ball: the one test for carving, counting and codebook membership.
+    The slack is relative, so scaling a lattice and its ball together keeps
+    the same points."""
+    return radius * radius * (1.0 + _BALL_SLACK)
 
 
 def _check_rank(rank: int, bound: float) -> None:
@@ -302,7 +337,8 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
     list (copy it to keep it), and the leaf returns the bound for the rest
     of the walk, so a closest-point leaf can shrink it.  More tree nodes
     than ``budget`` (capped by ``MAX_ENUM_NODES``) raise
-    ``EnumerationCapError``; the caller checks the rank cap.
+    ``EnumerationCapError`` at the node past it, even within one level's
+    zig-zag; the caller checks the rank cap.
     """
     R = red.R
     rank = len(R)
@@ -324,6 +360,9 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
             if d2 > bound:
                 # zig-zag order: every later candidate is at least this far
                 break
+            nodes += 1
+            if nodes > budget:
+                raise EnumerationCapError(rank, bound, nodes, budget)
             u[level] = cand
             if level == 0:
                 bound = leaf(u, d2)
@@ -333,10 +372,6 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
             # jumps of 1, -2, 3, -4, ... (signs flipped if ci < cand)
             cand += jump
             jump = -jump - 1 if jump > 0 else 1 - jump
-        # the candidates within the bound: |jump| - 1
-        nodes += abs(jump) - 1
-        if nodes > budget:
-            raise EnumerationCapError(rank, bound, nodes, budget)
 
     rec(rank - 1, [float(v) for v in t], 0.0)
 
@@ -420,7 +455,9 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
     so the tree, its points and its node count are exactly the walk's.
     Blocks go on a stack, each step evaluating about ``_LEVEL_BLOCK``
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
-    ``EnumerationCapError``.
+    ``EnumerationCapError``, before a step whose widest node alone would pass
+    the budget builds its tries, so a step's memory stays within a few
+    times the budget however large the bound.
     """
     R = np.array(red.R)
     rank, budget = len(R), MAX_ENUM_NODES
@@ -431,9 +468,15 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
     while stack:
         level, y, acc, u = stack.pop()
         rll = R[level, level]
-        # the node with the most room sets the tries of the block
-        tries = int(2.0 * math.sqrt(bound - acc.min()) / abs(rll)) \
-            + _ZIGZAG_SPARE
+        # the node with the most room sets the tries of the block; within
+        # its interval of ``width`` it holds more than width - 3 integers
+        # that pass the bound even with rounding at both ends, so past
+        # left + 3 it is over the budget before any try
+        left = budget - nodes
+        width = 2.0 * math.sqrt(bound - acc.min()) / abs(rll)
+        if width > left + 3.0:
+            raise EnumerationCapError(rank, bound, budget + 1, budget)
+        tries = int(width) + _ZIGZAG_SPARE
         take = max(1, _LEVEL_BLOCK // tries)
         if take < len(acc):  # the rest of the block waits on the stack
             stack.append((level, y[take:], acc[take:], u[take:]))
@@ -453,7 +496,10 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
             inside = ~np.logical_or.accumulate(d2 > bound)
             if not inside[-1].any():
                 break
-            tries *= 2  # some node's last try is within the bound
+            if tries > left:  # that node alone is past the budget
+                raise EnumerationCapError(
+                    rank, bound, nodes + int(np.count_nonzero(inside)), budget)
+            tries *= 2  # rounding: try again
         keep_at = np.flatnonzero(inside)
         nodes += len(keep_at)
         if nodes > budget:

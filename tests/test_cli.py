@@ -235,6 +235,77 @@ class TestPinnedOutput:
             self.DIGESTS[field, model, seed]
 
 
+class TestPinnedBlocks:
+    """Seeded Rayleigh simulate CSVs, less the ``# config:`` line, for trial
+    counts that are no multiple of the simulation's block of 64 trials, and
+    one trial alone; the digests were taken when every trial built its own
+    faded basis."""
+
+    DIGESTS = {
+        ("F4-725", "rayleigh_real", 1):
+            "9ac82c4068a5e193e5cb4d0cd4fba8d4f24684b82219baa761120998d971fe75",
+        ("F4-725", "rayleigh_real", 65):
+            "75df3dc3720481f09a0f2b13f9a853af59901d1a6c6493511148b1f2d2ba52a9",
+        ("F4-725", "rayleigh_real", 200):
+            "0f1ed9a5b956081ff95a471d14efc6796edfe09541fb67f6256695d377e1ab71",
+        ("F8-17", "rayleigh_real", 1):
+            "2a8880de61308423f3a276153f2e21c2ec3454b58adc37279975fe71dc30786f",
+        ("F8-17", "rayleigh_real", 65):
+            "6061a43816c2b98203ec82146e1d7c62c767bd03cf5ee04b86cbe3f410cdb57e",
+        ("F8-17", "rayleigh_real", 200):
+            "508692036c224ef5d9244548ad1e38aec5289da729724c5a6f40def2935d841d",
+        ("Qzeta5", "rayleigh_complex", 1):
+            "66c8b1d641eed62ac3f7ebebc18017ead9d286b78401e72fb46d241d9cf6b335",
+        ("Qzeta5", "rayleigh_complex", 65):
+            "691f7b3d61d0651be483039f3f1dcf33209bcc7f4a712747458ca2442b84c10c",
+        ("Qzeta5", "rayleigh_complex", 200):
+            "162885de507f9144ee0fedd4031dffce6fe130c7cc3b1c516a4e08f7a79d855c",
+    }
+
+    def test_block_size(self):
+        assert cli._BLOCK_TRIALS == 64  # the trial counts above straddle it
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("field,model,trials", sorted(DIGESTS))
+    def test_digest(self, tmp_path, field, model, trials, workers):
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--field", field, "--model", model,
+                         "--rate", "1", "--snr", "8,16",
+                         "--trials", str(trials), "--seed", "5",
+                         "--decoder", "both", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+        body = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == \
+            self.DIGESTS[field, model, trials]
+
+
+class TestNonFiniteOptions:
+    """A NaN or infinite --snr or --rate is named before any work is done."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--snr", "nan", "--snr values must be finite, got nan"),
+        ("--snr", "inf", "--snr values must be finite, got inf"),
+        ("--rate", "nan", "--rate must be finite and positive, got nan"),
+        ("--rate", "inf", "--rate must be finite and positive, got inf"),
+    ])
+    def test_simulate_rejects(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.csv"
+        args = {"--snr": "10", "--rate": "1", flag: value}
+        assert cli.main(["simulate", "--field", "F4-725", "--model",
+                         "awgn_real", "--trials", "10", "--out", str(out)]
+                        + [f"{k}={v}" for k, v in args.items()]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    def test_rates_rejects_nan_snr(self, capsys):
+        assert cli.main(["rates", "--snr", "10,nan"]) == 1
+        assert "--snr values must be finite, got nan" in \
+            capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

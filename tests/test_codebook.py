@@ -164,6 +164,24 @@ class TestCarve:
         assert code.size > 60_000
         assert peak < 3 * code.points.nbytes
 
+    def test_carving_is_scale_invariant(self):
+        """The code at power P 10^-k holds as many points as at P: the
+        lattice and the ball shrink together, and so must the ball's slack
+        (an absolute slack let extra points in at k = 12)."""
+        fields = nf.load_catalog()
+        sizes = {(f.name, rate, seed): carve(CodeConfig(
+                     rate=rate, power=10.0, field=f, seed=seed)).size
+                 for f in fields for rate in (0.5, 1.0) for seed in range(3)}
+        for k in (6, 12, 40):  # the widest last: an absolute slack hangs it
+            for f in fields:
+                for rate in (0.5, 1.0):
+                    for seed in range(3):
+                        code = carve(CodeConfig(rate=rate,
+                                                power=10.0 * 10.0 ** -k,
+                                                field=f, seed=seed))
+                        assert code.size == sizes[f.name, rate, seed], \
+                            (f.name, rate, seed, k)
+
     def test_deterministic(self):
         cfg = CodeConfig(rate=1.0, power=10.0, field=field("F4-725"), seed=5)
         c1, c2 = carve(cfg), carve(cfg)
@@ -175,6 +193,15 @@ class TestCarve:
             CodeConfig(rate=0.0, power=1.0, field=field("Qi"), seed=0)
         with pytest.raises(ValueError):
             CodeConfig(rate=1.0, power=-1.0, field=field("Qi"), seed=0)
+
+    @pytest.mark.parametrize("rate, power", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_nonfinite_config(self, rate, power):
+        bad, value = ("rate", rate) if rate != 1.0 else ("power", power)
+        with pytest.raises(ValueError,
+                           match=f"^{bad} must be finite and positive, "
+                                 f"got {value}$"):
+            CodeConfig(rate=rate, power=power, field=field("Qi"), seed=0)
 
 
 class TestExportCsv:

@@ -5,6 +5,7 @@ cap and node budget."""
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -599,6 +600,40 @@ class TestCaps:
         assert f"{lattice.MAX_ENUM_NODES} nodes" in str(err)
         # one int64 per coordinate per point held, with growth slack
         assert peak < 1.5 * 8 * basis.rank * lattice.MAX_ENUM_NODES
+
+    def test_budget_holds_within_one_level(self, monkeypatch):
+        """A ball whose one level alone holds two million integers stops at
+        the budget: the walk at the node past it, the level-wise search
+        before it builds that level's tries."""
+        basis = LatticeBasis(REAL, np.eye(2))
+        basis._reduced
+        budget = 1 << 12
+        monkeypatch.setattr(lattice, "MAX_ENUM_NODES", budget)
+        leaves = []
+        with pytest.raises(EnumerationCapError) as info:
+            lattice._enumerate(basis._reduced, np.zeros(2), 1e12,
+                               lambda u, d2: leaves.append(1) or 1e12)
+        assert info.value.nodes == budget + 1
+        assert len(leaves) <= budget
+        for radius in (1e6, 1e12):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                for search in (lattice.count_in_ball, lattice.points_in_ball,
+                               lattice._enumerate_levels):
+                    with pytest.raises(EnumerationCapError) as info:
+                        if search is lattice._enumerate_levels:
+                            search(basis._reduced, np.zeros(2),
+                                   radius * radius, True)
+                        else:
+                            search(basis, np.zeros(2), radius)
+                    assert info.value.nodes > budget
+                took = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert took < 0.5
+            assert peak < 1 << 20
 
     def test_rate2_carving_ball_memory(self):
         """The rate-2 F8-17 carving ball (about 65,700 points) goes level by

@@ -152,7 +152,9 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
 
     With ``delta=None`` delta_max is used for each epsilon; with
     ``epsilon=None`` as well, the bound is minimized over a 100-point
-    log-grid of epsilon values.  An explicit ``delta`` <= 0 raises
+    log-grid of epsilon values; a grid point whose atypical-noise term
+    alone reaches the least bound so far skips its Chernoff solve, which
+    leaves the minimum unchanged.  An explicit ``delta`` <= 0 raises
     ``ValueError`` whatever alpha and epsilon are.
     """
     if not is_fading(model):
@@ -161,7 +163,9 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
         raise ValueError(f"fading_error_bound requires delta > 0, got {delta}")
     dof = 2 * n if is_complex(model) else n
 
-    def bound_for(eps: float, dlt: float | None) -> float:
+    def bound_for(eps: float, dlt: float | None,
+                  best: float = math.inf) -> float:
+        """The bound at ``eps``, or inf where it cannot be below ``best``."""
         arg = alpha ** 2 / (4.0 * (1.0 + eps))
         if arg <= 0:
             return 1.0
@@ -172,10 +176,17 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
         if dlt > dmax or dmax <= 0:
             return 1.0
         term1 = 2.0 * math.exp(-dof * eps ** 2 / 16.0)
+        # fl(term1 + term2) >= term1 for term2 >= 0, so the Chernoff solve
+        # cannot bring this point below best: skipping it leaves the minimum
+        # bit for bit
+        if min(1.0, term1) >= best:
+            return math.inf
         term2 = math.exp(n * chernoff_solve(dlt).exponent)
         return min(1.0, term1 + term2)
 
     if epsilon is not None:
         return bound_for(epsilon, delta)
-    eps_grid = np.logspace(-3, math.log10(50.0), 100)
-    return min(bound_for(float(e), delta) for e in eps_grid)
+    best = math.inf
+    for e in np.logspace(-3, math.log10(50.0), 100):
+        best = min(best, bound_for(float(e), delta, best))
+    return best

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -58,6 +59,14 @@ class ExperimentConfig:
         for snr_db in self.snr_db_grid:
             if not math.isfinite(snr_db):
                 raise ValueError(f"--snr values must be finite, got {snr_db}")
+            try:
+                power = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                power = math.inf
+            if not sys.float_info.min <= power <= sys.float_info.max:
+                raise ValueError(f"--snr {snr_db} dB gives a power "
+                                 f"10^(snr/10) that overflows or underflows "
+                                 f"a float")
         if self.subcommand == "simulate":
             if not self.field_name:
                 raise ValueError("simulate requires --field")
@@ -325,6 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(_build_parser)  # one parser per process
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(subcommand=args.subcommand)
     in_file = _load_config_file(args.config) if args.config else {}
@@ -348,7 +360,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run(build_config(args))
     except (ValueError, KeyError, RuntimeError, OSError) as exc:

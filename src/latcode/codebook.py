@@ -20,6 +20,9 @@ from .numberfield import FieldSpec, embedding_matrix
 from .specfun import ln_gamma
 
 _SHIFT_TRY_CAP = 10_000
+#: Entries of the code-lattice LRU (``code_lattice``): one pass of a
+#: benchmark workload carves at most 6 (field, alpha) pairs.
+_CODE_LATTICE_CACHE = 64
 _MIN_DISTANCE_BLOCK_BYTES = 4 << 20
 #: ``Codebook._prefixes`` groups the rows by their leading LLL coordinates
 #: u_0..u_{L-1}: the longest prefix of at most ``_PREFIX_LEVELS`` whose
@@ -264,13 +267,29 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
     raise ShiftSearchError(best_count, required)
 
 
+@functools.lru_cache(maxsize=_CODE_LATTICE_CACHE)
+def code_lattice(field: FieldSpec, alpha: float) -> LatticeBasis:
+    """alpha * psi(O_K), with its ``_reduced`` built; cached per (field,
+    alpha) and shared, so its arrays are read-only."""
+    basis = embedding_matrix(field).scaled(alpha)
+    basis.vectors.flags.writeable = False
+    basis._reduced  # built once, into the cache entry
+    return basis
+
+
 def carve(config: CodeConfig) -> Codebook:
-    """Build the finite code B(sqrt(nP)) intersect (shift + alpha*psi(O_K))."""
+    """Build the finite code B(sqrt(nP)) intersect (shift + alpha*psi(O_K)).
+
+    The lattice comes from ``code_lattice``, built once per (field, alpha)
+    in a process: the shift search, the ball and ``Codebook.basis`` share
+    it, and a carve pays only for the search and the ball.  The points,
+    shift and rate are never cached.
+    """
     field = config.field
     n = field.ambient_n
     alpha2 = energy_normalization(field, config.rate, config.power)
     alpha = math.sqrt(alpha2)
-    basis = embedding_matrix(field).scaled(alpha)
+    basis = code_lattice(field, alpha)
     target = 2.0 ** (config.rate * n)
     shift = shift_search(basis, config.power, math.ceil(target), config.seed)
     radius = math.sqrt(n * config.power)

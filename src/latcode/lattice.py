@@ -107,7 +107,8 @@ class SingularBasisError(ValueError):
 @dataclass(frozen=True)
 class Reduction:
     """Rows that span a lattice, ``rows = U @ real_matrix``, and the QR of
-    ``rows.T`` that the walk reads, with R as nested lists."""
+    ``rows.T`` that the walk reads, with R as nested lists.  ``_reduction``
+    makes its arrays read-only: a cached basis shares its reduction."""
 
     rows: np.ndarray
     U: np.ndarray
@@ -117,6 +118,8 @@ class Reduction:
 
 def _reduction(rows: np.ndarray, U: np.ndarray) -> Reduction:
     Q, R = _qr(rows)
+    for a in (rows, U, Q):
+        a.flags.writeable = False
     return Reduction(rows, U, Q, R.tolist())
 
 

@@ -4,10 +4,21 @@ Fields are desk-scale (degrees 2-8), either totally real or totally complex,
 with integral bases supplied as catalog data.  Embeddings are computed
 numerically from the defining polynomial's roots (companion matrix plus
 Newton polishing); exact algebraic arithmetic is out of scope.
+
+A field's lattices depend only on the field, so each is built once per
+process: ``field_roots``, ``embedding_matrix`` and ``ideal_lattice`` keep
+their results in LRUs of ``_FIELD_CACHE`` entries, keyed by the frozen
+specs, which compare by value and hash once per object.  Every array a
+cached result exposes is read-only: the roots, a basis's ``vectors`` and
+the arrays of its ``_reduced`` (built on first use and kept with the
+basis), so a caller that writes to one gets ``ValueError``.  Nothing is
+built at import; ``load_catalog``'s validation fills the roots and
+embeddings of the catalog's fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -20,8 +31,30 @@ from . import lattice
 from .lattice import COMPLEX, REAL, LatticeBasis
 
 
+#: Entries of each per-field LRU: every field and ideal of the packaged
+#: catalog (7 fields, 3 ideals) with room to spare.
+_FIELD_CACHE = 32
+
+
 class CatalogError(ValueError):
     """Catalog parse or validation failure."""
+
+
+def _spec_hash(spec) -> int:
+    """The hash of a frozen spec's fields, computed once per object: a spec
+    holds tuples of Fractions, and hashing F8-17's 64 walks them all."""
+    h = spec.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(spec, f.name)
+                       for f in dataclasses.fields(spec)))
+        spec.__dict__["_hash"] = h
+    return h
+
+
+def _spec_state(spec) -> dict:
+    """Pickled state of a spec: its fields alone.  A string's hash differs
+    between processes, so a memoized hash must not travel."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -31,6 +64,9 @@ class IdealSpec:
     norm: int
     class_label: str
     principal: bool
+
+    __hash__ = _spec_hash
+    __getstate__ = _spec_state
 
 
 @dataclass(frozen=True)
@@ -43,6 +79,9 @@ class FieldSpec:
     disc_catalog: int
     ideals: tuple[IdealSpec, ...] = field(default=())
 
+    __hash__ = _spec_hash
+    __getstate__ = _spec_state
+
     @property
     def totally_real(self) -> bool:
         return self.signature[1] == 0
@@ -53,8 +92,13 @@ class FieldSpec:
         return self.degree if self.totally_real else self.degree // 2
 
     def unit_ideal(self) -> IdealSpec:
-        return IdealSpec(label="unit", z_basis=self.integral_basis,
-                         norm=1, class_label="principal", principal=True)
+        """The ring of integers as an ideal; the same object on every call."""
+        unit = self.__dict__.get("_unit_ideal")
+        if unit is None:
+            unit = IdealSpec(label="unit", z_basis=self.integral_basis,
+                             norm=1, class_label="principal", principal=True)
+            self.__dict__["_unit_ideal"] = unit
+        return unit
 
 
 def _frac(tok: str) -> Fraction:
@@ -268,12 +312,13 @@ def catalog_field(name: str, path=None) -> FieldSpec:
     raise KeyError(f"field {name!r} not in catalog")
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE)
 def field_roots(f: FieldSpec) -> np.ndarray:
     """Roots of the defining polynomial chosen and ordered for the embedding.
 
     Totally real fields: all roots, ascending.  Totally complex fields: one
     root per conjugate pair (positive imaginary part), ordered by ascending
-    real part then imaginary part.
+    real part then imaginary part.  Cached per field, read-only.
     """
     coeffs_desc = list(f.min_poly[::-1])
     roots = np.roots(coeffs_desc)
@@ -285,18 +330,21 @@ def field_roots(f: FieldSpec) -> np.ndarray:
     if f.totally_real:
         if np.max(np.abs(roots.imag)) > 1e-8:
             raise CatalogError(f"{f.name}: expected all-real roots")
-        return np.sort(roots.real)
-    if np.min(np.abs(roots.imag)) < 1e-8:
-        raise CatalogError(f"{f.name}: expected no real roots")
-    chosen = roots[roots.imag > 0]
-    if len(chosen) != f.degree // 2:
-        raise CatalogError(f"{f.name}: could not split conjugate pairs")
-    order = np.lexsort((chosen.imag, chosen.real))
-    return chosen[order]
+        chosen = np.sort(roots.real)
+    else:
+        if np.min(np.abs(roots.imag)) < 1e-8:
+            raise CatalogError(f"{f.name}: expected no real roots")
+        chosen = roots[roots.imag > 0]
+        if len(chosen) != f.degree // 2:
+            raise CatalogError(f"{f.name}: could not split conjugate pairs")
+        chosen = chosen[np.lexsort((chosen.imag, chosen.real))]
+    chosen.flags.writeable = False
+    return chosen
 
 
 def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
-    """Basis psi(e_1), ..., psi(e_m) of elements in power-basis coordinates."""
+    """Basis psi(e_1), ..., psi(e_m) of elements in power-basis coordinates,
+    with read-only ``vectors``."""
     roots = field_roots(f)
     rows = []
     for coeffs in elements:
@@ -304,7 +352,9 @@ def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
         for c in reversed([float(c) for c in coeffs]):
             vals = vals * roots + c
         rows.append(vals.real if f.totally_real else vals)
-    return LatticeBasis(REAL if f.totally_real else COMPLEX, np.array(rows))
+    vectors = np.array(rows)
+    vectors.flags.writeable = False
+    return LatticeBasis(REAL if f.totally_real else COMPLEX, vectors)
 
 
 def element_norm(f: FieldSpec, coeffs) -> float:
@@ -318,8 +368,11 @@ def element_norm(f: FieldSpec, coeffs) -> float:
     return float(np.prod(np.abs(vals)))
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE)
 def embedding_matrix(f: FieldSpec) -> LatticeBasis:
-    """Lattice basis psi(w_1), ..., psi(w_m) of the embedded ring of integers."""
+    """Lattice basis psi(w_1), ..., psi(w_m) of the embedded ring of
+    integers; cached per field, so one basis and its one ``_reduced`` serve
+    every caller."""
     return _embedded_lattice(f, f.integral_basis)
 
 
@@ -350,8 +403,11 @@ def discriminant_check(f: FieldSpec) -> float:
     return abs(recovered - abs(f.disc_catalog)) / abs(f.disc_catalog)
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE)
 def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
-    """Embedded ideal lattice; volume verified against N(I) * Vol(psi(O_K))."""
+    """Embedded ideal lattice; volume verified against N(I) * Vol(psi(O_K)).
+
+    Cached per (field, ideal) and shared, as ``embedding_matrix`` is."""
     basis = _embedded_lattice(f, ideal.z_basis)
     vol = lattice.volume(basis)
     if f.totally_real:

@@ -204,6 +204,47 @@ class TestFadingErrorBound:
         assert an.fading_error_bound(n, alpha, model=model) == best
         assert best == pytest.approx(1.6067e-7, rel=1e-4)
 
+    @staticmethod
+    def unpruned(n, alpha, delta, model):
+        """The grid loop before pruning: every grid point's Chernoff solve."""
+        dof = 2 * n if ch.is_complex(model) else n
+
+        def bound_for(eps, dlt):
+            arg = alpha ** 2 / (4.0 * (1.0 + eps))
+            if arg <= 0:
+                return 1.0
+            dmax = math.log(arg) - EULER_GAMMA
+            dlt = dmax if dlt is None else dlt
+            if dlt > dmax or dmax <= 0:
+                return 1.0
+            term1 = 2.0 * math.exp(-dof * eps ** 2 / 16.0)
+            term2 = math.exp(n * chernoff_solve(dlt).exponent)
+            return min(1.0, term1 + term2)
+
+        eps_grid = np.logspace(-3, math.log10(50.0), 100)
+        return min(bound_for(float(e), delta) for e in eps_grid)
+
+    @pytest.mark.parametrize("delta", [None, 0.5, 3.0])
+    def test_pruned_grid_equals_full_grid(self, delta):
+        # every catalog field at rate 1, 0-40 dB: the pruned minimum is the
+        # full grid's, bit for bit
+        from latcode.codebook import energy_normalization
+        for f in nf.load_catalog():
+            model = ch.RAYLEIGH_REAL if f.totally_real else ch.RAYLEIGH_COMPLEX
+            for snr_db in range(0, 41, 4):
+                alpha = math.sqrt(energy_normalization(
+                    f, 1.0, 10.0 ** (snr_db / 10.0)))
+                assert an.fading_error_bound(
+                    f.ambient_n, alpha, delta=delta, model=model) == \
+                    self.unpruned(f.ambient_n, alpha, delta, model)
+
+    def test_pruned_grid_skips_chernoff_solves(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(an, "chernoff_solve",
+                            lambda d: calls.append(d) or chernoff_solve(d))
+        an.fading_error_bound(8, 47.0, model=ch.RAYLEIGH_REAL)
+        assert 0 < len(calls) < 50
+
     def test_explicit_terms(self):
         n, alpha, delta, eps = 8, 20.0, 0.5, 0.5
         got = an.fading_error_bound(n, alpha, delta=delta, epsilon=eps,

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from latcode import cli, lattice
+from latcode import cli, codebook, lattice
 from latcode import numberfield as nf
 
 
@@ -155,6 +155,8 @@ class TestSimulateCommand:
         counts = []
         for trials in (5, 40):
             calls.clear()
+            # a cold code lattice, whatever ran before
+            codebook.code_lattice.cache_clear()
             cli.simulate_point(f, "awgn_real", 1.0, 10.0, trials, 7,
                                which="nld")
             counts.append(len(calls))
@@ -300,10 +302,31 @@ class TestNonFiniteOptions:
         assert "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--field", "F4-725", "--model", "awgn_real",
+         "--trials", "10"],
+        ["rates"]])
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_rejects_power_outside_float_range(self, capsys, command, snr):
+        # 10^(snr/10) overflows (an OverflowError traceback, before) or
+        # underflows to zero
+        assert cli.main(command + [f"--snr={snr}"]) == 1
+        err = capsys.readouterr().err
+        assert f"latcode: error: --snr {float(snr)} dB gives a power" in err
+        assert "Traceback" not in err
+
     def test_rates_rejects_nan_snr(self, capsys):
         assert cli.main(["rates", "--snr", "10,nan"]) == 1
         assert "--snr values must be finite, got nan" in \
             capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert cli.main(["rates", "--snr", "10"]) == 0
+        assert cli._parser.cache_info().misses == 1
 
 
 class TestConfigFile:

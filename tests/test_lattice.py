@@ -144,7 +144,9 @@ class TestCachedReduction:
         real_lll = lattice._lll
         monkeypatch.setattr(lattice, "_lll",
                             lambda B: calls.append(1) or real_lll(B))
-        basis = nf.embedding_matrix(nf.catalog_field("F4-725"))
+        # a fresh basis: the cached embedding's reduction may already exist
+        emb = nf.embedding_matrix(nf.catalog_field("F4-725"))
+        basis = LatticeBasis(emb.ambient, emb.vectors.copy())
         shortest_vector(basis)
         for t in ([0.3, -1.2, 0.7, 2.1], [1.0, 0.0, -0.5, 0.25]):
             lattice.closest_vector_coords(basis, np.array(t))

@@ -199,8 +199,9 @@ def _simulate_chunk(codebook: Codebook, model: str, master_seed: int,
         block = []
         for t in range(start, min(start + _BLOCK_TRIALS, hi)):
             mrng = stream_rng(master_seed, t, STREAM_MESSAGE)
-            s = codebook.points[int(mrng.integers(codebook.size))]
-            block.append((s, *transmit(s, model, master_seed, t)))
+            m = int(mrng.integers(codebook.size))
+            block.append((m, *transmit(codebook.points[m], model,
+                                       master_seed, t)))
         faded = [None] * len(block)
         if fade_nld:
             try:
@@ -209,13 +210,13 @@ def _simulate_chunk(codebook: Codebook, model: str, master_seed: int,
             except lattice.SingularBasisError as exc:
                 raise ValueError(f"trial {start + exc.index}: the faded "
                                  f"code lattice is singular") from exc
-        for (s, y, realization), basis in zip(block, faded):
+        for (m, y, realization), basis in zip(block, faded):
             if run_nld:
-                nld_ok = nld_decode(y, realization, codebook, s,
+                nld_ok = nld_decode(y, realization, codebook, m,
                                     faded=basis).correct
                 err_nld += not nld_ok
             if run_ml:
-                ml_ok = ml_decode(y, realization, codebook, s).correct
+                ml_ok = ml_decode(y, realization, codebook, m).correct
                 err_ml += not ml_ok
             nld_right_ml_wrong += run_nld and run_ml and nld_ok and not ml_ok
     return err_nld, err_ml, nld_right_ml_wrong

@@ -33,10 +33,6 @@ _MIN_DISTANCE_BLOCK_BYTES = 4 << 20
 #: one level fewer 1.1-2.3x.
 _PREFIX_LEVELS = 4
 _PREFIX_GROUP_ROWS = 32
-#: Largest distance, relative to the coordinate's magnitude bound, of a
-#: prefix coordinate from an integer in a lattice code (float error is a
-#: few ulps of that bound).
-_PREFIX_TOL = 1e-12
 
 
 class RateInfeasibleError(RuntimeError):
@@ -89,8 +85,11 @@ class PrefixIndex:
 
 @dataclass(frozen=True)
 class Codebook:
-    """A carved code.  ``points`` must not be mutated: three caches are
-    built from it on first use and never refreshed.
+    """A carved code.  ``coords`` holds the rows' integer coordinates in
+    ``basis._reduced.rows``, lexicographically sorted, in the smallest
+    signed integer dtype that holds them; a code built by hand may leave it
+    None, and then has no NLD decode and no prefix index.  Neither array
+    may be mutated: three caches are built on first use, never refreshed.
 
     - ``_norms``: the squared row norms ||x||^2 and their maximum.  ``carve``
       builds it for its power check; ML decoding scores an unfaded channel
@@ -98,10 +97,9 @@ class Codebook:
     - ``_squares``: the elementwise ``|points|^2``, built only by the first
       ML decode on a fading channel.
     - ``_prefixes``: the ``PrefixIndex`` that prunes an unfaded ML decode of
-      a large code, built only by the first such decode.  ``carve`` returns
-      its rows sorted by their LLL coordinates, so the rows that share their
-      first L coordinates are contiguous; a code whose rows are not lattice
-      points in those coordinates, or not in that order, has none (None).
+      a large code, built only by the first such decode.  Rows sharing their
+      first L coordinates are contiguous, as ``coords`` is sorted; a code
+      without ``coords``, or with them out of that order, has none (None).
     """
     points: np.ndarray
     alpha: float
@@ -110,6 +108,7 @@ class Codebook:
     n: int                    # complex channel uses, or real dimension
     basis: LatticeBasis       # the scaled lattice alpha * psi(O_K)
     power: float
+    coords: np.ndarray | None = None  # (N, rank), x = shift + coords @ rows
 
     @property
     def size(self) -> int:
@@ -131,37 +130,22 @@ class Codebook:
 
     @functools.cached_property
     def _prefixes(self) -> PrefixIndex | None:
-        """Group the rows by their first L coordinates in
-        ``basis._reduced.rows``: the longest prefix, of at most
-        ``_PREFIX_LEVELS``, whose groups hold ``_PREFIX_GROUP_ROWS`` rows on
-        average (at least one coordinate).  None unless those coordinates
-        are integers within ``_PREFIX_TOL`` and nondecreasing in
-        lexicographic order.  Works on (L, N) arrays: no (N, n) temporary
-        is built."""
+        """Group the rows by their first L coordinates in ``coords``: the
+        longest prefix, of at most ``_PREFIX_LEVELS``, whose groups hold
+        ``_PREFIX_GROUP_ROWS`` rows on average (at least one coordinate).
+        None without ``coords``, or unless the rows are in lexicographic
+        order of their prefixes.  No (N, n) temporary is built."""
+        if self.coords is None:
+            return None
         red = self.basis._reduced
         k = len(red.rows)
-        inv = np.linalg.inv(red.rows)
-        dual = np.linalg.norm(inv, axis=0)  # |u_j| <= ||x - shift|| dual_j
-        inv = inv[:, :min(_PREFIX_LEVELS, k)]
-        pts = np.ascontiguousarray(self.points)
-        shift = self.basis.to_real(self.shift)
-        span = math.sqrt(self._norms[1]) + float(np.linalg.norm(shift))
-        # (L, N), each coordinate's N values contiguous; the (N, dim) @
-        # (dim, L) shape stalled for milliseconds in threaded BLAS
-        coords = inv.T @ pts.view(pts.real.dtype).T
-        coords -= (shift @ inv)[:, None]
-        keys = np.rint(coords)
-        coords -= keys
-        np.abs(coords, out=coords)
-        if np.any(np.maximum.reduce(coords, axis=1)
-                  > _PREFIX_TOL * span * dual[:len(keys)]):
-            return None
-        del coords
+        N = len(self.coords)
+        keys = self.coords[:, :min(_PREFIX_LEVELS, k)].T
         new = keys[0, 1:] != keys[0, :-1]  # where a group starts
         L = 1
         while L < len(keys):
             longer = new | (keys[L, 1:] != keys[L, :-1])
-            if np.count_nonzero(longer) + 1 > len(pts) / _PREFIX_GROUP_ROWS:
+            if np.count_nonzero(longer) + 1 > N / _PREFIX_GROUP_ROWS:
                 break
             new, L = longer, L + 1
         keys = keys[:L]
@@ -172,17 +156,21 @@ class Codebook:
         key = base ** np.arange(L - 1.0, -1.0, -1.0) @ keys
         if np.any(key[1:] < key[:-1]):
             return None
-        starts = np.concatenate(([0], new.nonzero()[0] + 1, [len(pts)]))
+        starts = np.concatenate(([0], new.nonzero()[0] + 1, [N]))
+        shift = self.basis.to_real(self.shift)
         rev = lattice._reduction(red.rows[::-1], red.U[::-1])
         block = np.array(rev.R)[k - L:, k - L:]
         q = rev.Q[:, k - L:].T
-        levels = block[:, ::-1] @ keys[:, starts[:-1]]
+        levels = block[:, ::-1] @ keys[:, starts[:-1]].astype(float)
         levels += (q @ shift)[:, None]
-        # |R'_ij| <= ||rows_j||, so sum_j |u_j| ||rows_j|| <= cond * span
-        cond = float(np.linalg.norm(red.rows, axis=1) @ dual)
+        # ||x - shift|| <= sum_j |u_j| ||rows_j||, and |R'_ij| <= ||rows_j||
+        span = np.zeros(N)
+        for u_j, norm_j in zip(self.coords.T,
+                               np.linalg.norm(red.rows, axis=1)):
+            span += np.abs(u_j, dtype=float) * norm_j
         return PrefixIndex(starts=starts, sizes=np.diff(starts),
                            levels=levels, q=q,
-                           reach=float(np.linalg.norm(shift)) + cond * span)
+                           reach=float(np.linalg.norm(shift)) + span.max())
 
     def min_distance(self) -> float:
         """Minimum pairwise distance, over row blocks of bounded memory."""
@@ -293,11 +281,14 @@ def carve(config: CodeConfig) -> Codebook:
     target = 2.0 ** (config.rate * n)
     shift = shift_search(basis, config.power, math.ceil(target), config.seed)
     radius = math.sqrt(n * config.power)
-    points = lattice.points_in_ball(basis, -shift, radius)[1]
+    ured, points = lattice.points_in_ball(basis, -shift, radius)
     points += shift  # a fresh array: no second one of its size
+    # the smallest signed dtype that holds -w holds -w..w-1: every coordinate
+    w = max(-ured.min(initial=0.0), ured.max(initial=0.0) + 1.0)
+    coords = ured.astype(np.min_scalar_type(-int(w)))
     code = Codebook(points=points, alpha=alpha, shift=shift,
                     achieved_rate=math.log2(len(points)) / n, n=n,
-                    basis=basis, power=config.power)
+                    basis=basis, power=config.power, coords=coords)
     # power constraint must hold by the ball cut; tolerate roundoff only
     if code._norms[1] / n > config.power * (1.0 + 1e-9):
         raise RuntimeError("carved point violates the power constraint")

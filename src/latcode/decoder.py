@@ -22,7 +22,6 @@ from . import lattice
 from .channel import ChannelRealization
 from .codebook import Codebook, PrefixIndex
 
-_MATCH_TOL = 1e-8
 _ML_WINDOW = 1e-9  # relative to the score bound M in _near_best
 # ml_decode scans codes this small without scoring them first; scoring
 # cost less than a scan on a 256-point Rayleigh code
@@ -44,21 +43,18 @@ class DecodeOutcome:
     metric: float
 
 
-def _matches(a, b) -> bool:
-    return bool(np.maximum.reduce(np.abs(a - b)) <= _MATCH_TOL)
-
-
 def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
-               transmitted, faded: lattice.LatticeBasis | None = None
+               sent: int, faded: lattice.LatticeBasis | None = None
                ) -> DecodeOutcome:
     """Closest point in the infinite shifted faded lattice.
 
-    Decoding lands on shift + alpha*psi(x) for some algebraic integer x; a
-    result outside the finite codebook counts as an error.  Unit fading is
-    left out of every product: a product by 1 is exact.  On a fading
-    channel, ``faded`` is the code lattice faded by this realization, as a
-    caller that builds a block of them at once (``LatticeBasis.faded``)
-    passes it; without it the decode builds its own.
+    Decoding lands on shift + alpha*psi(x) for some algebraic integer x; it
+    is correct when x's integer coordinates in the code basis, which every
+    search path returns, equal row ``sent``'s (``codebook.coords`` needed).
+    Unit fading is left out of every product: a product by 1 is exact.  On
+    a fading channel, ``faded`` is the code lattice faded by this
+    realization, as a caller that builds a block of them at once
+    (``LatticeBasis.faded``) passes it; without it the decode builds its own.
     """
     shift, fading = codebook.shift, realization.fading
     is_faded = realization.is_fading
@@ -77,8 +73,10 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     radius = math.sqrt(codebook.n * codebook.power)
     is_codeword = (float(np.add.reduce(np.abs(decoded) ** 2))
                    <= lattice.ball_bound(radius))
+    sent_coords = codebook.coords[sent] @ codebook.basis._reduced.U
     return DecodeOutcome(decoded=decoded, is_codeword=is_codeword,
-                         correct=_matches(decoded, transmitted), metric=metric)
+                         correct=np.array_equal(coords, sent_coords),
+                         metric=metric)
 
 
 def _exact_metrics(y, fading, rows) -> np.ndarray:
@@ -94,8 +92,9 @@ def _exact_metrics(y, fading, rows) -> np.ndarray:
 
 
 def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
-              transmitted) -> DecodeOutcome:
-    """Exhaustive minimum-distance search over the finite codebook.
+              sent: int) -> DecodeOutcome:
+    """Exhaustive minimum-distance search over the finite codebook; it is
+    correct when the winning row is row ``sent``.
 
     A code of at most ``_ML_SCAN_ROWS`` codewords is scanned: every row gets
     the exact metric ||y - h x||^2 in one pass, which costs less than
@@ -113,17 +112,18 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     points = codebook.points
     fading = realization.fading if realization.is_fading else None
     if len(points) <= _ML_SCAN_ROWS:
-        rows = points
+        near, rows = None, points
     else:
         index = (codebook._prefixes if fading is None
                  and points.nbytes >= _ML_PRUNE_BYTES else None)
         among = None if index is None else _pruned_rows(y, index, codebook)
-        rows = points[_near_best(y, fading, codebook, among)]
+        near = _near_best(y, fading, codebook, among)
+        rows = points[near]
     metrics = _exact_metrics(y, fading, rows)
     best = metrics.argmin()  # first index wins ties
-    decoded = rows[best]
-    return DecodeOutcome(decoded=decoded, is_codeword=True,
-                         correct=_matches(decoded, transmitted),
+    won = best if near is None else near[best]
+    return DecodeOutcome(decoded=rows[best], is_codeword=True,
+                         correct=bool(won == sent),
                          metric=float(metrics[best]))
 
 
@@ -182,9 +182,9 @@ def _pruned_rows(y, index: PrefixIndex, codebook: Codebook):
     groups with b_g <= u + ``_ML_WINDOW`` * M' are kept, for
     M' = (||y|| + reach)^2.  Every term of the bound, of the score and of
     the exact metric is at most M' in magnitude (reach bounds ||shift|| and
-    sum_j |u_j| ||rows_j|| over the code), and a rounded prefix is within
-    ``codebook._PREFIX_TOL`` of its coordinate, so b_g, u and the exact
-    metric each err by a few dim ulps of M' at most, far below the window.
+    sum_j |u_j| ||rows_j|| over the code), and a prefix is the code's exact
+    integer coordinates, so b_g, u and the exact metric each err by a few
+    dim ulps of M' at most, far below the window.
     """
     starts = index.starts
     gap = index.levels - (index.q @ codebook.basis.to_real(y))[:, None]

@@ -65,7 +65,7 @@ _LEVEL_BLOCK = 1 << 14
 #: twice as many.
 _ZIGZAG_SPARE = 2
 
-_TIE_EPS = 1e-12
+_TIE_EPS = 1e-12  # relative tie window of ``_nearest``
 _BALL_SLACK = 1e-12  # relative widening of the closed ball, ``ball_bound``
 _LLL_DELTA = 0.99  # the Lovasz condition's constant in ``_lll``
 
@@ -384,15 +384,12 @@ def _nearest(red: Reduction, target: np.ndarray, exclude_zero: bool = False,
     """Coordinates u in ``red.rows`` and squared distance of the lattice
     point nearest the real ``target`` (nonzero if ``exclude_zero``).
 
-    Ties within an absolute 1e-12 in squared distance break to the
-    lexicographically smaller u in the walked rows, not the caller's basis:
-    on a faded basis's hint the parent's LLL rows, faded; otherwise the
-    basis's own LLL rows, so a faded basis whose hint tripped breaks ties in
-    its own reduction.  Under continuous noise exact ties have probability
-    zero.  The window does not scale with the lattice: once squared
-    distances are large enough that 1e-12 is below their float resolution,
-    near-ties that differ only by rounding are settled by that rounding, not
-    by the coordinate order.
+    Ties within a relative ``_TIE_EPS`` of the best squared distance break
+    to the lexicographically smaller u in the walked rows, not the caller's
+    basis: on a faded basis's hint the parent's LLL rows, faded; otherwise
+    the basis's own LLL rows, so a faded basis whose hint tripped breaks
+    ties in its own reduction.  Under continuous noise exact ties have
+    probability zero.
     """
     best_u, best_d2 = None, math.inf
 
@@ -400,11 +397,11 @@ def _nearest(red: Reduction, target: np.ndarray, exclude_zero: bool = False,
         nonlocal best_u, best_d2
         if exclude_zero and not any(u):
             pass  # the origin is no shortest vector
-        elif d2 < best_d2 - _TIE_EPS:
+        elif d2 < best_d2 * (1.0 - _TIE_EPS):
             best_u, best_d2 = u.copy(), d2
         elif u < best_u:
             best_u, best_d2 = u.copy(), min(best_d2, d2)
-        return best_d2 + _TIE_EPS
+        return best_d2 * (1.0 + _TIE_EPS)
 
     _enumerate(red, target, math.inf, leaf, budget)
     return best_u, best_d2

@@ -407,8 +407,11 @@ def discriminant_check(f: FieldSpec) -> float:
 def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
     """Embedded ideal lattice; volume verified against N(I) * Vol(psi(O_K)).
 
-    Cached per (field, ideal) and shared, as ``embedding_matrix`` is."""
-    basis = _embedded_lattice(f, ideal.z_basis)
+    Cached per (field, ideal) and shared, as ``embedding_matrix`` is.  An
+    ideal whose Z-basis is the integral basis is the ring itself, and gets
+    ``embedding_matrix(f)`` with its one reduction."""
+    basis = (embedding_matrix(f) if ideal.z_basis == f.integral_basis
+             else _embedded_lattice(f, ideal.z_basis))
     vol = lattice.volume(basis)
     if f.totally_real:
         expected = ideal.norm * math.sqrt(abs(f.disc_catalog))

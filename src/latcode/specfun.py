@@ -124,7 +124,9 @@ def chernoff_solve(delta: float) -> ChernoffSolution:
     """Solve digamma(1 - v) = -(delta + gamma) for the optimal v on (0, 1).
 
     psi(1 - v) is strictly decreasing in v, so bisection on
-    (1e-12, 1 - 1e-9) is guaranteed to bracket the root.
+    (1e-12, 1 - 1e-9) is guaranteed to bracket the root.  Bisection stops at
+    1e-12 in v, where the slope of psi(1 - v) is about (delta + gamma)^2,
+    so the residual is checked relative to delta + gamma.
     """
     if delta <= 0.0:
         raise ValueError(f"chernoff_solve requires delta > 0, got {delta}")
@@ -148,8 +150,9 @@ def chernoff_solve(delta: float) -> ChernoffSolution:
             break
     v = 0.5 * (lo + hi)
     residual = abs(digamma(1.0 - v) + delta + EULER_GAMMA)
-    if residual > 1e-9:
+    if residual > 1e-9 * -target:
         raise RuntimeError(
-            f"chernoff_solve: residual {residual:.3e} > 1e-9 for delta={delta}")
+            f"chernoff_solve: residual {residual:.3e} > 1e-9 (delta + gamma) "
+            f"for delta={delta}")
     exponent = v * digamma(1.0 - v) + ln_gamma(1.0 - v)
     return ChernoffSolution(delta=delta, v_delta=v, exponent=exponent)

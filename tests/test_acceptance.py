@@ -165,15 +165,15 @@ def test_criterion_6_decoder_correctness():
         for trial in range(200):
             code = code4 if trial % 2 == 0 else code2
             model = ch.RAYLEIGH_REAL if trial % 3 == 0 else ch.AWGN_REAL
-            s = code.points[int(rng.integers(code.size))]
-            y, r = ch.transmit(s, model, 600, trial)
-            ml = ml_decode(y, r, code, s)
+            m = int(rng.integers(code.size))
+            y, r = ch.transmit(code.points[m], model, 600, trial)
+            ml = ml_decode(y, r, code, m)
             # oracle 1: exhaustive-scan ML
             metrics = [float(np.sum(np.abs(y - r.fading * p) ** 2))
                        for p in code.points]
             assert ml.metric == pytest.approx(min(metrics), rel=1e-10)
             # oracle 2: NLD against boxed enumeration around the ML point
-            nl = nld_decode(y, r, code, s)
+            nl = nld_decode(y, r, code, m)
             faded = lattice.LatticeBasis(
                 code.basis.ambient, code.basis.vectors * r.fading)
             coords, vecs = lattice.points_in_ball(
@@ -184,11 +184,11 @@ def test_criterion_6_decoder_correctness():
         violations = 0
         for t in range(10_000):
             mrng = ch.stream_rng(601, t, ch.STREAM_MESSAGE)
-            s = code4.points[int(mrng.integers(code4.size))]
+            m = int(mrng.integers(code4.size))
             model = ch.AWGN_REAL if t % 2 == 0 else ch.RAYLEIGH_REAL
-            y, r = ch.transmit(s, model, 601, t)
-            nl_ok = nld_decode(y, r, code4, s).correct
-            ml_ok = ml_decode(y, r, code4, s).correct
+            y, r = ch.transmit(code4.points[m], model, 601, t)
+            nl_ok = nld_decode(y, r, code4, m).correct
+            ml_ok = ml_decode(y, r, code4, m).correct
             if nl_ok and not ml_ok:
                 violations += 1
         assert violations == 0

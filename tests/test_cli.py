@@ -321,6 +321,36 @@ class TestNonFiniteOptions:
             capsys.readouterr().err
 
 
+class TestExtremeSnr:
+    """Runs at the ends of the SNR range decide in integers and scale their
+    tolerances with the problem."""
+
+    def simulate(self, tmp_path, field, model, snr):
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--field", field, "--model", model,
+                         "--trials", "50", f"--snr={snr}",
+                         "--out", str(out)]) == 0
+        return read_csv(out)[1]
+
+    def test_nld_is_exact_at_high_snr(self, tmp_path):
+        # a float match within 1e-8 counted 13, 28 and 32 of these as errors
+        rows = self.simulate(tmp_path, "F4-725", "awgn_real", "150,200,250")
+        assert [(r["errors_nld"], r["errors_ml"]) for r in rows] == \
+            [("0", "0")] * 3
+
+    def test_low_snr_decodes(self, tmp_path):
+        # an absolute tie window of 1e-12 held more lattice points than the
+        # node budget here
+        rows = self.simulate(tmp_path, "F4-725", "rayleigh_real", "-160")
+        assert int(rows[0]["errors_nld"]) <= 50
+
+    def test_high_snr_fading_bound(self, tmp_path):
+        # its Chernoff slack is large, and the solve's residual is relative
+        rows = self.simulate(tmp_path, "F8-17", "rayleigh_real", "250")
+        assert 0.0 <= float(rows[0]["chernoff_bound"]) < 1e-100
+        assert (rows[0]["errors_nld"], rows[0]["errors_ml"]) == ("0", "0")
+
+
 class TestParser:
     def test_built_once_per_process(self, capsys):
         cli._parser.cache_clear()

@@ -204,6 +204,103 @@ class TestCarve:
             CodeConfig(rate=rate, power=power, field=field("Qi"), seed=0)
 
 
+def reference_prefixes(code):
+    """``Codebook._prefixes`` before codes kept their coordinates, verbatim:
+    it recovered the prefix coordinates from ``points`` in floats."""
+    _PREFIX_TOL = 1e-12
+    red = code.basis._reduced
+    k = len(red.rows)
+    inv = np.linalg.inv(red.rows)
+    dual = np.linalg.norm(inv, axis=0)  # |u_j| <= ||x - shift|| dual_j
+    inv = inv[:, :min(cb._PREFIX_LEVELS, k)]
+    pts = np.ascontiguousarray(code.points)
+    shift = code.basis.to_real(code.shift)
+    span = math.sqrt(code._norms[1]) + float(np.linalg.norm(shift))
+    # (L, N), each coordinate's N values contiguous; the (N, dim) @
+    # (dim, L) shape stalled for milliseconds in threaded BLAS
+    coords = inv.T @ pts.view(pts.real.dtype).T
+    coords -= (shift @ inv)[:, None]
+    keys = np.rint(coords)
+    coords -= keys
+    np.abs(coords, out=coords)
+    if np.any(np.maximum.reduce(coords, axis=1)
+              > _PREFIX_TOL * span * dual[:len(keys)]):
+        return None
+    del coords
+    new = keys[0, 1:] != keys[0, :-1]  # where a group starts
+    L = 1
+    while L < len(keys):
+        longer = new | (keys[L, 1:] != keys[L, :-1])
+        if np.count_nonzero(longer) + 1 > len(pts) / cb._PREFIX_GROUP_ROWS:
+            break
+        new, L = longer, L + 1
+    keys = keys[:L]
+    lo, hi = float(keys.min()), float(keys.max())
+    base = hi - lo + 1.0
+    if max(-lo, hi) * base ** L >= 2.0 ** 53:
+        return None  # the mixed-radix key below would not be exact
+    key = base ** np.arange(L - 1.0, -1.0, -1.0) @ keys
+    if np.any(key[1:] < key[:-1]):
+        return None
+    starts = np.concatenate(([0], new.nonzero()[0] + 1, [len(pts)]))
+    rev = lattice._reduction(red.rows[::-1], red.U[::-1])
+    block = np.array(rev.R)[k - L:, k - L:]
+    q = rev.Q[:, k - L:].T
+    levels = block[:, ::-1] @ keys[:, starts[:-1]]
+    levels += (q @ shift)[:, None]
+    # |R'_ij| <= ||rows_j||, so sum_j |u_j| ||rows_j|| <= cond * span
+    cond = float(np.linalg.norm(red.rows, axis=1) @ dual)
+    return cb.PrefixIndex(starts=starts, sizes=np.diff(starts),
+                          levels=levels, q=q,
+                          reach=float(np.linalg.norm(shift)) + cond * span)
+
+
+class TestCoords:
+    """``carve`` keeps each row's integer coordinates in the code
+    lattice's LLL rows, and the prefix index reads them."""
+
+    CODES = [("Qi", 1.0), ("Qsqrt2", 1.0), ("F4-725", 2.0), ("F4-725", 4.0),
+             ("F8-17", 1.0), ("F8-17", 1.5), ("F8-17", 2.0), ("Qzeta5", 2.0)]
+
+    @pytest.mark.parametrize("name, rate", CODES)
+    def test_coords_rebuild_the_points(self, name, rate):
+        code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=5))
+        coords, basis = code.coords, code.basis
+        # bit for bit, as carve built them
+        rebuilt = basis.to_ambient(coords.astype(float)
+                                   @ basis._reduced.rows) + code.shift
+        assert np.array_equal(rebuilt, code.points)
+        assert np.array_equal(np.lexsort(coords.T[::-1]),
+                              np.arange(code.size))
+        # the smallest signed dtype: every code here fits int8
+        assert coords.dtype == np.int8 and coords.shape == (code.size,
+                                                            basis.rank)
+
+    @pytest.mark.parametrize("name, rate", [
+        ("F8-17", 1.5), ("F8-17", 2.0), ("F4-725", 2.0), ("F4-725", 4.0),
+        ("Qzeta5", 2.0)])
+    def test_prefixes_equal_the_float_recovery(self, name, rate):
+        code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=5))
+        got, ref = code._prefixes, reference_prefixes(code)
+        for attr in ("starts", "sizes", "levels", "q"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+        # the exact reach is no looser, and still bounds every codeword
+        assert got.reach <= ref.reach
+        assert got.reach >= math.sqrt(code._norms[1])
+
+    def test_no_coords_no_index(self):
+        code = carve(CodeConfig(rate=1.0, power=10.0, field=field("F4-725"),
+                                seed=5))
+        assert code._prefixes is not None
+        bare = cb.Codebook(points=code.points, alpha=code.alpha,
+                           shift=code.shift,
+                           achieved_rate=code.achieved_rate, n=code.n,
+                           basis=code.basis, power=code.power)
+        assert bare.coords is None and bare._prefixes is None
+
+
 class TestExportCsv:
     def test_roundtrip_complex(self, tmp_path):
         code = carve(CodeConfig(rate=1.0, power=2.0, field=field("Qi"), seed=4))

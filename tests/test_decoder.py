@@ -28,17 +28,21 @@ def f8_rate2():
 
 
 def plain_code(points) -> Codebook:
-    """A codebook holding exactly ``points``, on the integer lattice."""
+    """A codebook holding exactly ``points``, on the integer lattice, with
+    their coordinates if they are lattice points (else None)."""
     points = np.asarray(points)
     N, n = points.shape
     if np.iscomplexobj(points):
         basis = LatticeBasis(COMPLEX, np.vstack([np.eye(n), 1j * np.eye(n)]))
     else:
         basis = LatticeBasis(REAL, np.eye(n))
+    rows, real = basis._reduced.rows, basis.to_real(points)
+    coords = np.rint(real @ np.linalg.inv(rows)).astype(int)
     power = float(np.max(np.sum(np.abs(points) ** 2, axis=1))) / n
     return Codebook(points=points, alpha=1.0, shift=np.zeros(n, points.dtype),
                     achieved_rate=np.log2(N) / n, n=n, basis=basis,
-                    power=power)
+                    power=power, coords=coords if np.array_equal(
+                        coords @ rows, real) else None)
 
 
 def full_scan(y, fading, codebook):
@@ -61,21 +65,22 @@ class TestZeroNoise:
         code = make_code()
         for t in range(20):
             idx = t % code.size
-            s = code.points[idx]
-            y, r = ch.transmit(s, model, 11, t, noise_scale=0.0)
-            out = nld_decode(y, r, code, s)
+            y, r = ch.transmit(code.points[idx], model, 11, t,
+                               noise_scale=0.0)
+            out = nld_decode(y, r, code, idx)
             assert out.correct and out.is_codeword
-            out = ml_decode(y, r, code, s)
+            out = ml_decode(y, r, code, idx)
             assert out.correct
 
     def test_complex_models(self):
         code = make_code("Qzeta5", rate=1.0, power=8.0)
         for model in [ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX]:
             for t in range(10):
-                s = code.points[t % code.size]
-                y, r = ch.transmit(s, model, 3, t, noise_scale=0.0)
-                assert nld_decode(y, r, code, s).correct
-                assert ml_decode(y, r, code, s).correct
+                m = t % code.size
+                y, r = ch.transmit(code.points[m], model, 3, t,
+                                   noise_scale=0.0)
+                assert nld_decode(y, r, code, m).correct
+                assert ml_decode(y, r, code, m).correct
 
 
 class TestMlOracle:
@@ -83,9 +88,9 @@ class TestMlOracle:
     def test_matches_brute_force(self, model):
         code = make_code()
         for t in range(30):
-            s = code.points[t % code.size]
-            y, r = ch.transmit(s, model, 21, t)
-            out = ml_decode(y, r, code, s)
+            m = t % code.size
+            y, r = ch.transmit(code.points[m], model, 21, t)
+            out = ml_decode(y, r, code, m)
             ref, ref_m = brute_force_ml(y, r, code)
             assert out.metric == pytest.approx(ref_m, rel=1e-10)
             assert np.allclose(out.decoded, ref)
@@ -96,22 +101,22 @@ class TestMlOracle:
     def test_matches_full_scan_exactly(self, name, model, f8_rate2):
         code = f8_rate2 if name == "F8-17" else make_code(name, power=8.0)
         for t in range(30):
-            s = code.points[(7 * t) % code.size]
-            y, r = ch.transmit(s, model, 23, t)
-            out = ml_decode(y, r, code, s)
+            m = (7 * t) % code.size
+            y, r = ch.transmit(code.points[m], model, 23, t)
+            out = ml_decode(y, r, code, m)
             idx, metric = full_scan(y, r.fading, code)
             assert out.metric == metric
             assert np.array_equal(out.decoded, code.points[idx])
+            assert out.correct == (idx == m)
 
     @staticmethod
     def decode_peak(code, model):
         """Peak traced memory of one warm ML decode."""
-        s = code.points[0]
-        y, r = ch.transmit(s, model, 29, 0)
-        ml_decode(y, r, code, s)  # fills the codebook's caches
+        y, r = ch.transmit(code.points[0], model, 29, 0)
+        ml_decode(y, r, code, 0)  # fills the codebook's caches
         tracemalloc.start()
         try:
-            ml_decode(y, r, code, s)
+            ml_decode(y, r, code, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -134,10 +139,10 @@ class TestMlOracle:
         # when nld lands inside the codebook its metric cannot beat ml
         code = make_code()
         for t in range(50):
-            s = code.points[t % code.size]
-            y, r = ch.transmit(s, ch.RAYLEIGH_REAL, 31, t)
-            ml = ml_decode(y, r, code, s)
-            nl = nld_decode(y, r, code, s)
+            m = t % code.size
+            y, r = ch.transmit(code.points[m], ch.RAYLEIGH_REAL, 31, t)
+            ml = ml_decode(y, r, code, m)
+            nl = nld_decode(y, r, code, m)
             assert nl.metric <= ml.metric + 1e-9
             if nl.is_codeword:
                 assert ml.metric <= nl.metric + 1e-9
@@ -165,7 +170,7 @@ class TestMlTies:
         y = (self.code.points[a] + self.code.points[b]) / 2
         r = ch.ChannelRealization(fading=np.ones(3), noise=np.zeros(3),
                                   model=ch.AWGN_REAL)
-        out = ml_decode(y, r, self.code, self.code.points[b])
+        out = ml_decode(y, r, self.code, b)
         assert np.array_equal(out.decoded, self.code.points[a])
         assert not out.correct and out.metric == 0.25
         assert full_scan(y, r.fading, self.code) == (a, out.metric)
@@ -174,18 +179,17 @@ class TestMlTies:
     def test_zero_coefficient_ties_every_row_in_its_coordinate(self,
                                                                rescored):
         fading = np.array([0.0, 0.8, 1.3])
-        s = self.code.points[88]  # (1, 0, 1)
-        y = fading * s + np.array([0.4, 0.1, -0.2])
+        y = fading * self.code.points[88] + np.array([0.4, 0.1, -0.2])
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(3),
                                   model=ch.RAYLEIGH_REAL)
-        out = ml_decode(y, r, self.code, s)
+        out = ml_decode(y, r, self.code, 88)  # (1, 0, 1)
         idx, metric = full_scan(y, fading, self.code)
         assert np.array_equal(out.decoded, self.code.points[idx])
         assert out.metric == metric
         assert out.decoded[0] == -2  # five rows tie; the first one wins
         assert rescored == [5]
         with pytest.raises(ValueError, match="singular"):
-            nld_decode(y, r, self.code, s)
+            nld_decode(y, r, self.code, 88)
 
 
 class TestMlProperty:
@@ -223,7 +227,7 @@ class TestMlProperty:
             fading=fading, noise=np.zeros(n),
             model=[[ch.AWGN_REAL, ch.AWGN_COMPLEX],
                    [ch.RAYLEIGH_REAL, ch.RAYLEIGH_COMPLEX]][fades][cplx])
-        out = ml_decode(y, r, code, code.points[a])
+        out = ml_decode(y, r, code, a)
         ref, ref_metric = brute_force_ml(y, r, code)
         assert np.array_equal(out.decoded, ref)
         assert out.metric == ref_metric
@@ -303,7 +307,7 @@ class TestMlPruned:
             mp.setattr(cbmod, "_PREFIX_GROUP_ROWS", group_rows)
             code = dataclasses.replace(code)  # a fresh index for this L
             r = unfaded(code)
-            out = ml_decode(y, r, code, code.points[a])
+            out = ml_decode(y, r, code, a)
             assert code._prefixes is not None and len(calls) == 1
         idx, metric = full_scan(y, r.fading, code)
         assert np.array_equal(out.decoded, code.points[idx])
@@ -316,11 +320,11 @@ class TestMlPruned:
         index, kept = f8_rate2._prefixes, []
         assert index.levels.shape[0] >= 3
         for t in range(40):
-            s = f8_rate2.points[(7919 * t) % f8_rate2.size]
-            y, r = ch.transmit(s, ch.AWGN_REAL, 61, t)
+            m = (7919 * t) % f8_rate2.size
+            y, r = ch.transmit(f8_rate2.points[m], ch.AWGN_REAL, 61, t)
             rows = decoder._pruned_rows(y, index, f8_rate2)
             kept.append(f8_rate2.size if rows is None else len(rows))
-            assert ml_decode(y, r, f8_rate2, s).metric == \
+            assert ml_decode(y, r, f8_rate2, m).metric == \
                 full_scan(y, r.fading, f8_rate2)[1]
         assert np.median(kept) < f8_rate2.size / 20
 
@@ -337,15 +341,16 @@ class TestMlPruned:
         if case == "off_lattice":
             code = plain_code(rng.standard_normal((300, 4)))
         elif case == "permuted":
-            code = dataclasses.replace(
-                code, points=code.points[rng.permutation(code.size)])
+            order = rng.permutation(code.size)
+            code = dataclasses.replace(code, points=code.points[order],
+                                       coords=code.coords[order])
         else:
             r = ch.ChannelRealization(fading=rng.rayleigh(size=4),
                                       noise=np.zeros(4),
                                       model=ch.RAYLEIGH_REAL)
         for t in range(10):
             y = r.fading * code.points[t] + 0.3 * rng.standard_normal(4)
-            out = ml_decode(y, r, code, code.points[t])
+            out = ml_decode(y, r, code, t)
             idx, metric = full_scan(y, r.fading, code)
             assert np.array_equal(out.decoded, code.points[idx])
             assert out.metric == metric
@@ -365,8 +370,9 @@ class TestMlPruned:
         finally:
             tracemalloc.stop()
         assert index is not None
-        # the prefix coordinates and their rounding: two (L, N) float arrays
-        assert peak <= 2 * 8 * cbmod._PREFIX_LEVELS * code.size + (1 << 16)
+        # no (N, n) array: the mixed-radix key's (L, N) float cast of the
+        # stored integer prefixes, and a few length-N rows
+        assert peak <= (8 * cbmod._PREFIX_LEVELS + 16) * code.size + (1 << 16)
 
 
 class TestDominance:
@@ -377,10 +383,10 @@ class TestDominance:
         code = make_code()
         nld_ok = ml_ok = 0
         for t in range(300):
-            s = code.points[t % code.size]
-            y, r = ch.transmit(s, model, 41, t)
-            nl = nld_decode(y, r, code, s)
-            ml = ml_decode(y, r, code, s)
+            m = t % code.size
+            y, r = ch.transmit(code.points[m], model, 41, t)
+            nl = nld_decode(y, r, code, m)
+            ml = ml_decode(y, r, code, m)
             nld_ok += nl.correct
             ml_ok += ml.correct
             if nl.correct:
@@ -403,7 +409,8 @@ class TestFadingHandling:
             r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),
                                       model=model)
             y = fading * s
-            out = nld_decode(y, r, code, s)
+            out = nld_decode(y, r, code, 0)
+            assert out.correct
             assert np.all(np.isfinite(out.decoded))
             assert out.metric < 1e-12
 
@@ -414,13 +421,12 @@ class TestFadingHandling:
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(4),
                                   model=ch.RAYLEIGH_REAL)
         with pytest.raises(ValueError, match="singular"):
-            nld_decode(fading * s, r, code, s)
+            nld_decode(fading * s, r, code, 0)
 
     def test_awgn_reduces_to_plain_lattice_decoding(self):
         code = make_code()
-        s = code.points[1]
-        y, r = ch.transmit(s, ch.AWGN_REAL, 51, 0)
-        out = nld_decode(y, r, code, s)
+        y, r = ch.transmit(code.points[1], ch.AWGN_REAL, 51, 0)
+        out = nld_decode(y, r, code, 1)
         # with unit fading the faded lattice is the code lattice itself
         from latcode import lattice
         v, _ = lattice.closest_vector_coords(code.basis,
@@ -441,9 +447,9 @@ class TestCodebookMembership:
             for snr_db in (3.0, 9.0, 15.0):
                 code = make_code(name, power=10.0 ** (snr_db / 10.0))
                 for t in range(100):
-                    s = code.points[t % code.size]
-                    y, r = ch.transmit(s, model, 17, t)
-                    out = nld_decode(y, r, code, s)
+                    m = t % code.size
+                    y, r = ch.transmit(code.points[m], model, 17, t)
+                    out = nld_decode(y, r, code, m)
                     gap = np.max(np.abs(code.points - out.decoded), axis=1)
                     in_scan = bool(gap.min() <= 1e-8)
                     assert out.is_codeword == in_scan

@@ -1,7 +1,10 @@
 """The trimmed NLD and ML epilogues and ML's whole-code scan of small codes:
 bit-identical outcomes to the decoders they replaced, on seeded AWGN and
-Rayleigh decodes and on deep fades.  (``test_decoder.TestMlProperty`` checks
-ML against a full scan on random codes on both sides of the scan size.)"""
+Rayleigh decodes and on deep fades.  The decoders now decide ``correct`` in
+integers from the sent row's index; the references keep the float match
+within 1e-8, and the two decisions agree on every decode here.
+(``test_decoder.TestMlProperty`` checks ML against a full scan on random
+codes on both sides of the scan size.)"""
 
 import math
 
@@ -16,11 +19,13 @@ from latcode.codebook import CodeConfig, carve
 from latcode.decoder import DecodeOutcome, ml_decode, nld_decode
 
 # The decoders before the epilogues were trimmed, kept verbatim as references
-# that the trimmed ones must match exactly.
+# that the trimmed ones must match exactly.  They take the sent vector, and
+# their tolerance is the decoders' old one.
+_MATCH_TOL = 1e-8
 
 
 def reference_matches(a, b) -> bool:
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= decoder._MATCH_TOL)
+    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= _MATCH_TOL)
 
 
 def reference_nld_decode(y, realization, codebook, transmitted):
@@ -90,12 +95,13 @@ def test_seeded_decodes_match(name, rate, models, snr_db):
     for model in models:
         for t in range(150):
             seed = (1, -1, 7)[t % 3]
-            s = code.points[int(ch.stream_rng(seed, t, ch.STREAM_MESSAGE)
-                                .integers(code.size))]
+            m = int(ch.stream_rng(seed, t, ch.STREAM_MESSAGE)
+                    .integers(code.size))
+            s = code.points[m]
             y, r = ch.transmit(s, model, seed, t)
             for got, ref in ((nld_decode, reference_nld_decode),
                              (ml_decode, reference_ml_decode)):
-                out = got(y, r, code, s)
+                out = got(y, r, code, m)
                 assert_same(out, ref(y, r, code, s))
                 wrong += not out.correct
     if snr_db == 3.0:
@@ -122,7 +128,7 @@ def test_deep_fades_match(name, model, depth, noisy):
             y = y + 0.3 * ch.sample_realization(model, code.n, 9, i).noise
         for got, ref in ((nld_decode, reference_nld_decode),
                          (ml_decode, reference_ml_decode)):
-            assert_same(got(y, r, code, s), ref(y, r, code, s))
+            assert_same(got(y, r, code, i), ref(y, r, code, s))
 
 
 def test_zero_fading_matches():
@@ -134,7 +140,7 @@ def test_zero_fading_matches():
     for i in range(code.size):
         s = code.points[i]
         y = fading * s + np.array([0.2, -0.1, 0.3, 0.05])
-        assert_same(ml_decode(y, r, code, s), reference_ml_decode(y, r, code, s))
+        assert_same(ml_decode(y, r, code, i), reference_ml_decode(y, r, code, s))
         with pytest.raises(ValueError, match="singular"):
-            nld_decode(y, r, code, s)
+            nld_decode(y, r, code, i)
 

@@ -22,22 +22,19 @@ from latcode.codebook import CodeConfig, carve, energy_normalization, \
     shift_search
 from latcode.lattice import COMPLEX, REAL, EnumerationCapError, LatticeBasis
 
-_TIE_EPS = 1e-12  # the old kernel's tie window
+_TIE_EPS = 1e-12  # the tie window, relative to the best squared distance
 
 
 # The two kernels the walk replaced, kept verbatim as references that it
-# must match exactly.
+# must match exactly, except that the closest-point kernel's tie window is
+# now relative to the best squared distance, as the walk's is.
 
 def reference_se_closest(Rl, t, exclude_zero=False):
     """Schnorr-Euchner search for argmin_u ||Rl u - t|| over integer u.
 
-    Ties within an absolute 1e-12 in squared distance break to the
+    Ties within a relative 1e-12 of the best squared distance break to the
     lexicographically smaller coordinate vector u in the basis of ``Rl``,
     which for the callers here is the LLL-reduced basis, not the caller's.
-    The window does not scale with the lattice: once squared distances are
-    large enough that 1e-12 is below their float resolution, near-ties that
-    differ only by rounding are settled by that rounding, not by the
-    coordinate order.
     """
     k = len(t)
     tl = [float(v) for v in t]
@@ -60,17 +57,18 @@ def reference_se_closest(Rl, t, exclude_zero=False):
             step += 1
             diff = y[level] - cand * rii
             new_acc = acc + diff * diff
-            if new_acc > best["d2"] + _TIE_EPS:
+            if new_acc > best["d2"] * (1 + _TIE_EPS):
                 # zig-zag ordering: every later candidate is at least this far
                 break
             u[level] = cand
             if level == 0:
                 if exclude_zero and all(v == 0 for v in u):
                     continue
-                if new_acc < best["d2"] - _TIE_EPS:
+                if new_acc < best["d2"] * (1 - _TIE_EPS):
                     best["u"] = list(u)
                     best["d2"] = new_acc
-                elif best["u"] is not None and new_acc <= best["d2"] + _TIE_EPS:
+                elif best["u"] is not None and \
+                        new_acc <= best["d2"] * (1 + _TIE_EPS):
                     if list(u) < best["u"]:
                         best["u"] = list(u)
                         best["d2"] = min(best["d2"], new_acc)

@@ -182,10 +182,10 @@ class TestBlockedSimulation:
         nld = ml = both = 0
         for t in range(5, 80):
             rng = ch.stream_rng(9, t, ch.STREAM_MESSAGE)
-            s = code.points[int(rng.integers(code.size))]
-            y, r = ch.transmit(s, model, 9, t)
-            nld_ok = nld_decode(y, r, code, s).correct
-            ml_ok = ml_decode(y, r, code, s).correct
+            m = int(rng.integers(code.size))
+            y, r = ch.transmit(code.points[m], model, 9, t)
+            nld_ok = nld_decode(y, r, code, m).correct
+            ml_ok = ml_decode(y, r, code, m).correct
             nld, ml = nld + (not nld_ok), ml + (not ml_ok)
             both += nld_ok and not ml_ok
         assert nld > 0
@@ -197,10 +197,9 @@ class TestBlockedSimulation:
     def test_nld_decode_takes_the_callers_basis(self):
         field = nf.catalog_field("Qzeta5")
         code = carve(CodeConfig(rate=1.0, power=10.0, field=field, seed=2))
-        s = code.points[3]
-        y, r = ch.transmit(s, ch.RAYLEIGH_COMPLEX, 4, 11)
-        given = nld_decode(y, r, code, s, faded=code.basis.faded(r.fading))
-        built = nld_decode(y, r, code, s)
+        y, r = ch.transmit(code.points[3], ch.RAYLEIGH_COMPLEX, 4, 11)
+        given = nld_decode(y, r, code, 3, faded=code.basis.faded(r.fading))
+        built = nld_decode(y, r, code, 3)
         assert np.array_equal(given.decoded, built.decoded)
         assert (given.correct, given.is_codeword, given.metric) == \
             (built.correct, built.is_codeword, built.metric)

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from latcode import codebook, lattice
+from latcode import cli, codebook, lattice
 from latcode import numberfield as nf
 from latcode.codebook import CodeConfig, carve, energy_normalization
 
@@ -93,6 +93,15 @@ class TestBuiltOnce:
         assert len(cold) == len(f.ideals)
         assert nf.ideal_lattice.cache_info().misses == len(f.ideals)
         assert nf.field_roots.cache_info().misses == 1
+
+    def test_unit_ideal_is_the_embedding(self, cold):
+        for f in nf.load_catalog():
+            assert nf.ideal_lattice(f, f.unit_ideal()) is \
+                nf.embedding_matrix(f)
+        f = nf.catalog_field("F8-17")  # it has no listed norm-1 ideal
+        lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+        nf.min_ideal(f, f.unit_ideal())
+        assert len(cold) == 1  # one reduction serves both tables
 
     def test_carve_reduces_once_per_code_lattice(self, cold):
         f = nf.catalog_field("F4-725")
@@ -182,3 +191,15 @@ class TestBitIdentical:
                     assert got.alpha == want.alpha == math.sqrt(
                         energy_normalization(f, rate, config.power))
                 assert want.basis is not got.basis
+
+    def test_ideal_table_matches_a_separate_unit_lattice(self, tmp_path,
+                                                          monkeypatch):
+        """The ``ideal`` CSV, byte for byte, as when each unit ideal built
+        and reduced a lattice of its own."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["ideal", "--out", str(a)]) == 0
+        monkeypatch.setattr(nf, "ideal_lattice", lambda f, ideal:
+                            nf._embedded_lattice(f, ideal.z_basis))
+        assert cli.main(["ideal", "--out", str(b)]) == 0
+        assert a.read_bytes().replace(b"a.csv", b"") == \
+            b.read_bytes().replace(b"b.csv", b"")

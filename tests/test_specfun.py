@@ -121,6 +121,22 @@ class TestChernoffSolve:
         assert abs(digamma(1 - sol.v_delta) + delta + EULER_GAMMA) <= 1e-9
         assert sol.v_delta == pytest.approx(_oracle_v(delta), abs=1e-9)
 
+    @pytest.mark.parametrize("delta", [0.5, 5.0, 48.35, 100.0, 300.0, 700.0])
+    def test_large_delta_against_findroot(self, delta):
+        """Bisection stops at 1e-12 in v, where psi'(1 - v) is about
+        (delta + gamma)^2: the residual bound scales with delta + gamma (an
+        absolute 1e-9 raised from about delta = 100 on), and v is still the
+        root to 1e-12."""
+        sol = chernoff_solve(delta)
+        assert abs(digamma(1 - sol.v_delta) + delta + EULER_GAMMA) <= \
+            1e-9 * (delta + EULER_GAMMA)
+        with mpmath.workdps(30):
+            ref = mpmath.findroot(
+                lambda v: mpmath.digamma(1 - v) + delta + mpmath.euler,
+                (mpmath.mpf("1e-12"), 1 - mpmath.mpf("1e-9")),
+                solver="anderson")
+        assert sol.v_delta == pytest.approx(float(ref), abs=1e-12)
+
     def test_exponent_nonpositive_on_grid(self):
         grid = np.linspace(0.02, 2.0, 100)
         exps = [chernoff_solve(float(d)).exponent for d in grid]

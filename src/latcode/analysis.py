@@ -7,13 +7,14 @@ the asymptotic (n -> infinity) gap constants are exposed separately in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import (AWGN_COMPLEX, AWGN_REAL, RAYLEIGH_COMPLEX, RAYLEIGH_REAL,
-                      is_complex, is_fading)
+                      Model)
 from .lattice import COMPLEX, LatticeInvariants
 from .specfun import EULER_GAMMA, chernoff_solve, chi_square_tail
 
@@ -44,34 +45,31 @@ def sphere_bound(min_distance: float, n: int, model: str) -> float:
 
     Complex: 2||w||^2 ~ chi2(2n); real: ||w||^2 ~ chi2(n).
     """
+    d = Model(model).dims
     if min_distance <= 0:
         raise ValueError("min_distance must be positive")
-    if is_complex(model):
-        return chi_square_tail(2 * n, min_distance ** 2 / 2.0)
-    return chi_square_tail(n, min_distance ** 2 / 4.0)
+    return chi_square_tail(d * n, min_distance ** 2 / (4.0 / d))
 
 
 def gap_constant(constant: float, model: str) -> float:
     """The gap term log2(2c/(pi e)) (complex) or half of it (real)."""
-    g = math.log2(2.0 * constant / (math.pi * math.e))
-    return g if is_complex(model) else 0.5 * g
+    d = Model(model).dims
+    return 0.5 * d * math.log2(2.0 * constant / (math.pi * math.e))
 
 
 def achievable_rate(model: str, power: float, constant: float) -> RateBound:
     """Achievable rate of the carved-code construction with a given
     root-discriminant constant (G for complex fields, G1 for real)."""
+    model = Model(model)
     if power <= 0 or constant <= 0:
         raise ValueError("power and constant must be positive")
     gap = gap_constant(constant, model)
-    penalty = EULER_GAMMA * LOG2E if is_fading(model) else 0.0
-    if is_complex(model):
-        rate = math.log2(power) - penalty - gap
-    else:
-        rate = 0.5 * (math.log2(power) - penalty) - gap
+    penalty = EULER_GAMMA * LOG2E if model.fading else 0.0
+    rate = 0.5 * model.dims * (math.log2(power) - penalty) - gap
     return RateBound(
         label=f"achievable_{model}", rate=rate, channel=model,
         parameters={"P": power, "constant": constant, "gap_bits": gap,
-                    "gamma": EULER_GAMMA if is_fading(model) else 0.0})
+                    "gamma": EULER_GAMMA if model.fading else 0.0})
 
 
 def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
@@ -81,8 +79,9 @@ def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
     normalized shortest vector; both reduce to the root-discriminant gap for
     embedded rings of integers.
     """
+    model = Model(model)
     n = inv.n
-    if is_fading(model):
+    if model.fading:
         if inv.ndp is None:
             raise ValueError("normalized product distance unknown")
         ratio = 2.0 / (math.pi * math.e * inv.ndp ** (2.0 / n))
@@ -97,14 +96,13 @@ def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
 
 
 def awgn_capacity(power: float, model: str) -> float:
-    c = math.log2(1.0 + power)
-    return c if is_complex(model) else 0.5 * c
+    return 0.5 * Model(model).dims * math.log2(1.0 + power)
 
 
 def rayleigh_capacity_lower(power: float, model: str) -> float:
     """Reference lower bound log2(1 + P e^{-gamma}); tight at high SNR."""
-    c = math.log2(1.0 + power * math.exp(-EULER_GAMMA))
-    return c if is_complex(model) else 0.5 * c
+    return 0.5 * Model(model).dims * math.log2(
+        1.0 + power * math.exp(-EULER_GAMMA))
 
 
 def bound_table() -> list[RateBound]:
@@ -157,11 +155,13 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
     leaves the minimum unchanged.  An explicit ``delta`` <= 0 raises
     ``ValueError`` whatever alpha and epsilon are.
     """
-    if not is_fading(model):
+    model = Model(model)
+    if not model.fading:
         raise ValueError(f"fading_error_bound needs a fading model, got {model}")
     if delta is not None and delta <= 0:
         raise ValueError(f"fading_error_bound requires delta > 0, got {delta}")
-    dof = 2 * n if is_complex(model) else n
+    dof = model.dims * n
+    solve = functools.cache(chernoff_solve)  # an explicit delta: one solve
 
     def bound_for(eps: float, dlt: float | None,
                   best: float = math.inf) -> float:
@@ -181,7 +181,7 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
         # bit for bit
         if min(1.0, term1) >= best:
             return math.inf
-        term2 = math.exp(n * chernoff_solve(dlt).exponent)
+        term2 = math.exp(n * solve(dlt).exponent)
         return min(1.0, term1 + term2)
 
     if epsilon is not None:

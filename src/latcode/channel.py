@@ -14,35 +14,38 @@ stream in the same thread.
 
 from __future__ import annotations
 
+import enum
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-AWGN_REAL = "awgn_real"
-AWGN_COMPLEX = "awgn_complex"
-RAYLEIGH_REAL = "rayleigh_real"
-RAYLEIGH_COMPLEX = "rayleigh_complex"
-MODELS = (AWGN_REAL, AWGN_COMPLEX, RAYLEIGH_REAL, RAYLEIGH_COMPLEX)
+
+class Model(enum.StrEnum):
+    """A channel model, equal to and printed as its command-line name, with
+    its two facts: ``complex`` baseband (``dims`` = 2 real dimensions per
+    use, noise variance 1/2 in each; else 1) and Rayleigh ``fading`` (else
+    AWGN).  ``Model(name)`` raises ``ValueError`` on an unknown name."""
+    AWGN_REAL = "awgn_real", False, False
+    AWGN_COMPLEX = "awgn_complex", True, False
+    RAYLEIGH_REAL = "rayleigh_real", False, True
+    RAYLEIGH_COMPLEX = "rayleigh_complex", True, True
+
+    def __new__(cls, name: str, cplx: bool, fades: bool):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.complex = cplx
+        member.dims = 2 if cplx else 1
+        member.fading = fades
+        return member
+
+
+AWGN_REAL, AWGN_COMPLEX, RAYLEIGH_REAL, RAYLEIGH_COMPLEX = MODELS = tuple(Model)
 
 _STREAM_FADING = 0
 _STREAM_NOISE = 1
 STREAM_MESSAGE = 2  # reserved for codeword selection in simulation drivers
-
-
-def is_complex(model: str) -> bool:
-    """True for the complex-baseband models; ValueError on an unknown model."""
-    if model not in MODELS:
-        raise ValueError(f"unknown channel model {model!r}")
-    return model in (AWGN_COMPLEX, RAYLEIGH_COMPLEX)
-
-
-def is_fading(model: str) -> bool:
-    """True for the Rayleigh models; ValueError on an unknown model."""
-    if model not in MODELS:
-        raise ValueError(f"unknown channel model {model!r}")
-    return model in (RAYLEIGH_REAL, RAYLEIGH_COMPLEX)
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,7 @@ class ChannelRealization:
     itself, ML scores on the cached row norms)."""
     fading: np.ndarray
     noise: np.ndarray
-    model: str
-
-    @property
-    def is_fading(self) -> bool:
-        return is_fading(self.model)
+    model: Model
 
 
 _generators = threading.local()  # .by_stream: {stream: Generator}, per thread
@@ -102,10 +101,11 @@ def _complex_std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_realization(model: str, n: int, master_seed: int,
                        trial_index: int, noise_scale: float = 1.0) -> ChannelRealization:
     """Draw the fading and noise vectors for one block of length n."""
-    cplx = is_complex(model)
+    model = Model(model)
+    cplx = model.complex
     nrng = _rng(master_seed, trial_index, _STREAM_NOISE)
     noise = _complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)
-    if is_fading(model):
+    if model.fading:
         frng = _rng(master_seed, trial_index, _STREAM_FADING)
         fading = _complex_std_normal(frng, n)
         if not cplx:  # real models see the Rayleigh modulus
@@ -124,8 +124,9 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
     ``noise_scale`` is a test hook (0.0 disables noise); the production noise
     variance conventions are fixed by the model.
     """
+    model = Model(model)
     s = np.asarray(s)
-    if is_complex(model):
+    if model.complex:
         s = s.astype(complex, copy=False)
     elif np.iscomplexobj(s):
         if np.max(np.abs(s.imag)) > 0:
@@ -133,7 +134,7 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
         s = s.real  # a real model sends and returns real vectors
     realization = sample_realization(model, len(s), master_seed, trial_index,
                                      noise_scale=noise_scale)
-    if realization.is_fading:
+    if model.fading:
         y = realization.fading * s + realization.noise
     else:  # unit fading: a product by 1 is exact, so it is left out
         y = s + realization.noise

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, analysis, channel, lattice, numberfield
-from .channel import MODELS, STREAM_MESSAGE, stream_rng, transmit
+from . import __version__, analysis, lattice, numberfield
+from .channel import MODELS, STREAM_MESSAGE, Model, stream_rng, transmit
 from .codebook import CodeConfig, Codebook, carve
 from .decoder import ml_decode, nld_decode
 from .numberfield import FieldSpec, embedding_matrix, load_catalog
@@ -138,7 +138,7 @@ def run_rates(cfg: ExperimentConfig):
     for snr_db in grid:
         power = 10.0 ** (snr_db / 10.0)
         for model in MODELS:
-            const = (analysis.MARTINET_G_COMPLEX if channel.is_complex(model)
+            const = (analysis.MARTINET_G_COMPLEX if model.complex
                      else analysis.MARTINET_G1_REAL)
             rb = analysis.achievable_rate(model, power, const)
             rows.append([rb.label, model, snr_db, rb.rate,
@@ -182,7 +182,7 @@ def run_ideal(cfg: ExperimentConfig):
     return header, rows
 
 
-def _simulate_chunk(codebook: Codebook, model: str, master_seed: int,
+def _simulate_chunk(codebook: Codebook, model: Model, master_seed: int,
                     lo: int, hi: int, which: str):
     """Error counts for trials [lo, hi); pure counting, order-independent.
 
@@ -193,7 +193,7 @@ def _simulate_chunk(codebook: Codebook, model: str, master_seed: int,
     those of one trial at a time.
     """
     run_nld, run_ml = DECODERS[which]
-    fade_nld = run_nld and channel.is_fading(model)
+    fade_nld = run_nld and model.fading
     err_nld = err_ml = nld_right_ml_wrong = 0
     for start in range(lo, hi, _BLOCK_TRIALS):
         block = []
@@ -226,6 +226,7 @@ def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
                    trials: int, master_seed: int, which: str = "both",
                    workers: int = 1):
     """One Monte Carlo point: carve the code, run trials, return counts."""
+    model = Model(model)
     cb = carve(CodeConfig(rate=rate, power=power, field=field,
                           seed=master_seed))
     if workers <= 1 or trials < 2 * workers:
@@ -243,22 +244,22 @@ def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
 
 def run_simulate(cfg: ExperimentConfig):
     field = _select_fields(cfg)[0]
-    if field.totally_real == channel.is_complex(cfg.model):
+    model = Model(cfg.model)
+    if field.totally_real == model.complex:
         raise ValueError(
             f"field {field.name} ({'real' if field.totally_real else 'complex'}) "
-            f"is incompatible with model {cfg.model}")
+            f"is incompatible with model {model}")
     run_nld, run_ml = DECODERS[cfg.decoder]
     rows = []
     for snr_db in cfg.snr_db_grid:
         power = 10.0 ** (snr_db / 10.0)
         cb, err_nld, err_ml, _ = simulate_point(
-            field, cfg.model, cfg.rate, power, cfg.trials, cfg.master_seed,
+            field, model, cfg.rate, power, cfg.trials, cfg.master_seed,
             which=cfg.decoder, workers=cfg.workers)
         _, sv = lattice.shortest_vector(cb.basis)
-        sbound = analysis.sphere_bound(sv, cb.n, cfg.model)
-        if channel.is_fading(cfg.model):
-            cbound = analysis.fading_error_bound(cb.n, cb.alpha,
-                                                 model=cfg.model)
+        sbound = analysis.sphere_bound(sv, cb.n, model)
+        if model.fading:
+            cbound = analysis.fading_error_bound(cb.n, cb.alpha, model=model)
         else:
             cbound = ""
         pe_nld = err_nld / cfg.trials
@@ -298,7 +299,8 @@ _OPTIONS = {
     "trials": ("trials", int, None),
     "seed": ("master_seed", int, None),
     "decoder": ("decoder", str, DECODERS),
-    "model": ("model", str, MODELS),
+    # plain names: argparse lists the choices by repr
+    "model": ("model", str, tuple(map(str, MODELS))),
     "out": ("output_path", str, None),
     "catalog": ("catalog_path", str, None),
     "workers": ("workers", int, None),

@@ -226,20 +226,21 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
     Shifts are sampled uniformly from the fundamental parallelotope; the
     lemma guarantees a qualifying shift exists, so sampling retries until
     the bound is met, at most ``_SHIFT_TRY_CAP`` times (read at call time).
-    Ties in count keep the earliest sample.
+    Ties in count keep the earliest sample.  The ratio, taken in logs, is
+    met within a relative 1e-9.
     """
     n = basis.n
     radius = math.sqrt(n * power)
     dim = basis.rank
-    # Vol(B(sqrt(nP))) = C P^{dim/2}
-    required = math.exp(_ln_ball_constant(dim, n)
-                        + 0.5 * dim * math.log(power)) / lattice.volume(basis)
+    Breal = basis.real_matrix
+    # Vol(B(sqrt(nP))) = C P^{dim/2}, and Vol(L) = |det Breal|
+    required = math.exp(_ln_ball_constant(dim, n) + 0.5 * dim * math.log(power)
+                        - np.linalg.slogdet(Breal)[1])
     if target_count > 2.0 * required:
         raise RateInfeasibleError(
             f"target count {target_count} exceeds twice the volume ratio "
             f"{required:.3f}")
     rng = np.random.Generator(np.random.Philox(key=(seed, 0)))
-    Breal = basis.real_matrix
     best_count = -1
     best_shift = None
     for _ in range(_SHIFT_TRY_CAP):
@@ -250,7 +251,7 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
         if count > best_count:
             best_count = count
             best_shift = shift
-        if best_count >= required - 1e-9:
+        if best_count >= required * (1.0 - 1e-9):
             return best_shift
     raise ShiftSearchError(best_count, required)
 
@@ -297,24 +298,18 @@ def carve(config: CodeConfig) -> Codebook:
 
 def export_csv(codebook: Codebook, path: str) -> None:
     """Write the constellation as CSV; complex coordinates as re/im pairs."""
-    complex_amb = codebook.basis.ambient == COMPLEX
+    basis = codebook.basis
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        shift_txt = ",".join(repr(float(v)) for v in np.ravel(
-            lattice._complex_to_real(codebook.shift) if complex_amb
-            else codebook.shift))
+        shift_txt = ",".join(repr(float(v)) for v in basis.to_real(
+            codebook.shift))
         fh.write(f"# alpha={codebook.alpha!r} rate={codebook.achieved_rate!r} "
                  f"power={codebook.power!r} shift={shift_txt}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        if complex_amb:
+        if basis.ambient == COMPLEX:
             header = ["index"] + [f"coord_{i}_{p}" for i in range(codebook.n)
                                   for p in ("re", "im")]
         else:
             header = ["index"] + [f"coord_{i}" for i in range(codebook.n)]
         writer.writerow(header)
-        for idx, p in enumerate(codebook.points):
-            if complex_amb:
-                row = [idx] + [repr(float(v)) for pair in p
-                               for v in (pair.real, pair.imag)]
-            else:
-                row = [idx] + [repr(float(v)) for v in p]
-            writer.writerow(row)
+        for idx, p in enumerate(basis.to_real(codebook.points)):
+            writer.writerow([idx] + [repr(float(v)) for v in p])

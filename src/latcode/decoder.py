@@ -57,7 +57,7 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     (``LatticeBasis.faded``) passes it; without it the decode builds its own.
     """
     shift, fading = codebook.shift, realization.fading
-    is_faded = realization.is_fading
+    is_faded = realization.model.fading
     # unfaded, the code lattice itself is searched: one cached reduction;
     # faded, its cached LLL rows are faded and searched first
     if is_faded:
@@ -110,7 +110,7 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     a full scan, bit for bit.
     """
     points = codebook.points
-    fading = realization.fading if realization.is_fading else None
+    fading = realization.fading if realization.model.fading else None
     if len(points) <= _ML_SCAN_ROWS:
         near, rows = None, points
     else:

@@ -186,7 +186,7 @@ class TestFadingErrorBound:
     def test_largest_slack_is_feasible(self, n, alpha, model):
         # delta = delta_max(eps) meets the slack precondition with equality;
         # every grid eps must score the closed form, not saturate at 1
-        dof = 2 * n if ch.is_complex(model) else n
+        dof = 2 * n if model.complex else n
         for eps in np.logspace(-3, math.log10(50.0), 100):
             eps = float(eps)
             dmax = math.log(alpha ** 2 / (4.0 * (1.0 + eps))) - EULER_GAMMA
@@ -207,7 +207,7 @@ class TestFadingErrorBound:
     @staticmethod
     def unpruned(n, alpha, delta, model):
         """The grid loop before pruning: every grid point's Chernoff solve."""
-        dof = 2 * n if ch.is_complex(model) else n
+        dof = 2 * n if model.complex else n
 
         def bound_for(eps, dlt):
             arg = alpha ** 2 / (4.0 * (1.0 + eps))
@@ -244,6 +244,20 @@ class TestFadingErrorBound:
                             lambda d: calls.append(d) or chernoff_solve(d))
         an.fading_error_bound(8, 47.0, model=ch.RAYLEIGH_REAL)
         assert 0 < len(calls) < 50
+
+    def test_explicit_delta_solves_once(self, monkeypatch):
+        # one root for every grid eps: it was solved at each feasible one
+        calls = []
+        monkeypatch.setattr(an, "chernoff_solve",
+                            lambda d: calls.append(d) or chernoff_solve(d))
+        got = an.fading_error_bound(8, 60.0, delta=0.5, model=ch.RAYLEIGH_REAL)
+        assert calls == [0.5]
+        assert got == self.unpruned(8, 60.0, 0.5, ch.RAYLEIGH_REAL)
+        # infeasible at every eps: saturates without a solve
+        calls.clear()
+        assert an.fading_error_bound(8, 60.0, delta=100.0,
+                                     model=ch.RAYLEIGH_REAL) == 1.0
+        assert calls == []
 
     def test_explicit_terms(self):
         n, alpha, delta, eps = 8, 20.0, 0.5, 0.5

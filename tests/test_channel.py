@@ -1,11 +1,51 @@
 import math
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
+from latcode import analysis as an
 from latcode import channel as ch
+from latcode import cli, lattice
+from latcode import numberfield as nf
 from latcode.specfun import EULER_GAMMA, chernoff_solve
+
+_INV = lattice.LatticeInvariants(volume=1.0, sv=1.0, dp_min=1.0, nsv=1.0,
+                                 ndp=1.0, dp_exact=True, ambient=lattice.REAL,
+                                 n=1)
+#: every public entry that takes a channel model, called with model m
+MODEL_ENTRIES = {
+    "sample_realization": lambda m: ch.sample_realization(m, 4, 0, 0),
+    "transmit": lambda m: ch.transmit([1.0, 2.0], m, 0, 0),
+    "sphere_bound": lambda m: an.sphere_bound(1.0, 4, m),
+    "gap_constant": lambda m: an.gap_constant(50.0, m),
+    "achievable_rate": lambda m: an.achievable_rate(m, 10.0, 50.0),
+    "gap_from_lattice": lambda m: an.gap_from_lattice(_INV, m),
+    "awgn_capacity": lambda m: an.awgn_capacity(10.0, m),
+    "rayleigh_capacity_lower": lambda m: an.rayleigh_capacity_lower(10.0, m),
+    "fading_error_bound": lambda m: an.fading_error_bound(4, 20.0, model=m),
+    "simulate_point": lambda m: cli.simulate_point(
+        nf.catalog_field("Qsqrt2"), m, 1.0, 10.0, 4, 0),
+}
+
+
+class TestModel:
+    def test_members_are_their_names(self):
+        assert ch.MODELS == tuple(ch.Model) == (
+            "awgn_real", "awgn_complex", "rayleigh_real", "rayleigh_complex")
+        for m in ch.MODELS:
+            assert ch.Model(str(m)) is m
+            assert f"{m}" == str(m) == m.value
+
+    @pytest.mark.parametrize("model", ch.MODELS)
+    def test_pickle_round_trip(self, model):
+        assert pickle.loads(pickle.dumps(model)) is model
+
+    @pytest.mark.parametrize("entry", sorted(MODEL_ENTRIES))
+    def test_entries_reject_unknown_model(self, entry):
+        with pytest.raises(ValueError):
+            MODEL_ENTRIES[entry]("laplace")
 
 
 class TestSampleRealization:
@@ -13,24 +53,23 @@ class TestSampleRealization:
         with pytest.raises(ValueError):
             ch.sample_realization("laplace", 4, 0, 0)
         with pytest.raises(ValueError):
-            ch.is_complex("laplace")
-        with pytest.raises(ValueError):
-            ch.is_fading("laplace")
+            ch.Model("laplace")
 
     def test_model_predicates(self):
-        assert [ch.is_complex(m) for m in ch.MODELS] == [False, True, False, True]
-        assert [ch.is_fading(m) for m in ch.MODELS] == [False, False, True, True]
+        assert [m.complex for m in ch.MODELS] == [False, True, False, True]
+        assert [m.fading for m in ch.MODELS] == [False, False, True, True]
+        assert [m.dims for m in ch.MODELS] == [1, 2, 1, 2]
 
     def test_awgn_has_unit_fading(self):
         r = ch.sample_realization(ch.AWGN_REAL, 8, 1, 0)
         assert np.all(r.fading == 1.0)
-        assert not r.is_fading
+        assert not r.model.fading
         rc = ch.sample_realization(ch.AWGN_COMPLEX, 8, 1, 0)
         assert np.all(rc.fading == 1.0 + 0j)
 
     def test_rayleigh_flags(self):
         r = ch.sample_realization(ch.RAYLEIGH_REAL, 8, 1, 0)
-        assert r.is_fading
+        assert r.model.fading
         assert np.all(r.fading > 0)
         assert not np.iscomplexobj(r.fading)
         rc = ch.sample_realization(ch.RAYLEIGH_COMPLEX, 8, 1, 0)
@@ -122,10 +161,10 @@ def fresh_rng(seed, trial, stream):
 
 def fresh_realization(model, n, seed, trial):
     """(fading, noise) drawn from fresh generators."""
-    cplx = ch.is_complex(model)
+    cplx = model.complex
     nrng = fresh_rng(seed, trial, 1)
     noise = ch._complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)
-    if not ch.is_fading(model):
+    if not model.fading:
         return np.ones(n, dtype=noise.dtype), noise
     fading = ch._complex_std_normal(fresh_rng(seed, trial, 0), n)
     return (fading if cplx else np.abs(fading)), noise
@@ -170,7 +209,7 @@ class TestStreamContract:
             assert np.array_equal(r.fading, fading)
             assert np.array_equal(r.noise, noise)
             assert np.array_equal(y, fading * s + noise)
-            assert y.dtype == (complex if ch.is_complex(model) else float)
+            assert y.dtype == (complex if model.complex else float)
 
     def test_one_generator_per_stream(self):
         """The documented limit: a call re-keys the generator that the last

@@ -344,6 +344,12 @@ class TestExtremeSnr:
         rows = self.simulate(tmp_path, "F4-725", "rayleigh_real", "-160")
         assert int(rows[0]["errors_nld"]) <= 50
 
+    def test_high_snr_carves(self, tmp_path):
+        # the shift search's volume ratio overflowed a float past 770 dB
+        rows = self.simulate(tmp_path, "F8-17", "rayleigh_real", "780,3000")
+        assert [(r["errors_nld"], r["errors_ml"]) for r in rows] == \
+            [("0", "0")] * 2
+
     def test_high_snr_fading_bound(self, tmp_path):
         # its Chernoff slack is large, and the solve's residual is relative
         rows = self.simulate(tmp_path, "F8-17", "rayleigh_real", "250")
@@ -410,6 +416,18 @@ class TestConfigFile:
             assert overridden == self.config_of([f"--{key}", second],
                                                 tmp_path), key
             assert overridden != by_file, key
+
+    def test_bad_model_flag_lists_the_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--model", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "[--model {awgn_real,awgn_complex,rayleigh_real," \
+            "rayleigh_complex}]" in err
+        assert err.endswith(
+            "latcode: error: argument --model: invalid choice: 'bogus' "
+            "(choose from 'awgn_real', 'awgn_complex', 'rayleigh_real', "
+            "'rayleigh_complex')\n")
 
     @pytest.mark.parametrize("key", ["decoder", "model"])
     def test_bad_choice_in_file_rejected(self, tmp_path, capsys, key):

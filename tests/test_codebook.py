@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -91,6 +92,19 @@ class TestShiftSearch:
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 10)
         shift = shift_search(B, power, target_count=16, seed=2)
         assert count_points(B, shift, math.sqrt(4 * power)) >= 16
+
+    def test_full_size_count_is_accepted(self, monkeypatch):
+        # F8-17 at rate 2 and 10 dB: a shift holding exactly 2^16 points
+        # meets the volume ratio 2^16, which an absolute 1e-9 slack on the
+        # float ratio 65536 + 3.8e-8 rejected
+        f, power = field("F8-17"), 10.0
+        B = cb.code_lattice(f, math.sqrt(energy_normalization(f, 2.0, power)))
+        calls = []
+        monkeypatch.setattr(cb, "count_points",
+                            lambda *args: calls.append(args) or 2 ** 16)
+        monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 3)
+        shift_search(B, power, target_count=2 ** 16, seed=0)
+        assert len(calls) == 1
 
 
 class TestCarve:
@@ -302,6 +316,19 @@ class TestCoords:
 
 
 class TestExportCsv:
+    @pytest.mark.parametrize("name,rate,digest", [
+        ("F4-725", 1.0,
+         "adba88e9adaef650a617c720550ea3bc9febf5affce11f6dabfb3808e0546607"),
+        ("Qzeta5", 2.0,
+         "952e7fdbdd5c3976543944be96658a0bb2dec85870358c8961193aab4b0d0595"),
+    ])
+    def test_pinned_bytes(self, tmp_path, name, rate, digest):
+        code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=1))
+        path = tmp_path / "code.csv"
+        cb.export_csv(code, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_roundtrip_complex(self, tmp_path):
         code = carve(CodeConfig(rate=1.0, power=2.0, field=field("Qi"), seed=4))
         path = tmp_path / "code.csv"

@@ -31,7 +31,7 @@ def reference_matches(a, b) -> bool:
 def reference_nld_decode(y, realization, codebook, transmitted):
     fading = realization.fading
     basis = codebook.basis
-    if realization.is_fading:
+    if realization.model.fading:
         basis = basis.faded(fading)
     target = np.asarray(y) - fading * codebook.shift
     _, coords = lattice.closest_vector_coords(basis, target)
@@ -52,7 +52,7 @@ def reference_ml_decode(y, realization, codebook, transmitted):
     fading, y, points = realization.fading, np.asarray(y), codebook.points
     norm2, max_norm2 = codebook._norms
     scores = (points @ (-2.0 * y.conj() * fading)).real
-    if realization.is_fading:
+    if realization.model.fading:
         w = (fading.conj() * fading).real
         scores += codebook._squares @ w
         max_w = np.maximum.reduce(w)
@@ -116,7 +116,7 @@ def test_seeded_decodes_match(name, rate, models, snr_db):
 @pytest.mark.parametrize("noisy", [False, True])
 def test_deep_fades_match(name, model, depth, noisy):
     code = make_code(name)
-    cplx = ch.is_complex(model)
+    cplx = model.complex
     fading = np.ones(code.n, dtype=complex if cplx else float)
     fading[0] = depth
     r = ch.ChannelRealization(fading=fading, noise=np.zeros(code.n),

@@ -99,7 +99,7 @@ def _complex_std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_realization(model: str, n: int, master_seed: int,
-                       trial_index: int, noise_scale: float = 1.0) -> ChannelRealization:
+                       trial_index: int) -> ChannelRealization:
     """Draw the fading and noise vectors for one block of length n."""
     model = Model(model)
     cplx = model.complex
@@ -112,18 +112,11 @@ def sample_realization(model: str, n: int, master_seed: int,
             fading = np.abs(fading)
     else:
         fading = np.ones(n, dtype=complex if cplx else float)
-    if noise_scale != 1.0:
-        noise = noise * noise_scale
     return ChannelRealization(fading=fading, noise=noise, model=model)
 
 
-def transmit(s, model: str, master_seed: int, trial_index: int,
-             noise_scale: float = 1.0):
-    """Send codeword s through the channel: y_i = fading_i * s_i + w_i.
-
-    ``noise_scale`` is a test hook (0.0 disables noise); the production noise
-    variance conventions are fixed by the model.
-    """
+def transmit(s, model: str, master_seed: int, trial_index: int):
+    """Send codeword s through the channel: y_i = fading_i * s_i + w_i."""
     model = Model(model)
     s = np.asarray(s)
     if model.complex:
@@ -132,8 +125,7 @@ def transmit(s, model: str, master_seed: int, trial_index: int,
         if np.max(np.abs(s.imag)) > 0:
             raise ValueError(f"real model {model} needs a real codeword")
         s = s.real  # a real model sends and returns real vectors
-    realization = sample_realization(model, len(s), master_seed, trial_index,
-                                     noise_scale=noise_scale)
+    realization = sample_realization(model, len(s), master_seed, trial_index)
     if model.fading:
         y = realization.fading * s + realization.noise
     else:  # unit fading: a product by 1 is exact, so it is left out
@@ -152,6 +144,6 @@ def geometric_mean_samples(model: str, n: int, trials: int,
     """V_n over ``trials`` seeded realizations (fading stream only)."""
     out = np.empty(trials)
     for t in range(trials):
-        r = sample_realization(model, n, master_seed, t, noise_scale=0.0)
+        r = sample_realization(model, n, master_seed, t)
         out[t] = geometric_mean_statistic(r)
     return out

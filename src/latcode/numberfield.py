@@ -1,9 +1,11 @@
 """Explicit number field catalog: embeddings, discriminants, ideal lattices.
 
-Fields are desk-scale (degrees 2-8), either totally real or totally complex,
-with integral bases supplied as catalog data.  Embeddings are computed
-numerically from the defining polynomial's roots (companion matrix plus
-Newton polishing); exact algebraic arithmetic is out of scope.
+Fields are either totally real or totally complex, with integral bases
+supplied as catalog data; the packaged ones are desk-scale (degrees 2-8).
+Validation is exact: the discriminant of the integral basis and each
+ideal's index are computed in integers and Fractions.  Embeddings are
+numeric, computed from the defining polynomial's roots (companion matrix
+plus Newton polishing).
 
 A field's lattices depend only on the field, so each is built once per
 process: ``field_roots``, ``embedding_matrix`` and ``ideal_lattice`` keep
@@ -12,12 +14,13 @@ specs, which compare by value and hash once per object.  Every array a
 cached result exposes is read-only: the roots, a basis's ``vectors`` and
 the arrays of its ``_reduced`` (built on first use and kept with the
 basis), so a caller that writes to one gets ``ValueError``.  Nothing is
-built at import; ``load_catalog``'s validation fills the roots and
-embeddings of the catalog's fields.
+built at import; ``load_catalog``'s validation fills the roots of the
+catalog's fields, and each embedding is built on first use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -112,56 +115,58 @@ def _parse_vectors(text: str) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(vecs)
 
 
-def _frac_det(mat) -> Fraction:
-    """Exact determinant of a square matrix of Fractions by elimination."""
-    m = [list(row) for row in mat]
-    k = len(m)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, k):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, k):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def _frac_solve(mat, rows=()):
+    """Exact Gauss-Jordan elimination: ``(det(mat), xs)``, where ``xs[i]``
+    is the Fraction vector x with ``x @ mat == rows[i]``; xs is None when
+    mat is singular.  Entries are ints or Fractions.
 
-
-def _frac_solve(mat, rhs):
-    """Solve mat.T-free linear system over Fractions: returns x with x @ mat = rhs."""
+    Fraction-free (Bareiss 1968): each equation is scaled to integers, and
+    every update divides exactly by the previous pivot, so the entries stay
+    integer minors and the last pivot is the scaled determinant.
+    """
     k = len(mat)
-    aug = [[mat[r][c] for r in range(k)] for c in range(k)]  # transpose
-    x = [list(row) for row in aug]
-    b = list(rhs)
-    # forward elimination with partial (first nonzero) pivoting
-    perm = list(range(k))
+    # x @ mat == row is mat.T @ x == row: reduce [mat.T | rows.T] to
+    # pivot * [I | xs.T], with the last pivot
+    aug = [[v[c] for v in mat] + [row[c] for row in rows] for c in range(k)]
+    scale = 1
+    for i, eq in enumerate(aug):
+        d = math.lcm(*(v.denominator for v in eq))
+        aug[i] = [int(v * d) for v in eq]
+        scale *= d
+    sign, prev = 1, 1
     for col in range(k):
-        pivot = next((r for r in range(col, k) if x[r][col] != 0), None)
-        if pivot is None:
-            raise CatalogError("singular basis matrix")
-        x[col], x[pivot] = x[pivot], x[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = Fraction(1) / x[col][col]
-        for r in range(col + 1, k):
-            f = x[r][col] * inv
-            if f:
-                for c in range(col, k):
-                    x[r][c] -= f * x[col][c]
-                b[r] -= f * b[col]
-    sol = [Fraction(0)] * k
-    for r in range(k - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, k):
-            acc -= x[r][c] * sol[c]
-        sol[r] = acc / x[r][r]
-    return sol
+        found = next((r for r in range(col, k) if aug[r][col]), None)
+        if found is None:
+            return Fraction(0), None
+        if found != col:
+            aug[col], aug[found] = aug[found], aug[col]
+            sign = -sign
+        prow = aug[col]
+        pivot = prow[col]
+        for r in range(k):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(pivot * a - f * b) // prev
+                          for a, b in zip(aug[r], prow)]
+        prev = pivot
+    return (Fraction(sign * prev, scale),
+            [[Fraction(aug[r][k + i], prev) for r in range(k)]
+             for i in range(len(rows))])
+
+
+def field_discriminant(f: FieldSpec) -> Fraction:
+    """Exact discriminant of the integral basis, det(basis)^2 det[p_(i+j)]:
+    the trace Tr(theta^k) is the power sum p_k of the min_poly roots, an
+    integer by Newton's identities (Cohen 1993, 4.3).  Zero when the basis
+    is singular or min_poly has a repeated root."""
+    n = f.degree
+    c = f.min_poly[::-1]  # c[i]: the coefficient of x^(n - i), c[0] = 1
+    p = [n]
+    for k in range(1, 2 * n - 1):
+        p.append(-(k * c[k] if k <= n else 0)
+                 - sum(c[i] * p[k - i] for i in range(1, min(k, n + 1))))
+    return (_frac_solve(f.integral_basis)[0] ** 2
+            * _frac_solve([p[i:i + n] for i in range(n)])[0])
 
 
 def _validate_field(f: FieldSpec):
@@ -175,45 +180,54 @@ def _validate_field(f: FieldSpec):
             f"fields are supported")
     if len(f.min_poly) != f.degree + 1 or f.min_poly[-1] != 1:
         raise CatalogError(f"{f.name}: min_poly must be monic of degree {f.degree}")
-    if f.disc_catalog == 0:
-        raise CatalogError(f"{f.name}: discriminant must be nonzero")
     if len(f.integral_basis) != f.degree or any(
             len(v) != f.degree for v in f.integral_basis):
         raise CatalogError(f"{f.name}: integral basis must be {f.degree} "
                            f"vectors of length {f.degree}")
-    if _frac_det(f.integral_basis) == 0:
-        raise CatalogError(f"{f.name}: integral basis is singular")
-    roots = field_roots(f)
-    # squarefree check: numerical root separation
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < 1e-8:
-                raise CatalogError(f"{f.name}: min_poly has repeated roots")
-    mismatch = discriminant_check(f)
-    if mismatch > 1e-6:
-        raise CatalogError(
-            f"{f.name}: catalog discriminant mismatch {mismatch:.3e}")
+    disc = field_discriminant(f)
+    if disc == 0:
+        raise CatalogError(f"{f.name}: discriminant is 0: the integral basis "
+                           f"is singular or min_poly has a repeated root")
+    if disc != f.disc_catalog:
+        raise CatalogError(f"{f.name}: catalog discriminant mismatch: "
+                           f"{f.disc_catalog} != exact {disc}")
+    field_roots(f)  # the signature's real/complex root split
     for ideal in f.ideals:
         _validate_ideal(f, ideal)
 
 
 def _validate_ideal(f: FieldSpec, ideal: IdealSpec):
-    if len(ideal.z_basis) != f.degree:
-        raise CatalogError(f"{f.name}/{ideal.label}: z_basis must have "
-                           f"{f.degree} vectors")
+    if len(ideal.z_basis) != f.degree or any(
+            len(v) != f.degree for v in ideal.z_basis):
+        raise CatalogError(f"{f.name}/{ideal.label}: z_basis must be "
+                           f"{f.degree} vectors of length {f.degree}")
     # index [O_K : I] = |det| of z_basis expressed in the integral basis
-    coords = [_frac_solve(f.integral_basis, v) for v in ideal.z_basis]
-    for row in coords:
-        for c in row:
-            if c.denominator != 1:
-                raise CatalogError(
-                    f"{f.name}/{ideal.label}: z_basis element outside the "
-                    f"ring of integers")
-    index = abs(_frac_det(coords))
+    coords = _frac_solve(f.integral_basis, ideal.z_basis)[1]
+    if any(c.denominator != 1 for row in coords for c in row):
+        raise CatalogError(f"{f.name}/{ideal.label}: z_basis element outside "
+                           f"the ring of integers")
+    index = abs(_frac_solve(coords)[0])
     if index != ideal.norm:
         raise CatalogError(
             f"{f.name}/{ideal.label}: index {index} does not equal norm "
             f"{ideal.norm}")
+
+
+@contextlib.contextmanager
+def _section(kind: str, sect: dict):
+    """Turn a parse failure in the ``kind`` section ``sect`` into a
+    ``CatalogError`` naming the section's line."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CatalogError(
+            f"line {sect['_line']}: {kind} missing key {exc}") from None
+    except ZeroDivisionError:
+        raise CatalogError(
+            f"line {sect['_line']}: {kind} has a zero denominator") from None
+    except ValueError as exc:
+        raise CatalogError(
+            f"line {sect['_line']}: {kind} has a bad value: {exc}") from None
 
 
 def parse_catalog(text: str) -> list[FieldSpec]:
@@ -226,7 +240,7 @@ def parse_catalog(text: str) -> list[FieldSpec]:
         nonlocal cur_ideal
         if cur_ideal is None:
             return
-        try:
+        with _section("ideal", cur_ideal):
             pending_ideals.append(IdealSpec(
                 label=cur_ideal["name"],
                 z_basis=_parse_vectors(cur_ideal["basis"]),
@@ -234,9 +248,6 @@ def parse_catalog(text: str) -> list[FieldSpec]:
                 class_label=cur_ideal["class"],
                 principal=cur_ideal["principal"].lower() in ("1", "true", "yes"),
             ))
-        except KeyError as exc:
-            raise CatalogError(
-                f"line {cur_ideal['_line']}: ideal missing key {exc}") from None
         cur_ideal = None
 
     def finish_field():
@@ -244,7 +255,7 @@ def parse_catalog(text: str) -> list[FieldSpec]:
         finish_ideal()
         if cur is None:
             return
-        try:
+        with _section("field", cur):
             spec = FieldSpec(
                 name=cur["name"],
                 degree=int(cur["degree"]),
@@ -254,9 +265,6 @@ def parse_catalog(text: str) -> list[FieldSpec]:
                 disc_catalog=int(cur["disc"]),
                 ideals=tuple(pending_ideals),
             )
-        except KeyError as exc:
-            raise CatalogError(
-                f"line {cur['_line']}: field missing key {exc}") from None
         _validate_field(spec)
         fields.append(spec)
         pending_ideals.clear()
@@ -391,35 +399,23 @@ def predicted_invariants(f: FieldSpec) -> tuple[float, float]:
             2.0 ** (n / 2.0) / d ** 0.25)
 
 
-def discriminant_check(f: FieldSpec) -> float:
-    """Relative mismatch between the catalog discriminant and the one
-    recovered from the embedded lattice volume."""
-    vol = lattice.volume(embedding_matrix(f))
-    if f.totally_real:
-        recovered = vol * vol
-    else:
-        n = f.degree // 2
-        recovered = (vol * 2.0 ** n) ** 2
-    return abs(recovered - abs(f.disc_catalog)) / abs(f.disc_catalog)
-
-
 @functools.lru_cache(maxsize=_FIELD_CACHE)
 def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
-    """Embedded ideal lattice; volume verified against N(I) * Vol(psi(O_K)).
+    """Embedded ideal lattice; its log covolume verified against
+    ln(N(I) 2^(-r2) sqrt|d|), which the catalog's exact validation proves,
+    so the check guards the numerics of the embedding.
 
     Cached per (field, ideal) and shared, as ``embedding_matrix`` is.  An
     ideal whose Z-basis is the integral basis is the ring itself, and gets
     ``embedding_matrix(f)`` with its one reduction."""
     basis = (embedding_matrix(f) if ideal.z_basis == f.integral_basis
              else _embedded_lattice(f, ideal.z_basis))
-    vol = lattice.volume(basis)
-    if f.totally_real:
-        expected = ideal.norm * math.sqrt(abs(f.disc_catalog))
-    else:
-        expected = ideal.norm * 2.0 ** (-(f.degree // 2)) * math.sqrt(abs(f.disc_catalog))
-    if abs(vol - expected) / expected > 1e-9:
-        raise CatalogError(
-            f"{f.name}/{ideal.label}: ideal volume {vol} != expected {expected}")
+    log_vol = np.linalg.slogdet(basis.real_matrix)[1]
+    expected = (math.log(ideal.norm) + 0.5 * math.log(abs(f.disc_catalog))
+                - f.signature[1] * math.log(2.0))
+    if abs(log_vol - expected) > 1e-9:
+        raise CatalogError(f"{f.name}/{ideal.label}: ideal log covolume "
+                           f"{log_vol} != expected {expected}")
     return basis
 
 

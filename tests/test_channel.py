@@ -129,13 +129,6 @@ class TestMoments:
 
 
 class TestTransmit:
-    def test_zero_noise_hook(self):
-        s = np.array([1.0, -2.0, 0.5])
-        y, r = ch.transmit(s, ch.AWGN_REAL, 0, 0, noise_scale=0.0)
-        assert np.array_equal(y, s)
-        y, r = ch.transmit(s, ch.RAYLEIGH_REAL, 0, 0, noise_scale=0.0)
-        assert np.allclose(y, r.fading * s)
-
     def test_complex_codeword_on_real_model_rejected(self):
         with pytest.raises(ValueError):
             ch.transmit(np.array([1.0 + 1j]), ch.AWGN_REAL, 0, 0)

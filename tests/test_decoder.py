@@ -59,14 +59,19 @@ def brute_force_ml(y, realization, codebook):
     return best, best_m
 
 
+def noiseless(s, model, master_seed, trial_index):
+    """The channel output y = fading * s of a seeded realization, and it."""
+    r = ch.sample_realization(model, len(s), master_seed, trial_index)
+    return r.fading * s, r
+
+
 class TestZeroNoise:
     @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
     def test_both_decoders_recover(self, model):
         code = make_code()
         for t in range(20):
             idx = t % code.size
-            y, r = ch.transmit(code.points[idx], model, 11, t,
-                               noise_scale=0.0)
+            y, r = noiseless(code.points[idx], model, 11, t)
             out = nld_decode(y, r, code, idx)
             assert out.correct and out.is_codeword
             out = ml_decode(y, r, code, idx)
@@ -77,8 +82,7 @@ class TestZeroNoise:
         for model in [ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX]:
             for t in range(10):
                 m = t % code.size
-                y, r = ch.transmit(code.points[m], model, 3, t,
-                                   noise_scale=0.0)
+                y, r = noiseless(code.points[m], model, 3, t)
                 assert nld_decode(y, r, code, m).correct
                 assert ml_decode(y, r, code, m).correct
 

@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcode import lattice
 from latcode import numberfield as nf
@@ -22,6 +25,19 @@ def parses(monkeypatch):
     monkeypatch.setattr(nf, "parse_catalog",
                         lambda text: calls.append(1) or real_parse(text))
     return calls
+
+
+def field_text(name, signature, min_poly, disc, basis=None) -> str:
+    """A catalog entry; the power basis unless ``basis`` is given."""
+    m = len(min_poly) - 1
+    basis = basis or ";".join(
+        ",".join("1" if i == j else "0" for j in range(m)) for i in range(m))
+    return (f"[field]\nname = {name}\ndegree = {m}\nr1 = {signature[0]}\n"
+            f"r2 = {signature[1]}\nminpoly = {','.join(map(str, min_poly))}\n"
+            f"basis = {basis}\ndisc = {disc}\n")
+
+
+QI = field_text("Qi", (0, 1), [1, 0, 1], -4)  # 8 lines
 
 
 class TestCatalogLoading:
@@ -98,6 +114,18 @@ disc = 12
         with pytest.raises(nf.CatalogError, match="discriminant mismatch"):
             nf.parse_catalog(text)
 
+    @pytest.mark.parametrize("text, error", [
+        (QI.replace("0;0,1", "0;0,1/0"), "line 1: field has a zero denominator"),
+        (QI.replace("degree = 2", "degree = two"),
+         "line 1: field has a bad value: invalid literal for int"),
+        (QI + "[ideal]\nname = two\nbasis = 2,0;0,2\nnorm = 4/1\n"
+         "class = principal\nprincipal = true\n",
+         "line 9: ideal has a bad value: invalid literal for int"),
+    ], ids=["zero-denominator", "non-integer", "ideal-non-integer"])
+    def test_unparsable_value_names_its_section(self, text, error):
+        with pytest.raises(nf.CatalogError, match=error):
+            nf.parse_catalog(text)
+
     def test_bad_ideal_index_rejected(self):
         text = """
 [field]
@@ -142,7 +170,8 @@ class TestEmbeddings:
 class TestDiscriminantCheck:
     @pytest.mark.parametrize("name", [f.name for f in CAT])
     def test_catalog_consistency(self, name):
-        assert nf.discriminant_check(get(name)) <= 1e-9
+        f = get(name)
+        assert nf.field_discriminant(f) == f.disc_catalog
 
     def test_volumes(self):
         assert lattice.volume(nf.embedding_matrix(get("Qi"))) == pytest.approx(1.0)
@@ -150,6 +179,101 @@ class TestDiscriminantCheck:
             pytest.approx(math.sqrt(8), rel=1e-12)
         assert lattice.volume(nf.embedding_matrix(get("Qsqrt-5"))) == \
             pytest.approx(0.5 * math.sqrt(20), rel=1e-12)
+
+
+def cyclotomic(p: int) -> str:
+    """Q(zeta_p), power basis: d = (-1)^((p-1)/2) p^(p-2) (Washington 1997,
+    Prop. 2.7)."""
+    r2 = (p - 1) // 2
+    return field_text(f"Qzeta{p}", (0, r2), [1] * p, (-1) ** r2 * p ** (p - 2))
+
+
+def real_cyclotomic(p: int) -> str:
+    """Q(zeta_p)^+ = Q(theta), theta = zeta + 1/zeta, power basis of the
+    ring Z[theta]: d = p^((p-3)/2).  With D_k(theta) = zeta^k + zeta^-k,
+    D_(k+1) = theta D_k - D_(k-1), the min_poly is 1 + D_1 + ... + D_m."""
+    m = (p - 1) // 2
+    D = [[2], [0, 1]]
+    for k in range(1, m):
+        D.append([a - b for a, b in itertools.zip_longest(
+            [0] + D[k], D[k - 1], fillvalue=0)])
+    min_poly = [1] + [0] * m
+    for k in range(1, m + 1):
+        for i, c in enumerate(D[k]):
+            min_poly[i] += c
+    return field_text(f"Qzeta{p}+", (m, 0), min_poly, p ** ((p - 3) // 2))
+
+
+class TestExactValidation:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+    def test_cyclotomic_fields(self, p):
+        f, = nf.parse_catalog(cyclotomic(p))
+        assert nf.field_discriminant(f) == (-1) ** ((p - 1) // 2) * p ** (p - 2)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+    def test_real_cyclotomic_fields(self, p):
+        f, = nf.parse_catalog(real_cyclotomic(p))
+        assert f.degree == (p - 1) // 2
+        assert nf.field_discriminant(f) == p ** ((p - 3) // 2)
+
+    @pytest.mark.parametrize("p", [29, 31, 37, 41, 43])
+    def test_real_cyclotomic_unit_ideal(self, p):
+        f, = nf.parse_catalog(real_cyclotomic(p))
+        assert nf.ideal_lattice(f, f.unit_ideal()) is nf.embedding_matrix(f)
+
+    @pytest.mark.parametrize("text, error", [
+        (field_text("Qsqrt-5", (0, 1), [5, 0, 1], 20),
+         "discriminant mismatch: 20 != exact -20"),
+        (field_text("square", (2, 0), [1, -2, 1], 4), "discriminant is 0"),
+        (field_text("flat", (0, 1), [1, 0, 1], -4, basis="1,1;2,2"),
+         "discriminant is 0"),
+        (field_text("short", (0, 1), [1, 0, 1], -4, basis="1,0;0"),
+         "2 vectors of length 2"),
+        (QI + "[ideal]\nname = short\nbasis = 2,0;1\nnorm = 2\n"
+         "class = x\nprincipal = false\n", "z_basis must be 2 vectors"),
+    ], ids=["wrong-sign", "repeated-root", "singular-basis", "short-basis",
+            "short-ideal-basis"])
+    def test_rejected_by_name(self, text, error):
+        with pytest.raises(nf.CatalogError, match=error):
+            nf.parse_catalog(text)
+
+
+def leibniz_det(mat):
+    k = len(mat)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(k))
+    return total
+
+
+@st.composite
+def square_systems(draw):
+    k = draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-4, 4),
+                        st.fractions(-4, 4, max_denominator=3))
+    mat = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                        min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                         max_size=3))
+    return mat, rows
+
+
+class TestFracSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_det_and_solutions(self, system):
+        mat, rows = system
+        det, xs = nf._frac_solve(mat, rows)
+        assert det == leibniz_det(mat)
+        if det == 0:
+            assert xs is None
+            return
+        assert len(xs) == len(rows)
+        for x, row in zip(xs, rows):
+            assert [sum(x[i] * mat[i][j] for i in range(len(x)))
+                    for j in range(len(row))] == row
 
 
 class TestPredictedInvariants:

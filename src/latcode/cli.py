@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, analysis, lattice, numberfield
 from .channel import MODELS, STREAM_MESSAGE, Model, stream_rng, transmit
 from .codebook import CodeConfig, Codebook, carve
-from .decoder import ml_decode, nld_decode
+from .decoder import ml_decode, ml_near_rows, nld_decode
 from .numberfield import FieldSpec, embedding_matrix, load_catalog
 
 # --decoder value -> (run NLD, run ML)
@@ -31,7 +31,10 @@ DECODERS = {"nld": (True, False), "ml": (False, True), "both": (True, True)}
 # rate-1 F4-725, F8-17 and Qzeta5 codes (LatticeBasis.faded, in-process,
 # best of 7, 2 CPUs) cost 38-79 us a trial one at a time, 6-9 us in blocks
 # of 64 and 5-10 us in blocks of 128 or 256: past 64 a block saves under
-# 3 us of a fading_nld trial's ~130 us.
+# 3 us of a fading_nld trial's ~130 us.  ML scores the same block at once
+# (decoder.ml_near_rows): 2.2 us a trial on the 268-row F8-17 code against
+# 13 us alone; a larger code is scored a few trials per product within
+# decoder._ML_SCORE_BYTES.
 _BLOCK_TRIALS = 64
 
 
@@ -189,11 +192,11 @@ def _simulate_chunk(codebook: Codebook, model: Model, master_seed: int,
     Trials go in blocks of ``_BLOCK_TRIALS``: every trial of a block is
     drawn and sent, then, for NLD on a fading channel, the block's faded
     bases are built at once (``LatticeBasis.faded`` on the stack of
-    fadings), then each trial is decoded.  The draws and decisions are
-    those of one trial at a time.
+    fadings), and for ML the block is scored at once (``ml_near_rows``),
+    then each trial is decoded.  The draws and decisions are those of one
+    trial at a time.
     """
     run_nld, run_ml = DECODERS[which]
-    fade_nld = run_nld and model.fading
     err_nld = err_ml = nld_right_ml_wrong = 0
     for start in range(lo, hi, _BLOCK_TRIALS):
         block = []
@@ -202,21 +205,26 @@ def _simulate_chunk(codebook: Codebook, model: Model, master_seed: int,
             m = int(mrng.integers(codebook.size))
             block.append((m, *transmit(codebook.points[m], model,
                                        master_seed, t)))
-        faded = [None] * len(block)
-        if fade_nld:
+        fadings = (np.array([r.fading for _, _, r in block]) if model.fading
+                   else None)
+        faded = near = [None] * len(block)
+        if run_nld and model.fading:
             try:
-                faded = codebook.basis.faded(
-                    np.array([r.fading for _, _, r in block]))
+                faded = codebook.basis.faded(fadings)
             except lattice.SingularBasisError as exc:
                 raise ValueError(f"trial {start + exc.index}: the faded "
                                  f"code lattice is singular") from exc
-        for (m, y, realization), basis in zip(block, faded):
+        if run_ml:
+            near = ml_near_rows(np.array([y for _, y, _ in block]), fadings,
+                                codebook)
+        for (m, y, realization), basis, rows in zip(block, faded, near):
             if run_nld:
                 nld_ok = nld_decode(y, realization, codebook, m,
                                     faded=basis).correct
                 err_nld += not nld_ok
             if run_ml:
-                ml_ok = ml_decode(y, realization, codebook, m).correct
+                ml_ok = ml_decode(y, realization, codebook, m,
+                                  near=rows).correct
                 err_ml += not ml_ok
             nld_right_ml_wrong += run_nld and run_ml and nld_ok and not ml_ok
     return err_nld, err_ml, nld_right_ml_wrong

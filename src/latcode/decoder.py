@@ -9,12 +9,19 @@ builds a block of trials' faded bases at once and hands each to
 ``nld_decode``; a single decode builds its own.  An exactly zero
 coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
 it; ML decodes it.
+
+Both decoders decide first: ``correct`` is set at once, in integers, and
+the decoded point, its metric and its codebook membership are computed only
+when read (``DecodeOutcome``).  ML scores a block of trials with one
+product over the code's rows, one mask over the rescoring window and one
+``nonzero`` (``ml_near_rows``), and rescores a trial only if more than one
+row lies in its window; a single ``ml_decode`` is a block of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +29,16 @@ from . import lattice
 from .channel import ChannelRealization
 from .codebook import Codebook, PrefixIndex
 
-_ML_WINDOW = 1e-9  # relative to the score bound M in _near_best
-# ml_decode scans codes this small without scoring them first; scoring
-# cost less than a scan on a 256-point Rayleigh code
-_ML_SCAN_ROWS = 64
+_ML_WINDOW = 1e-9  # relative to the score bound M in _score_block
+# _score_block holds the scores of at most this many bytes of (trials x
+# codewords) at once, and of one trial at least.  Per ML decode in a block
+# of 64 trials (in-process, best of 15, 2 CPUs): the 268-row F8-17 code
+# fits whole (134 KiB) and cost 2.2 us against 13 us a trial alone (AWGN;
+# Rayleigh 2.3 against 18); on the 4,132-row code 4-12 trials a product
+# cost 14-21 us (AWGN) and 20-29 us (Rayleigh) against 38 and 60.  With
+# 16 or more trials a product (0.5 MiB) that code's product stalled in
+# threaded OpenBLAS in some runs: 31 trials cost 456 us once.
+_ML_SCORE_BYTES = 1 << 18
 # ml_decode prunes the scoring of an unfaded code whose points take at least
 # this many bytes by its prefix groups (_pruned_rows).  Median per decode
 # (in-process, 2 CPUs): at 0.5 MiB pruning cost 73 against 61 us on F8-17
@@ -35,12 +48,79 @@ _ML_SCAN_ROWS = 64
 _ML_PRUNE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
 class DecodeOutcome:
-    decoded: np.ndarray
-    is_codeword: bool
-    correct: bool
-    metric: float
+    """What a decode decided.  ``correct`` says whether it decided the sent
+    codeword, ``decoded`` is the point x it decided, ``metric`` is
+    ||y - h x||^2 and ``is_codeword`` says whether x lies in the codebook.
+
+    Built by keyword, an outcome holds all four.  The decoders set
+    ``correct`` at once and leave the other three to their subclasses,
+    which compute each on first read, bit for bit as the decode itself
+    would have."""
+
+    def __init__(self, *, decoded, is_codeword: bool, correct: bool,
+                 metric: float):
+        self.decoded = decoded
+        self.is_codeword = is_codeword
+        self.correct = correct
+        self.metric = metric
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(decoded={self.decoded!r}, "
+                f"is_codeword={self.is_codeword!r}, "
+                f"correct={self.correct!r}, metric={self.metric!r})")
+
+
+class _NldOutcome(DecodeOutcome):
+    """An NLD decision, the lattice point with coordinates ``coords`` in
+    the code basis; ``fading`` None is unit fading, multiplied in nowhere."""
+
+    def __init__(self, correct: bool, y, fading, codebook: Codebook, coords):
+        self.correct = correct
+        self._y, self._fading, self._codebook = y, fading, codebook
+        self._coords = coords
+
+    @functools.cached_property
+    def decoded(self):
+        code = self._codebook
+        return code.shift + self._coords.astype(float) @ code.basis.vectors
+
+    @functools.cached_property
+    def metric(self) -> float:
+        x = self.decoded
+        if self._fading is not None:
+            x = self._fading * x
+        return float(np.add.reduce(np.abs(self._y - x) ** 2))
+
+    @functools.cached_property
+    def is_codeword(self) -> bool:
+        # the codebook is every shifted lattice point in carve's ball
+        code = self._codebook
+        radius = math.sqrt(code.n * code.power)
+        return (float(np.add.reduce(np.abs(self.decoded) ** 2))
+                <= lattice.ball_bound(radius))
+
+
+class _MlOutcome(DecodeOutcome):
+    """An ML decision, row ``row`` of the code; ``fading`` None is unit
+    fading.  A decode that rescored its near rows sets ``metric``."""
+
+    is_codeword = True
+
+    def __init__(self, correct: bool, y, fading, codebook: Codebook,
+                 row: int):
+        self.correct = correct
+        self._y, self._fading, self._codebook = y, fading, codebook
+        self._row = row
+
+    @functools.cached_property
+    def decoded(self):
+        return self._codebook.points[self._row]
+
+    @functools.cached_property
+    def metric(self) -> float:
+        rows = self._codebook.points[self._row:self._row + 1]
+        return float(_exact_metrics(self._y, self._fading, rows)[0])
 
 
 def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
@@ -51,32 +131,24 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     Decoding lands on shift + alpha*psi(x) for some algebraic integer x; it
     is correct when x's integer coordinates in the code basis, which every
     search path returns, equal row ``sent``'s (``codebook.coords`` needed).
-    Unit fading is left out of every product: a product by 1 is exact.  On
-    a fading channel, ``faded`` is the code lattice faded by this
-    realization, as a caller that builds a block of them at once
-    (``LatticeBasis.faded``) passes it; without it the decode builds its own.
+    The decoded point, its metric and whether it lies in the codebook are
+    computed when read.  Unit fading is left out of every product: a
+    product by 1 is exact.  On a fading channel, ``faded`` is the code
+    lattice faded by this realization, as a caller that builds a block of
+    them at once (``LatticeBasis.faded``) passes it; without it the decode
+    builds its own.
     """
-    shift, fading = codebook.shift, realization.fading
-    is_faded = realization.model.fading
-    # unfaded, the code lattice itself is searched: one cached reduction;
-    # faded, its cached LLL rows are faded and searched first
-    if is_faded:
+    if realization.model.fading:
+        fading = realization.fading
+        # its cached LLL rows are faded and searched first
         basis = codebook.basis.faded(fading) if faded is None else faded
-        target = y - fading * shift
-    else:
-        basis, target = codebook.basis, y - shift
+        target = y - fading * codebook.shift
+    else:  # the code lattice itself is searched: one cached reduction
+        fading, basis, target = None, codebook.basis, y - codebook.shift
     _, coords = lattice.closest_vector_coords(basis, target)
-    decoded = shift + coords.astype(float) @ codebook.basis.vectors
-    residual = y - fading * decoded if is_faded else y - decoded
-    metric = float(np.add.reduce(np.abs(residual) ** 2))
-    # the codebook is every shifted lattice point in carve's ball
-    radius = math.sqrt(codebook.n * codebook.power)
-    is_codeword = (float(np.add.reduce(np.abs(decoded) ** 2))
-                   <= lattice.ball_bound(radius))
     sent_coords = codebook.coords[sent] @ codebook.basis._reduced.U
-    return DecodeOutcome(decoded=decoded, is_codeword=is_codeword,
-                         correct=np.array_equal(coords, sent_coords),
-                         metric=metric)
+    return _NldOutcome(coords.tolist() == sent_coords.tolist(), y, fading,
+                       codebook, coords)
 
 
 def _exact_metrics(y, fading, rows) -> np.ndarray:
@@ -92,53 +164,84 @@ def _exact_metrics(y, fading, rows) -> np.ndarray:
 
 
 def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
-              sent: int) -> DecodeOutcome:
+              sent: int, near: np.ndarray | None = None) -> DecodeOutcome:
     """Exhaustive minimum-distance search over the finite codebook; it is
     correct when the winning row is row ``sent``.
 
-    A code of at most ``_ML_SCAN_ROWS`` codewords is scanned: every row gets
-    the exact metric ||y - h x||^2 in one pass, which costs less than
-    scoring it first.  A larger code is scored (``_near_best``) and only the
-    rows near the best score are rescored with the same per-row arithmetic.
-    On an unfaded channel, a code of at least ``_ML_PRUNE_BYTES`` that has a
+    ``near`` holds the rows whose score lies near this trial's best
+    (``ml_near_rows``), as a caller that scores a block of trials at once
+    passes it; without it the decode scores itself as a block of one, and
+    prunes an unfaded large code as ``ml_near_rows`` describes.  One
+    near row is the decision, and its metric is computed when read.
+    Several are rescored with the exact per-row arithmetic of a full scan,
+    and the first index among the exact minima wins.  Either way the
+    decision and ``metric`` are those of a full scan, bit for bit.
+    """
+    fading = realization.fading if realization.model.fading else None
+    if near is None:
+        near = _near_rows(y, fading, codebook)
+    if len(near) == 1:
+        return _MlOutcome(bool(near[0] == sent), y, fading, codebook,
+                          int(near[0]))
+    metrics = _exact_metrics(y, fading, codebook.points[near])
+    best = metrics.argmin()  # first index wins ties
+    out = _MlOutcome(bool(near[best] == sent), y, fading, codebook,
+                     int(near[best]))
+    out.metric = float(metrics[best])
+    return out
+
+
+def _prunes(codebook: Codebook) -> bool:
+    """Whether an unfaded decode of the code is pruned by its prefix
+    groups (``_pruned_rows``), one trial at a time."""
+    return (codebook.points.nbytes >= _ML_PRUNE_BYTES
+            and codebook._prefixes is not None)
+
+
+def _near_rows(y, fading, codebook: Codebook) -> np.ndarray:
+    """``ml_near_rows`` of one trial, pruned where the code is."""
+    among = None
+    if fading is None and _prunes(codebook):
+        among = _pruned_rows(y, codebook._prefixes, codebook)
+    near = _score_block(np.asarray(y)[None],
+                        None if fading is None else fading[None],
+                        codebook, among)[0]
+    return near if among is None else among[near]
+
+
+def ml_near_rows(y, fading, codebook: Codebook) -> list:
+    """The near rows of each trial of a block (``_score_block``), for
+    ``ml_decode``'s ``near``: ``y`` is the (T, n) stack of received words
+    and ``fading`` their (T, n) fadings, or None for unit fading.
+
+    On an unfaded channel a code of at least ``_ML_PRUNE_BYTES`` that has a
     prefix index (``Codebook._prefixes``) is scored only on the row groups
     that a lower bound from the walk's top levels does not exclude
     (``_pruned_rows``, Agrell, Eriksson, Vardy and Zeger, "Closest point
-    search in lattices", IEEE Trans. IT 2002); any other code, and every
-    fading decode, is scored on every row.  Either way the first index
-    among the exact minima wins, so the decision and ``metric`` are those of
-    a full scan, bit for bit.
-    """
-    points = codebook.points
-    fading = realization.fading if realization.model.fading else None
-    if len(points) <= _ML_SCAN_ROWS:
-        near, rows = None, points
-    else:
-        index = (codebook._prefixes if fading is None
-                 and points.nbytes >= _ML_PRUNE_BYTES else None)
-        among = None if index is None else _pruned_rows(y, index, codebook)
-        near = _near_best(y, fading, codebook, among)
-        rows = points[near]
-    metrics = _exact_metrics(y, fading, rows)
-    best = metrics.argmin()  # first index wins ties
-    won = best if near is None else near[best]
-    return DecodeOutcome(decoded=rows[best], is_codeword=True,
-                         correct=bool(won == sent),
-                         metric=float(metrics[best]))
+    search in lattices", IEEE Trans. IT 2002), one trial at a time: for it
+    every entry is None, and each ``ml_decode`` prunes its own."""
+    if fading is None and _prunes(codebook):
+        return [None] * len(y)
+    return _score_block(y, fading, codebook)
 
 
-def _near_best(y, fading, codebook: Codebook, among=None) -> np.ndarray:
-    """Indices, in codebook order, of the rows whose score lies within the
-    rescoring window of the lowest; ``fading`` None is unit fading.  Only
-    the rows at the increasing indices ``among`` are scored, if given.
+def _score_block(y, fading, codebook: Codebook, among=None) -> list:
+    """For each row of the (T, n) stack ``y`` of received words, faded by
+    the (T, n) ``fading`` (None: unit fading), the indices, in codebook
+    order, of the rows whose score lies within the rescoring window of that
+    trial's lowest.  Only the rows at the increasing indices ``among`` are
+    scored, if given, and the indices are then into ``among``.
 
     Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
-    sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum is
-    one matrix-vector product with ``points``.  On a fading channel the first
-    is another, with the codebook's cached ``|points|^2``; an unfaded channel
-    has unit fading, so the first sum is the cached row norm ||x||^2, the
-    call does one product and multiplies by h nowhere (a product by 1 is
-    exact).  A call allocates codebook-length temporaries only.
+    sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum
+    is a product of the rows, complex ones read as re, im pairs, with
+    re, im pairs of -2 y conj(h).  On a fading channel the first is another
+    product, with the codebook's cached ``|points|^2``; an unfaded channel
+    has unit fading, so the first sum is the cached row norm ||x||^2 and h
+    is multiplied in nowhere.  Each product takes as many trials at once as
+    keep the (trials x codewords) score matrix within ``_ML_SCORE_BYTES``
+    (one trial at least, whose product runs over blocks of the code's rows),
+    and one mask and one ``nonzero`` pick the near rows of all of them.
 
     Both sums are at most M = ||y||^2 + max|h|^2 max||x||^2 in magnitude,
     and the exact metric at most 2M, so a score and the exact metric less
@@ -146,28 +249,49 @@ def _near_best(y, fading, codebook: Codebook, among=None) -> np.ndarray:
     every row, the first exact minimizer scores within 2e of the lowest
     score, on every set of rows that holds it, as ``among`` does.  Every
     row scoring within ``_ML_WINDOW`` * M of the lowest, far above 2e, is
-    returned for rescoring.  Usually only the winner is; an
-    exactly zero fading coefficient makes rows that differ only there tie
-    exactly, and all of them are.  The rows are given by their indices
-    (``nonzero``): a boolean mask over the rows of a 2-D array costs about
-    as much as a product on a large code.
+    returned for rescoring.  Usually only the winner is; an exactly zero
+    fading coefficient makes rows that differ only there tie exactly, and
+    all of them are.
     """
     points, (norm2, max_norm2) = codebook.points, codebook._norms
     if among is not None:
         points, norm2 = np.take(points, among, axis=0), np.take(norm2, among)
-    weights = -2.0 * np.conjugate(y)
+    dtype = np.result_type(points, y, 1.0)
+    points = np.ascontiguousarray(points, dtype=dtype)
+    flat = points.view(points.real.dtype)  # a complex row as re, im pairs
+    y = np.ascontiguousarray(y, dtype=dtype)
+    weights = -2.0 * y if fading is None else -2.0 * y * np.conjugate(fading)
+    weights = weights.view(flat.dtype)
+    yy = np.einsum("ij,ij->i", y.view(flat.dtype), y.view(flat.dtype))
     if fading is None:
-        scores = (points @ weights).real
-        scores += norm2
-        max_w = 1.0
+        big_m = yy + max_norm2
     else:
-        scores = (points @ (weights * fading)).real
-        w = (fading.conj() * fading).real
-        scores += codebook._squares @ w
-        max_w = np.maximum.reduce(w)
-    window = _ML_WINDOW * (np.vdot(y, y).real + max_w * max_norm2)
-    near = (scores <= scores[scores.argmin()] + window).nonzero()[0]
-    return near if among is None else among[near]
+        squares = codebook._squares
+        if among is not None:
+            squares = np.take(squares, among, axis=0)
+        w = (np.conjugate(fading) * fading).real
+        big_m = yy + np.maximum.reduce(w, axis=1) * max_norm2
+    step = max(1, _ML_SCORE_BYTES // (8 * len(points)))
+    near = []
+    for lo in range(0, len(y), step):
+        part = slice(lo, lo + step)
+        scores = _over_rows(weights[part], flat)
+        scores += norm2 if fading is None else _over_rows(w[part], squares)
+        cut = np.minimum.reduce(scores, axis=1) + _ML_WINDOW * big_m[part]
+        trial, rows = np.divmod(np.flatnonzero(scores <= cut[:, None]),
+                                len(points))
+        ends = np.searchsorted(trial, np.arange(len(cut) + 1)).tolist()
+        near += [rows[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    return near
+
+
+def _over_rows(w, rows) -> np.ndarray:
+    """``w @ rows.T``: the (T, N) products of T trials' weights with a
+    code's N rows.  One trial's product is taken over blocks of the rows
+    (``lattice.rows_product``)."""
+    if len(w) == 1:
+        return lattice.rows_product(rows, w[0])[None]
+    return w @ rows.T
 
 
 def _pruned_rows(y, index: PrefixIndex, codebook: Codebook):

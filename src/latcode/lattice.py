@@ -21,7 +21,8 @@ rows faded, and its closest point is searched on the hint within the small
 budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
 ``faded`` takes a stack of fadings and builds all their bases with one
 singularity test and one QR over the stack (``_qr`` takes one matrix or a
-stack), bit-identical to building each alone.
+stack), bit-identical to building each alone.  A product over a code's
+many rows goes through ``rows_product``, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ _LEVEL_BLOCK = 1 << 14
 #: node's last try is still within the bound (rounding) is tried again with
 #: twice as many.
 _ZIGZAG_SPARE = 2
+#: Rows of the left factor that ``rows_product`` multiplies at once.  The
+#: threaded OpenBLAS stalls on thin products on a shared 2-CPU machine: a
+#: 65,707 x 8 by 8 x 8 product took 31.7 ms whole and 1.9-2.9 ms in blocks
+#: of 8,192 or 4,096 rows (in-process, 2 CPUs).
+_PRODUCT_ROWS = 4096
 
 _TIE_EPS = 1e-12  # relative tie window of ``_nearest``
 _BALL_SLACK = 1e-12  # relative widening of the closed ball, ``ball_bound``
@@ -312,6 +318,20 @@ def _qr(B: np.ndarray):
     signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return Q * signs[..., None, :], R * signs[..., :, None]
+
+
+def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a`` and a 1-D or 2-D ``b``, multiplied
+    ``_PRODUCT_ROWS`` rows of ``a`` at a time into one output.  Each output
+    row is the product of its own row of ``a``; on the codes that the tests
+    pin, the blocks change no bit of the result."""
+    if len(a) <= _PRODUCT_ROWS:
+        return a @ b
+    out = np.empty((len(a),) + b.shape[1:], np.result_type(a, b))
+    for lo in range(0, len(a), _PRODUCT_ROWS):
+        np.matmul(a[lo:lo + _PRODUCT_ROWS], b,
+                  out=out[lo:lo + _PRODUCT_ROWS])
+    return out
 
 
 def ball_bound(radius: float) -> float:
@@ -572,7 +592,7 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     """
     ured = _ball(basis, center, radius, keep=True)[1]
     ured = np.take(ured, _lex_order(ured), axis=0)
-    vec_real = ured @ basis._reduced.rows
+    vec_real = rows_product(ured, basis._reduced.rows)
     return ured, np.atleast_2d(basis.to_ambient(vec_real))
 
 

@@ -403,17 +403,22 @@ def predicted_invariants(f: FieldSpec) -> tuple[float, float]:
 def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
     """Embedded ideal lattice; its log covolume verified against
     ln(N(I) 2^(-r2) sqrt|d|), which the catalog's exact validation proves,
-    so the check guards the numerics of the embedding.
+    so the check guards the numerics of the embedding.  The tolerance is
+    degree * eps * cond of the embedded basis.
 
     Cached per (field, ideal) and shared, as ``embedding_matrix`` is.  An
     ideal whose Z-basis is the integral basis is the ring itself, and gets
     ``embedding_matrix(f)`` with its one reduction."""
     basis = (embedding_matrix(f) if ideal.z_basis == f.integral_basis
              else _embedded_lattice(f, ideal.z_basis))
-    log_vol = np.linalg.slogdet(basis.real_matrix)[1]
+    real = basis.real_matrix
+    log_vol = np.linalg.slogdet(real)[1]
     expected = (math.log(ideal.norm) + 0.5 * math.log(abs(f.disc_catalog))
                 - f.signature[1] * math.log(2.0))
-    if abs(log_vol - expected) > 1e-9:
+    # the float log determinant errs by about degree * eps * cond; a wrong
+    # Z-basis changes the covolume by an integer factor, at least ln 2
+    if abs(log_vol - expected) > (f.degree * np.finfo(float).eps
+                                  * np.linalg.cond(real)):
         raise CatalogError(f"{f.name}/{ideal.label}: ideal log covolume "
                            f"{log_vol} != expected {expected}")
     return basis

@@ -315,6 +315,25 @@ class TestCoords:
         assert bare.coords is None and bare._prefixes is None
 
 
+class TestPinnedPoints:
+    """The points of two 65k-row codes, pinned by digest.  ``points_in_ball``
+    multiplies their coordinates by the LLL rows in row blocks
+    (``lattice.rows_product``); the digests were taken when it multiplied
+    all rows at once."""
+
+    @pytest.mark.parametrize("name,rate,digest", [
+        ("F8-17", 2.0,
+         "acbb5b70ede08d094cc43c08795f58800535dd917f73135db6df15900bae447d"),
+        ("F4-725", 4.0,
+         "57e7476934868f8a6bce3016ee5d5df230ba9fdf59d6a5a5e127353393cc1c26"),
+    ])
+    def test_digest(self, name, rate, digest):
+        code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=5))
+        assert len(code.points) > lattice._PRODUCT_ROWS
+        assert hashlib.sha256(code.points.tobytes()).hexdigest() == digest
+
+
 class TestExportCsv:
     @pytest.mark.parametrize("name,rate,digest", [
         ("F4-725", 1.0,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcode import channel as ch
+from latcode import cli
 from latcode import codebook as cbmod
 from latcode import decoder
 from latcode import numberfield as nf
@@ -195,6 +196,39 @@ class TestMlTies:
         with pytest.raises(ValueError, match="singular"):
             nld_decode(y, r, self.code, 88)
 
+    def test_block_ties_pick_first_index(self, rescored):
+        """Both ties above, in one block scored at once among untied
+        trials, and a zero fade on a catalog code: the first index wins."""
+        a, b = 62, 87
+        fading = np.array([0.0, 0.8, 1.3])
+        untied = np.array([0.9, 0.8, 1.3])
+        ys = [fading * self.code.points[88] + np.array([0.4, 0.1, -0.2]),
+              (self.code.points[a] + self.code.points[b]) / 2,
+              untied * self.code.points[30] + 0.01]
+        fadings = np.array([fading, np.ones(3), untied])
+        near = decoder.ml_near_rows(np.array(ys), fadings, self.code)
+        assert [len(rows) for rows in near] == [5, 2, 1]
+        for y, h, rows in zip(ys, fadings, near):
+            r = ch.ChannelRealization(fading=h, noise=np.zeros(3),
+                                      model=ch.RAYLEIGH_REAL)
+            out = ml_decode(y, r, self.code, 0, near=rows)
+            idx, metric = full_scan(y, h, self.code)
+            assert np.array_equal(out.decoded, self.code.points[idx])
+            assert out.metric == metric
+        assert rescored == [5, 2, 1]  # the last read its metric alone
+        code = make_code()
+        h = np.array([1.1, 0.0, 0.7, 0.9])
+        for i in range(code.size):
+            y = h * code.points[i] + 0.05
+            r = ch.ChannelRealization(fading=h, noise=np.zeros(4),
+                                      model=ch.RAYLEIGH_REAL)
+            rows, = decoder.ml_near_rows(y[None], h[None], code)
+            out = ml_decode(y, r, code, i, near=rows)
+            idx, metric = full_scan(y, h, code)
+            assert out.correct == (idx == i)
+            assert np.array_equal(out.decoded, code.points[idx])
+            assert out.metric == metric
+
 
 class TestMlProperty:
     @settings(max_examples=400, deadline=None)
@@ -258,7 +292,6 @@ def force_pruned(mp):
         calls.append(index)
         return rows(y, index, codebook)
 
-    mp.setattr(decoder, "_ML_SCAN_ROWS", 0)
     mp.setattr(decoder, "_ML_PRUNE_BYTES", 0)
     mp.setattr(decoder, "_pruned_rows", spy)
     return calls
@@ -274,7 +307,8 @@ class TestMlPruned:
     """The pruned scoring of large unfaded codes (``Codebook._prefixes``,
     ``decoder._pruned_rows``), forced onto every code size by patching the
     size thresholds: the decision and metric are a full scan's, bit for
-    bit, and every other code or channel falls back to ``_near_best``."""
+    bit, and every other code or channel falls back to scoring every row
+    (``_score_block``)."""
 
     CODES = [(name, rate, seed)
              for name in ("F4-725", "F8-17", "Qzeta5", "Qi")
@@ -336,8 +370,8 @@ class TestMlPruned:
     def test_falls_back_to_near_best(self, case, monkeypatch):
         calls = force_pruned(monkeypatch)
         near = []
-        real = decoder._near_best
-        monkeypatch.setattr(decoder, "_near_best", lambda *a: near.append(
+        real = decoder._score_block
+        monkeypatch.setattr(decoder, "_score_block", lambda *a: near.append(
             a[3]) or real(*a))
         rng = np.random.default_rng(3)
         code = make_code("F4-725", rate=2.0)
@@ -364,6 +398,23 @@ class TestMlPruned:
         else:
             assert code._prefixes is None
 
+    def test_large_awgn_code_stays_pruned(self, f8_rate2, monkeypatch):
+        """A simulation of the 65k-row code on AWGN scores no block: each
+        trial's decode prunes its own rows, and the rows it scores are the
+        pruned ones."""
+        calls, scored = force_pruned(monkeypatch), []
+        real = decoder._score_block
+        monkeypatch.setattr(decoder, "_ML_PRUNE_BYTES", 1 << 20)
+        monkeypatch.setattr(decoder, "_score_block", lambda *a: scored.append(
+            (len(a[0]), a[3] is not None)) or real(*a))
+        assert f8_rate2.points.nbytes >= decoder._ML_PRUNE_BYTES
+        assert decoder.ml_near_rows(np.zeros((3, 8)), None, f8_rate2) == \
+            [None] * 3
+        errors = cli._simulate_chunk(f8_rate2, ch.AWGN_REAL, 5, 0, 20, "ml")
+        assert len(calls) == 20 and errors[0] == 0
+        assert len(scored) == 20 and all(t == 1 for t, _ in scored)
+        assert sum(pruned for _, pruned in scored) >= 18
+
     def test_index_build_memory_is_bounded(self, f8_rate2):
         code = dataclasses.replace(f8_rate2)  # the same code, no caches yet
         code._norms  # carve builds it
@@ -377,6 +428,39 @@ class TestMlPruned:
         # no (N, n) array: the mixed-radix key's (L, N) float cast of the
         # stored integer prefixes, and a few length-N rows
         assert peak <= (8 * cbmod._PREFIX_LEVELS + 16) * code.size + (1 << 16)
+
+
+class TestScoreBytes:
+    """No score matrix passes ``_ML_SCORE_BYTES``, except the one row of a
+    single trial on a code too large for the bound."""
+
+    @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
+    def test_score_matrices_within_the_bound(self, model, f8_rate2,
+                                             monkeypatch):
+        shapes = []
+        real = decoder._over_rows
+
+        def spy(w, rows):
+            out = real(w, rows)
+            shapes.append((out.shape, out.nbytes))
+            return out
+
+        monkeypatch.setattr(decoder, "_over_rows", spy)
+        for code in (make_code("F8-17"), make_code("F8-17", rate=1.5),
+                     f8_rate2):
+            shapes.clear()
+            cli._simulate_chunk(code, model, 3, 0, 70, "ml")
+            # one product per trial and sum (a fading decode takes two)
+            assert sum(t for (t, _), _ in shapes) == \
+                70 * (2 if model.fading else 1)
+            for (trials, rows), nbytes in shapes:
+                assert nbytes <= decoder._ML_SCORE_BYTES or trials == 1
+                assert rows <= code.size
+            if code.size * 8 <= decoder._ML_SCORE_BYTES:
+                assert max(n for _, n in shapes) <= decoder._ML_SCORE_BYTES
+                assert max(t for (t, _), _ in shapes) > 1
+            elif model.fading:
+                assert {s for s, _ in shapes} == {(1, code.size)}
 
 
 class TestDominance:

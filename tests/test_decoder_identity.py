@@ -1,10 +1,11 @@
-"""The trimmed NLD and ML epilogues and ML's whole-code scan of small codes:
-bit-identical outcomes to the decoders they replaced, on seeded AWGN and
-Rayleigh decodes and on deep fades.  The decoders now decide ``correct`` in
+"""The trimmed NLD and ML epilogues, ML scored a block of trials at once,
+and outcomes whose float fields are computed when read: bit-identical
+outcomes to the decoders they replaced, on seeded AWGN and Rayleigh decodes
+and on deep fades.  The decoders now decide ``correct`` in
 integers from the sent row's index; the references keep the float match
 within 1e-8, and the two decisions agree on every decode here.
 (``test_decoder.TestMlProperty`` checks ML against a full scan on random
-codes on both sides of the scan size.)"""
+codes of 1 to 300 rows.)"""
 
 import math
 
@@ -144,3 +145,55 @@ def test_zero_fading_matches():
         with pytest.raises(ValueError, match="singular"):
             nld_decode(y, r, code, i)
 
+
+
+BLOCK_CODES = [("Qzeta5", 1.0, (ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX)),
+               ("F4-725", 1.0, (ch.AWGN_REAL, ch.RAYLEIGH_REAL)),
+               ("F8-17", 1.0, (ch.AWGN_REAL, ch.RAYLEIGH_REAL)),
+               ("F8-17", 1.5, (ch.AWGN_REAL, ch.RAYLEIGH_REAL))]
+
+
+@pytest.mark.parametrize("name,rate,models", BLOCK_CODES)
+@pytest.mark.parametrize("snr_db", [3.0, 12.0])
+def test_block_decisions_match(name, rate, models, snr_db):
+    """A block scored at once (``ml_near_rows``), then decoded trial by
+    trial: each decision, and ``decoded`` and ``metric`` read afterwards,
+    equal the reference's.  The 4,132-row code is scored a few trials per
+    product (``_ML_SCORE_BYTES``)."""
+    code = make_code(name, rate, snr_db)
+    wrong = 0
+    for model in models:
+        block = []
+        for t in range(100):
+            m = int(ch.stream_rng(7, t, ch.STREAM_MESSAGE).integers(code.size))
+            block.append((m, *ch.transmit(code.points[m], model, 7, t)))
+        fadings = (np.array([r.fading for _, _, r in block]) if model.fading
+                   else None)
+        near = decoder.ml_near_rows(np.array([y for _, y, _ in block]),
+                                    fadings, code)
+        for (m, y, r), rows in zip(block, near):
+            out = ml_decode(y, r, code, m, near=rows)
+            ref = reference_ml_decode(y, r, code, code.points[m])
+            assert out.correct == ref.correct  # decided before any read
+            assert_same(out, ref)
+            wrong += not out.correct
+    if snr_db == 3.0:
+        assert wrong > 0  # wrong decisions are covered
+
+
+@pytest.mark.parametrize("name,rate,models", CODES)
+def test_lazy_fields_read_in_any_order(name, rate, models):
+    """An outcome's float fields, read in reverse order, are those of the
+    reference decoders, which compute them at once."""
+    code = make_code(name, rate, 6.0)
+    for model in models:
+        for t in range(40):
+            m = int(ch.stream_rng(3, t, ch.STREAM_MESSAGE).integers(code.size))
+            y, r = ch.transmit(code.points[m], model, 3, t)
+            for got, ref in ((nld_decode, reference_nld_decode),
+                             (ml_decode, reference_ml_decode)):
+                out, want = got(y, r, code, m), ref(y, r, code, code.points[m])
+                assert out.metric == want.metric
+                assert out.is_codeword == want.is_codeword
+                assert np.array_equal(out.decoded, want.decoded)
+                assert out.correct == want.correct

@@ -194,6 +194,28 @@ class TestBlockedSimulation:
             assert cli._simulate_chunk(code, model, 9, 5, 80, "both") == \
                 (nld, ml, both)
 
+    @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
+    def test_counts_on_a_code_past_a_block(self, model, monkeypatch):
+        """On a code of more than 64 rows, ML scored a block at a time
+        (``ml_near_rows``) counts the errors of single decodes."""
+        code = carve(CodeConfig(rate=1.0, power=10.0 ** 0.6,
+                                field=nf.catalog_field("F8-17"), seed=1))
+        assert code.size > 64
+        nld = ml = both = 0
+        for t in range(3, 90):
+            rng = ch.stream_rng(4, t, ch.STREAM_MESSAGE)
+            m = int(rng.integers(code.size))
+            y, r = ch.transmit(code.points[m], model, 4, t)
+            nld_ok = nld_decode(y, r, code, m).correct
+            ml_ok = ml_decode(y, r, code, m).correct
+            nld, ml = nld + (not nld_ok), ml + (not ml_ok)
+            both += nld_ok and not ml_ok
+        assert ml > 0
+        for block in (1, 7, 64):
+            monkeypatch.setattr(cli, "_BLOCK_TRIALS", block)
+            assert cli._simulate_chunk(code, model, 4, 3, 90, "both") == \
+                (nld, ml, both)
+
     def test_nld_decode_takes_the_callers_basis(self):
         field = nf.catalog_field("Qzeta5")
         code = carve(CodeConfig(rate=1.0, power=10.0, field=field, seed=2))

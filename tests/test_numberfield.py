@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -216,10 +217,21 @@ class TestExactValidation:
         assert f.degree == (p - 1) // 2
         assert nf.field_discriminant(f) == p ** ((p - 3) // 2)
 
-    @pytest.mark.parametrize("p", [29, 31, 37, 41, 43])
+    @pytest.mark.parametrize("p", [29, 31, 37, 41, 43, 47])
     def test_real_cyclotomic_unit_ideal(self, p):
         f, = nf.parse_catalog(real_cyclotomic(p))
         assert nf.ideal_lattice(f, f.unit_ideal()) is nf.embedding_matrix(f)
+
+    @pytest.mark.parametrize("name", ["Qi", "F8-17", "Qzeta47+"])
+    def test_covolume_off_by_two_raises(self, name):
+        """The log-covolume tolerance scales with the conditioning of the
+        basis, yet stays far below ln 2, the least miss of a wrong
+        Z-basis."""
+        f = (nf.parse_catalog(real_cyclotomic(47))[0] if name == "Qzeta47+"
+             else nf.catalog_field(name))
+        twice = dataclasses.replace(f.unit_ideal(), label="twice", norm=2)
+        with pytest.raises(nf.CatalogError, match="ideal log covolume"):
+            nf.ideal_lattice(f, twice)
 
     @pytest.mark.parametrize("text, error", [
         (field_text("Qsqrt-5", (0, 1), [5, 0, 1], 20),

@@ -131,19 +131,3 @@ def transmit(s, model: str, master_seed: int, trial_index: int):
     else:  # unit fading: a product by 1 is exact, so it is left out
         y = s + realization.noise
     return y, realization
-
-
-def geometric_mean_statistic(realization: ChannelRealization) -> float:
-    """V_n = (prod X_i)^(1/n) with X_i = |fading_i|^2."""
-    x = np.abs(realization.fading) ** 2
-    return float(np.exp(np.mean(np.log(x))))
-
-
-def geometric_mean_samples(model: str, n: int, trials: int,
-                           master_seed: int) -> np.ndarray:
-    """V_n over ``trials`` seeded realizations (fading stream only)."""
-    out = np.empty(trials)
-    for t in range(trials):
-        r = sample_realization(model, n, master_seed, t)
-        out[t] = geometric_mean_statistic(r)
-    return out

@@ -7,7 +7,6 @@ fundamental parallelotope and certified by exact point counting.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import COMPLEX, LatticeBasis
+from .lattice import LatticeBasis
 from .numberfield import FieldSpec, embedding_matrix
 from .specfun import ln_gamma
 
@@ -23,7 +22,6 @@ _SHIFT_TRY_CAP = 10_000
 #: Entries of the code-lattice LRU (``code_lattice``): one pass of a
 #: benchmark workload carves at most 6 (field, alpha) pairs.
 _CODE_LATTICE_CACHE = 64
-_MIN_DISTANCE_BLOCK_BYTES = 4 << 20
 #: ``Codebook._prefixes`` groups the rows by their leading LLL coordinates
 #: u_0..u_{L-1}: the longest prefix of at most ``_PREFIX_LEVELS`` whose
 #: groups hold ``_PREFIX_GROUP_ROWS`` rows on average.  Per AWGN ML decode
@@ -172,28 +170,11 @@ class Codebook:
                            levels=levels, q=q,
                            reach=float(np.linalg.norm(shift)) + span.max())
 
-    def min_distance(self) -> float:
-        """Minimum pairwise distance, over row blocks of bounded memory."""
-        pts, best = self.points, math.inf
-        step = max(1, _MIN_DISTANCE_BLOCK_BYTES // max(1, pts.nbytes))
-        for lo in range(0, len(pts), step):
-            d2 = np.sum(np.abs(pts[lo:lo + step, None] - pts[None]) ** 2, axis=-1)
-            d2[np.arange(len(d2)), lo + np.arange(len(d2))] = np.inf
-            best = min(best, d2.min())
-        return float(math.sqrt(best))
-
 
 def _ln_ball_constant(dim: int, n: int) -> float:
     """ln C in Vol(B(r)) = C (r^2/n)^{dim/2}, the Euclidean ball in R^dim:
     C_n for a complex field (dim = 2n), C_n^R for a real one (dim = n)."""
     return 0.5 * dim * math.log(math.pi * n) - ln_gamma(dim / 2.0 + 1.0)
-
-
-def ball_volume(field: FieldSpec, radius: float) -> float:
-    """Euclidean ball volume in the field's real dimension (2n complex, n real)."""
-    dim, n = field.degree, field.ambient_n
-    return math.exp(_ln_ball_constant(dim, n)
-                    + 0.5 * dim * math.log(radius * radius / n))
 
 
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
@@ -294,22 +275,3 @@ def carve(config: CodeConfig) -> Codebook:
     if code._norms[1] / n > config.power * (1.0 + 1e-9):
         raise RuntimeError("carved point violates the power constraint")
     return code
-
-
-def export_csv(codebook: Codebook, path: str) -> None:
-    """Write the constellation as CSV; complex coordinates as re/im pairs."""
-    basis = codebook.basis
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        shift_txt = ",".join(repr(float(v)) for v in basis.to_real(
-            codebook.shift))
-        fh.write(f"# alpha={codebook.alpha!r} rate={codebook.achieved_rate!r} "
-                 f"power={codebook.power!r} shift={shift_txt}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        if basis.ambient == COMPLEX:
-            header = ["index"] + [f"coord_{i}_{p}" for i in range(codebook.n)
-                                  for p in ("re", "im")]
-        else:
-            header = ["index"] + [f"coord_{i}" for i in range(codebook.n)]
-        writer.writerow(header)
-        for idx, p in enumerate(basis.to_real(codebook.points)):
-            writer.writerow([idx] + [repr(float(v)) for v in p])

@@ -129,8 +129,9 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     """Closest point in the infinite shifted faded lattice.
 
     Decoding lands on shift + alpha*psi(x) for some algebraic integer x; it
-    is correct when x's integer coordinates in the code basis, which every
-    search path returns, equal row ``sent``'s (``codebook.coords`` needed).
+    is correct when x's integer coordinates in the code basis, all that
+    ``lattice.closest_vector_coords`` returns, equal row ``sent``'s
+    (``codebook.coords`` needed).
     The decoded point, its metric and whether it lies in the codebook are
     computed when read.  Unit fading is left out of every product: a
     product by 1 is exact.  On a fading channel, ``faded`` is the code
@@ -145,7 +146,7 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
         target = y - fading * codebook.shift
     else:  # the code lattice itself is searched: one cached reduction
         fading, basis, target = None, codebook.basis, y - codebook.shift
-    _, coords = lattice.closest_vector_coords(basis, target)
+    coords = lattice.closest_vector_coords(basis, target)
     sent_coords = codebook.coords[sent] @ codebook.basis._reduced.U
     return _NldOutcome(coords.tolist() == sent_coords.tolist(), y, fading,
                        codebook, coords)

@@ -8,8 +8,10 @@ unimodular ``U`` from the caller's basis, and the QR the walk reads.
 Closest point, shortest vector and ball enumeration are one Schnorr-Euchner
 walk, exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
 ``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, the rank
-cap before any reduction is built and the budget at the node past it.  Closest point and
-shortest vector stay on the walk.  A ball (``count_in_ball``,
+cap before any reduction is built and the budget at the node past it.
+Closest point and shortest vector stay on the walk;
+``closest_vector_coords`` returns the closest point as its integer
+coordinates in the caller's basis alone.  A ball (``count_in_ball``,
 ``points_in_ball``) is walked within ``_BALL_DFS_NODES`` nodes; a larger tree
 is enumerated again level by level in numpy with the walk's arithmetic, so
 the points, the node count and the cap are the walk's.  ``points_in_ball``
@@ -436,8 +438,9 @@ def shortest_vector(basis: LatticeBasis):
     return basis.to_ambient(vec_real), math.sqrt(d2)
 
 
-def closest_vector_coords(basis: LatticeBasis, target):
-    """Closest lattice vector and its integer coordinates in the given basis.
+def closest_vector_coords(basis: LatticeBasis, target) -> np.ndarray:
+    """Integer coordinates, in the given basis, of the lattice vector
+    closest to ``target``; ``coords @ basis.vectors`` is that vector.
 
     A basis built by ``faded`` is first searched on its hint within
     ``_FADED_NODES`` nodes.  A deep fade can make the hint's rows far from
@@ -455,10 +458,11 @@ def closest_vector_coords(basis: LatticeBasis, target):
 
 def _closest(basis: LatticeBasis, red: Reduction, target,
              budget: int | None = None):
-    """``closest_vector_coords`` walked on ``red``, within ``budget``."""
+    """``closest_vector_coords`` walked on ``red``, within ``budget``: the
+    winner's coordinates in ``red.rows`` carried by ``red.U`` into the
+    given basis."""
     u, _ = _nearest(red, basis.to_real(np.asarray(target)), budget=budget)
-    u = np.asarray(u, dtype=np.int64)
-    return basis.to_ambient(u.astype(float) @ red.rows), u @ red.U
+    return np.asarray(u, dtype=np.int64) @ red.U
 
 
 def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
@@ -626,13 +630,13 @@ def min_product_distance(basis: LatticeBasis, radius: float,
     return dp, exact
 
 
-def invariants(basis: LatticeBasis, radius: float | None = None,
+def invariants(basis: LatticeBasis,
                exact_hint: float | None = None) -> LatticeInvariants:
-    """Volume, shortest vector, product distance, and their normalized forms."""
+    """Volume, shortest vector, product distance, and their normalized
+    forms; the product distance is searched within 1.5 sv."""
     vol = volume(basis)
     _, sv = shortest_vector(basis)
-    search_radius = max(radius if radius is not None else 0.0, 1.5 * sv)
-    dp, dp_exact = min_product_distance(basis, search_radius,
+    dp, dp_exact = min_product_distance(basis, 1.5 * sv,
                                         exact_hint=exact_hint)
     if basis.ambient == COMPLEX:
         nsv = sv / vol ** (1.0 / (2 * basis.n))

@@ -365,17 +365,6 @@ def _embedded_lattice(f: FieldSpec, elements) -> LatticeBasis:
     return LatticeBasis(REAL if f.totally_real else COMPLEX, vectors)
 
 
-def element_norm(f: FieldSpec, coeffs) -> float:
-    """|Nr(x)| as the product of the element's images under all embeddings."""
-    r = field_roots(f)
-    # all ``degree`` roots: both members of each conjugate pair if complex
-    roots = r.astype(complex) if f.totally_real else np.concatenate([r, np.conj(r)])
-    vals = np.zeros_like(roots)
-    for c in reversed([float(c) for c in coeffs]):
-        vals = vals * roots + c
-    return float(np.prod(np.abs(vals)))
-
-
 @functools.lru_cache(maxsize=_FIELD_CACHE)
 def embedding_matrix(f: FieldSpec) -> LatticeBasis:
     """Lattice basis psi(w_1), ..., psi(w_m) of the embedded ring of

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_channel import geometric_mean_samples
 
 from latcode import analysis as an
 from latcode import channel as ch
@@ -127,7 +128,7 @@ def test_criterion_4_chernoff_machinery():
         n, delta, trials = 8, 0.5, 100_000
         sol = chernoff_solve(delta)
         bound = math.exp(n * sol.exponent)
-        v = ch.geometric_mean_samples(ch.RAYLEIGH_COMPLEX, n, trials, 2024)
+        v = geometric_mean_samples(ch.RAYLEIGH_COMPLEX, n, trials, 2024)
         emp = float(np.mean(np.log(v) <= -(delta + EULER_GAMMA)))
         sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials)
         assert emp <= bound + 3 * sigma

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from test_channel import geometric_mean_samples
 
 from latcode import analysis as an
 from latcode import channel as ch
@@ -314,7 +315,7 @@ class TestFadingErrorBound:
         # the Chernoff tail term bounds the empirical geometric-mean event
         n, delta, trials = 8, 0.5, 3000
         sol = chernoff_solve(delta)
-        v = ch.geometric_mean_samples(ch.RAYLEIGH_COMPLEX, n, trials, 123)
+        v = geometric_mean_samples(ch.RAYLEIGH_COMPLEX, n, trials, 123)
         emp = float(np.mean(np.log(v) <= -(delta + EULER_GAMMA)))
         sigma = math.sqrt(max(emp, 1e-4) * (1 - emp) / trials)
         assert emp <= math.exp(n * sol.exponent) + 4 * sigma

@@ -17,6 +17,14 @@ def field(name):
     return nf.catalog_field(name)
 
 
+def ball_volume(f, radius):
+    """Vol(B(radius)) in the field's real dimension, C (r^2/n)^{dim/2}: the
+    formula ``energy_normalization`` and the shift search take in logs."""
+    dim, n = f.degree, f.ambient_n
+    return math.exp(cb._ln_ball_constant(dim, n)
+                    + 0.5 * dim * math.log(radius * radius / n))
+
+
 class TestEnergyNormalization:
     def test_gaussian_integers_example(self):
         # n=1, |d|=4, C_1 = pi: alpha^2 = 2P*pi / (2^R * sqrt(|d|))
@@ -29,7 +37,7 @@ class TestEnergyNormalization:
         rate, power = 1.0, 1.0
         a2 = energy_normalization(f, rate, power)
         B = nf.embedding_matrix(f).scaled(math.sqrt(a2))
-        ratio = cb.ball_volume(f, math.sqrt(f.ambient_n * power)) \
+        ratio = ball_volume(f, math.sqrt(f.ambient_n * power)) \
             / lattice.volume(B)
         assert ratio == pytest.approx(2.0 ** (rate * f.ambient_n), rel=1e-12)
 
@@ -52,7 +60,7 @@ class TestEnergyNormalization:
             rate, power = 0.75, 6.0
             a2 = energy_normalization(f, rate, power)
             B = nf.embedding_matrix(f).scaled(math.sqrt(a2))
-            ratio = cb.ball_volume(f, math.sqrt(f.ambient_n * power)) \
+            ratio = ball_volume(f, math.sqrt(f.ambient_n * power)) \
                 / lattice.volume(B)
             assert ratio == pytest.approx(2.0 ** (rate * f.ambient_n),
                                           rel=1e-10)
@@ -130,40 +138,18 @@ class TestCarve:
         code = carve(CodeConfig(rate=1.0, power=6.0,
                                 field=field("Qsqrt2"), seed=2))
         for p in code.points:
-            v = lattice.closest_vector_coords(code.basis, p - code.shift)[0]
+            u = lattice.closest_vector_coords(code.basis, p - code.shift)
+            v = u @ code.basis.vectors
             assert np.max(np.abs(v - (p - code.shift))) < 1e-8
 
     def test_min_distance_vs_shortest_vector(self):
         code = carve(CodeConfig(rate=1.0, power=10.0,
                                 field=field("F4-725"), seed=5))
         _, sv = lattice.shortest_vector(code.basis)
-        assert code.min_distance() >= sv - 1e-8
-
-    def test_min_distance_matches_pairwise_formula(self, monkeypatch):
-        code = carve(CodeConfig(rate=1.0, power=10.0,
-                                field=field("F4-725"), seed=5))
         diffs = code.points[:, None, :] - code.points[None, :, :]
         d2 = np.sum(np.abs(diffs) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
-        expected = math.sqrt(d2.min())
-        assert code.min_distance() == expected
-        # several row blocks, the last one partial
-        monkeypatch.setattr(cb, "_MIN_DISTANCE_BLOCK_BYTES",
-                            3 * code.points.nbytes + 1)
-        assert code.min_distance() == expected
-
-    def test_min_distance_memory_is_bounded(self):
-        # about 4.1k points: the full N x N x n difference array is ~1 GB
-        code = carve(CodeConfig(rate=1.5, power=10.0,
-                                field=field("F8-17"), seed=0))
-        assert code.size > 4000
-        tracemalloc.start()
-        try:
-            code.min_distance()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert math.sqrt(d2.min()) >= sv - 1e-8
 
     def test_carve_memory_is_bounded(self):
         # the rate-2 ball holds about 65k points; the ball search itself
@@ -316,9 +302,9 @@ class TestCoords:
 
 
 class TestPinnedPoints:
-    """The points of two 65k-row codes, pinned by digest.  ``points_in_ball``
-    multiplies their coordinates by the LLL rows in row blocks
-    (``lattice.rows_product``); the digests were taken when it multiplied
+    """Carved codes, pinned by digest.  ``points_in_ball`` multiplies the
+    coordinates of the two 65k-row codes by the LLL rows in row blocks
+    (``lattice.rows_product``); their digests were taken when it multiplied
     all rows at once."""
 
     @pytest.mark.parametrize("name,rate,digest", [
@@ -333,40 +319,17 @@ class TestPinnedPoints:
         assert len(code.points) > lattice._PRODUCT_ROWS
         assert hashlib.sha256(code.points.tobytes()).hexdigest() == digest
 
-
-class TestExportCsv:
     @pytest.mark.parametrize("name,rate,digest", [
         ("F4-725", 1.0,
-         "adba88e9adaef650a617c720550ea3bc9febf5affce11f6dabfb3808e0546607"),
+         "0cdf7d417283504981473e6475b201f8fbe31056539ce9035c136348b696ab8c"),
         ("Qzeta5", 2.0,
-         "952e7fdbdd5c3976543944be96658a0bb2dec85870358c8961193aab4b0d0595"),
+         "fa2bd807969b423a49bf695f0b7eca7022716f82efc5d8e84cb762c636b6196f"),
     ])
-    def test_pinned_bytes(self, tmp_path, name, rate, digest):
+    def test_small_code_digest(self, name, rate, digest):
+        # a real and a complex code at seed 1: points, shift and alpha
         code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
                                 seed=1))
-        path = tmp_path / "code.csv"
-        cb.export_csv(code, str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-    def test_roundtrip_complex(self, tmp_path):
-        code = carve(CodeConfig(rate=1.0, power=2.0, field=field("Qi"), seed=4))
-        path = tmp_path / "code.csv"
-        cb.export_csv(code, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# alpha=")
-        assert lines[1] == "index,coord_0_re,coord_0_im"
-        data = [ln.split(",") for ln in lines[2:]]
-        assert len(data) == code.size
-        recovered = np.array([complex(float(r[1]), float(r[2]))
-                              for r in data])
-        assert np.allclose(recovered, code.points[:, 0])
-
-    def test_roundtrip_real(self, tmp_path):
-        code = carve(CodeConfig(rate=1.0, power=6.0,
-                                field=field("Qsqrt2"), seed=4))
-        path = tmp_path / "code.csv"
-        cb.export_csv(code, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[1] == "index,coord_0,coord_1"
-        row = lines[2].split(",")
-        assert np.allclose([float(row[1]), float(row[2])], code.points[0])
+        h = hashlib.sha256()
+        for a in (code.points, code.shift, np.float64(code.alpha)):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest

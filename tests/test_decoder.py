@@ -517,9 +517,9 @@ class TestFadingHandling:
         out = nld_decode(y, r, code, 1)
         # with unit fading the faded lattice is the code lattice itself
         from latcode import lattice
-        v, _ = lattice.closest_vector_coords(code.basis,
-                                             np.asarray(y) - code.shift)
-        assert np.allclose(out.decoded, code.shift + v)
+        u = lattice.closest_vector_coords(code.basis,
+                                          np.asarray(y) - code.shift)
+        assert np.allclose(out.decoded, code.shift + u @ code.basis.vectors)
 
 
 class TestCodebookMembership:

@@ -35,7 +35,7 @@ def reference_nld_decode(y, realization, codebook, transmitted):
     if realization.model.fading:
         basis = basis.faded(fading)
     target = np.asarray(y) - fading * codebook.shift
-    _, coords = lattice.closest_vector_coords(basis, target)
+    coords = lattice.closest_vector_coords(basis, target)
     decoded = codebook.shift + coords.astype(float) @ codebook.basis.vectors
     metric = float(np.sum(np.abs(np.asarray(y) - fading * decoded) ** 2))
     radius = math.sqrt(codebook.n * codebook.power)

@@ -103,10 +103,11 @@ class TestShortestVector:
 class TestClosestVector:
     def test_lattice_point_is_fixed(self):
         target = np.array([3.0, -2.0])
-        assert np.allclose(closest_vector_coords(Z2, target)[0], target)
+        assert np.allclose(closest_vector_coords(Z2, target) @ Z2.vectors,
+                           target)
 
     def test_deep_hole(self):
-        v = closest_vector_coords(Z2, np.array([0.5, 0.5]))[0]
+        v = closest_vector_coords(Z2, np.array([0.5, 0.5])) @ Z2.vectors
         assert np.linalg.norm(v - [0.5, 0.5]) == pytest.approx(
             math.sqrt(0.5), rel=1e-12)
         assert set(np.round(v)) <= {0.0, 1.0}
@@ -116,15 +117,15 @@ class TestClosestVector:
         for trial in range(50):
             B = random_basis(rng, 4)
             target = 3.0 * rng.standard_normal(4)
-            v = closest_vector_coords(B, target)[0]
+            v = closest_vector_coords(B, target) @ B.vectors
             d = np.linalg.norm(v - target)
             assert d == pytest.approx(brute_force_closest(B, target),
                                       rel=1e-9, abs=1e-12)
 
     def test_deterministic_tie_break(self):
-        v1 = closest_vector_coords(Z2, np.array([0.5, 0.5]))[0]
-        v2 = closest_vector_coords(Z2, np.array([0.5, 0.5]))[0]
-        assert np.array_equal(v1, v2)
+        u1 = closest_vector_coords(Z2, np.array([0.5, 0.5]))
+        u2 = closest_vector_coords(Z2, np.array([0.5, 0.5]))
+        assert np.array_equal(u1, u2)
 
 
 class TestPointsInBall:
@@ -202,7 +203,7 @@ class TestInvariants:
         base = invariants(B, exact_hint=1.0)
         for _ in range(5):
             c = float(rng.uniform(0.1, 10.0))
-            scaled = invariants(B.scaled(c), radius=c * 3.0)
+            scaled = invariants(B.scaled(c))
             assert scaled.nsv == pytest.approx(base.nsv, rel=1e-9)
             assert scaled.ndp == pytest.approx(base.ndp, rel=1e-9)
 

@@ -142,11 +142,14 @@ class TestBallVolume:
     @pytest.mark.parametrize("name", NAMES)
     def test_against_mpmath(self, name):
         f = nf.catalog_field(name)
-        d = f.degree
+        d, n = f.degree, f.ambient_n
         with mpmath.workdps(40):
-            for radius in (0.3, 1.0, math.sqrt(f.ambient_n * 100.0), 25.0):
+            for radius in (0.3, 1.0, math.sqrt(n * 100.0), 25.0):
                 r = mpmath.mpf(radius)
                 want = mpmath.pi ** (mpmath.mpf(d) / 2) * r ** d \
                     / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
-                assert codebook.ball_volume(f, radius) \
-                    == pytest.approx(float(want), rel=1e-13)
+                # Vol(B(r)) = C (r^2/n)^{d/2}, as energy_normalization and
+                # the shift search take it
+                got = math.exp(codebook._ln_ball_constant(d, n)
+                               + 0.5 * d * math.log(radius * radius / n))
+                assert got == pytest.approx(float(want), rel=1e-13)

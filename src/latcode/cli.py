@@ -120,14 +120,14 @@ def _select_fields(cfg: ExperimentConfig) -> list[FieldSpec]:
 def run_invariants(cfg: ExperimentConfig):
     rows = []
     for f in _select_fields(cfg):
-        inv = lattice.invariants(embedding_matrix(f), exact_hint=1.0)
+        inv = lattice.invariants(embedding_matrix(f))
         nsv_pred, ndp_pred = numberfield.predicted_invariants(f)
         rows.append([
             f.name, inv.ambient, f.degree, inv.volume, inv.sv, inv.dp_min,
             inv.nsv, inv.ndp, nsv_pred, ndp_pred,
             abs(inv.nsv - nsv_pred) / nsv_pred,
             abs(inv.ndp - ndp_pred) / ndp_pred,
-            inv.dp_exact,
+            numberfield.reaches_norm_floor(inv.dp_min),
         ])
     header = ["field", "ambient", "degree", "vol", "sv", "dp_min", "nsv",
               "ndp", "nsv_pred", "ndp_pred", "nsv_mismatch", "ndp_mismatch",
@@ -174,8 +174,7 @@ def run_ideal(cfg: ExperimentConfig):
                 per_class.get(i.class_label, i.norm), i.norm)
         n_min = max(per_class.values())
         _, prefactor = numberfield.predicted_invariants(f)
-        pred_best = prefactor * (n_min if f.totally_real
-                                 else math.sqrt(n_min))
+        pred_best = prefactor * numberfield.embedded_norm(f, n_min)
         for i in ideals:
             mi = numberfield.min_ideal(f, i)
             rows.append([f.name, i.label, i.norm, i.class_label, i.principal,

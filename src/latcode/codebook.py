@@ -33,10 +33,6 @@ _PREFIX_LEVELS = 4
 _PREFIX_GROUP_ROWS = 32
 
 
-class RateInfeasibleError(RuntimeError):
-    pass
-
-
 class ShiftSearchError(RuntimeError):
     def __init__(self, best_count: int, required: float):
         self.best_count = best_count
@@ -114,10 +110,10 @@ class Codebook:
 
     @functools.cached_property
     def _norms(self):
-        """(squared row norms, their maximum), summed over a float view of
-        ``points`` so that no (N, n) temporary is built."""
-        pts = np.ascontiguousarray(self.points)
-        flat = pts.view(pts.real.dtype)  # a complex row as re, im pairs
+        """(squared row norms, their maximum), summed over the real view of
+        ``points`` (``LatticeBasis.to_real``) so that no (N, n) temporary is
+        built."""
+        flat = self.basis.to_real(self.points)
         norm2 = np.einsum("ij,ij->i", flat, flat)
         return norm2, float(norm2.max())
 
@@ -178,7 +174,10 @@ def _ln_ball_constant(dim: int, n: int) -> float:
 
 
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
-    """alpha^2 making B(sqrt(nP)) hold at least 2^{Rn} shifted lattice points.
+    """alpha^2 making Vol(B(sqrt(nP))) / Vol(alpha psi(O_K)) equal 2^{Rn}:
+    some shift of the lattice then puts at least 2^{Rn} points in the ball
+    (the averaging lemma), which ``shift_search`` finds, so every rate is
+    feasible.
 
     Evaluated in log-space with the field's true |d_K| so that desk-scale
     codebooks satisfy the rate/power accounting exactly.
@@ -200,15 +199,15 @@ def count_points(basis: LatticeBasis, shift, radius: float) -> int:
     return lattice.count_in_ball(basis, -np.asarray(shift), radius)
 
 
-def shift_search(basis: LatticeBasis, power: float, target_count: int,
-                 seed: int):
+def shift_search(basis: LatticeBasis, power: float, seed: int):
     """Find a shift meeting the averaging-lemma count Vol(B)/Vol(L).
 
     Shifts are sampled uniformly from the fundamental parallelotope; the
     lemma guarantees a qualifying shift exists, so sampling retries until
     the bound is met, at most ``_SHIFT_TRY_CAP`` times (read at call time).
     Ties in count keep the earliest sample.  The ratio, taken in logs, is
-    met within a relative 1e-9.
+    met within a relative 1e-9.  Whether the ratio carries the rate is
+    ``energy_normalization``'s choice of the lattice's scale.
     """
     n = basis.n
     radius = math.sqrt(n * power)
@@ -217,10 +216,6 @@ def shift_search(basis: LatticeBasis, power: float, target_count: int,
     # Vol(B(sqrt(nP))) = C P^{dim/2}, and Vol(L) = |det Breal|
     required = math.exp(_ln_ball_constant(dim, n) + 0.5 * dim * math.log(power)
                         - np.linalg.slogdet(Breal)[1])
-    if target_count > 2.0 * required:
-        raise RateInfeasibleError(
-            f"target count {target_count} exceeds twice the volume ratio "
-            f"{required:.3f}")
     rng = np.random.Generator(np.random.Philox(key=(seed, 0)))
     best_count = -1
     best_shift = None
@@ -260,8 +255,7 @@ def carve(config: CodeConfig) -> Codebook:
     alpha2 = energy_normalization(field, config.rate, config.power)
     alpha = math.sqrt(alpha2)
     basis = code_lattice(field, alpha)
-    target = 2.0 ** (config.rate * n)
-    shift = shift_search(basis, config.power, math.ceil(target), config.seed)
+    shift = shift_search(basis, config.power, config.seed)
     radius = math.sqrt(n * config.power)
     ured, points = lattice.points_in_ball(basis, -shift, radius)
     points += shift  # a fresh array: no second one of its size

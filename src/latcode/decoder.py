@@ -12,10 +12,12 @@ it; ML decodes it.
 
 Both decoders decide first: ``correct`` is set at once, in integers, and
 the decoded point, its metric and its codebook membership are computed only
-when read (``DecodeOutcome``).  ML scores a block of trials with one
-product over the code's rows, one mask over the rescoring window and one
-``nonzero`` (``ml_near_rows``), and rescores a trial only if more than one
-row lies in its window; a single ``ml_decode`` is a block of one.
+when read (``DecodeOutcome``).  ``ml_near_rows`` alone chooses the rows an
+ML decode scores, for every trial of a block: an unfaded large code is
+pruned by its prefix groups one trial at a time, and every other code is
+scored as a block, with one product over the code's rows, one mask over the
+rescoring window and one ``nonzero``.  ``ml_decode`` rescores a trial only
+if more than one row lies in its window; called alone it is a block of one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import lattice
 from .channel import ChannelRealization
-from .codebook import Codebook, PrefixIndex
+from .codebook import Codebook
 
 _ML_WINDOW = 1e-9  # relative to the score bound M in _score_block
 # _score_block holds the scores of at most this many bytes of (trials x
@@ -39,10 +41,10 @@ _ML_WINDOW = 1e-9  # relative to the score bound M in _score_block
 # 16 or more trials a product (0.5 MiB) that code's product stalled in
 # threaded OpenBLAS in some runs: 31 trials cost 456 us once.
 _ML_SCORE_BYTES = 1 << 18
-# ml_decode prunes the scoring of an unfaded code whose points take at least
-# this many bytes by its prefix groups (_pruned_rows).  Median per decode
-# (in-process, 2 CPUs): at 0.5 MiB pruning cost 73 against 61 us on F8-17
-# (8,229 rows) but 60 against 71 us on F4-725 and 93 against 156 us on
+# ml_near_rows prunes the scoring of an unfaded code whose points take at
+# least this many bytes by its prefix groups (_pruned_rows).  Median per
+# decode (in-process, 2 CPUs): at 0.5 MiB pruning cost 73 against 61 us on
+# F8-17 (8,229 rows) but 60 against 71 us on F4-725 and 93 against 156 us on
 # Qzeta5; from 1 MiB (16,408 F8-17 rows: 82 against 126 us) to 4 MiB
 # (65,577 F8-17 rows: 81 against 274 us) it won on every code.
 _ML_PRUNE_BYTES = 1 << 20
@@ -53,22 +55,9 @@ class DecodeOutcome:
     codeword, ``decoded`` is the point x it decided, ``metric`` is
     ||y - h x||^2 and ``is_codeword`` says whether x lies in the codebook.
 
-    Built by keyword, an outcome holds all four.  The decoders set
-    ``correct`` at once and leave the other three to their subclasses,
-    which compute each on first read, bit for bit as the decode itself
-    would have."""
-
-    def __init__(self, *, decoded, is_codeword: bool, correct: bool,
-                 metric: float):
-        self.decoded = decoded
-        self.is_codeword = is_codeword
-        self.correct = correct
-        self.metric = metric
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(decoded={self.decoded!r}, "
-                f"is_codeword={self.is_codeword!r}, "
-                f"correct={self.correct!r}, metric={self.metric!r})")
+    The decoders set ``correct`` at once and leave the other three to their
+    subclasses, which compute each on first read, bit for bit as the decode
+    itself would have."""
 
 
 class _NldOutcome(DecodeOutcome):
@@ -171,16 +160,17 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
 
     ``near`` holds the rows whose score lies near this trial's best
     (``ml_near_rows``), as a caller that scores a block of trials at once
-    passes it; without it the decode scores itself as a block of one, and
-    prunes an unfaded large code as ``ml_near_rows`` describes.  One
-    near row is the decision, and its metric is computed when read.
-    Several are rescored with the exact per-row arithmetic of a full scan,
-    and the first index among the exact minima wins.  Either way the
-    decision and ``metric`` are those of a full scan, bit for bit.
+    passes it; without it the decode is a block of one.  One near row is
+    the decision, and its metric is computed when read.  Several are
+    rescored with the exact per-row arithmetic of a full scan, and the
+    first index among the exact minima wins.  Either way the decision and
+    ``metric`` are those of a full scan, bit for bit.
     """
     fading = realization.fading if realization.model.fading else None
     if near is None:
-        near = _near_rows(y, fading, codebook)
+        near = ml_near_rows(np.asarray(y)[None],
+                            None if fading is None else fading[None],
+                            codebook)[0]
     if len(near) == 1:
         return _MlOutcome(bool(near[0] == sent), y, fading, codebook,
                           int(near[0]))
@@ -192,38 +182,27 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     return out
 
 
-def _prunes(codebook: Codebook) -> bool:
-    """Whether an unfaded decode of the code is pruned by its prefix
-    groups (``_pruned_rows``), one trial at a time."""
-    return (codebook.points.nbytes >= _ML_PRUNE_BYTES
-            and codebook._prefixes is not None)
-
-
-def _near_rows(y, fading, codebook: Codebook) -> np.ndarray:
-    """``ml_near_rows`` of one trial, pruned where the code is."""
-    among = None
-    if fading is None and _prunes(codebook):
-        among = _pruned_rows(y, codebook._prefixes, codebook)
-    near = _score_block(np.asarray(y)[None],
-                        None if fading is None else fading[None],
-                        codebook, among)[0]
-    return near if among is None else among[near]
-
-
 def ml_near_rows(y, fading, codebook: Codebook) -> list:
-    """The near rows of each trial of a block (``_score_block``), for
-    ``ml_decode``'s ``near``: ``y`` is the (T, n) stack of received words
-    and ``fading`` their (T, n) fadings, or None for unit fading.
+    """For each trial of a block, the indices, in codebook order, of the
+    rows that ``ml_decode`` rescores (``_score_block``): ``y`` is the
+    (T, n) stack of received words and ``fading`` their (T, n) fadings, or
+    None for unit fading.
 
     On an unfaded channel a code of at least ``_ML_PRUNE_BYTES`` that has a
     prefix index (``Codebook._prefixes``) is scored only on the row groups
     that a lower bound from the walk's top levels does not exclude
     (``_pruned_rows``, Agrell, Eriksson, Vardy and Zeger, "Closest point
-    search in lattices", IEEE Trans. IT 2002), one trial at a time: for it
-    every entry is None, and each ``ml_decode`` prunes its own."""
-    if fading is None and _prunes(codebook):
-        return [None] * len(y)
-    return _score_block(y, fading, codebook)
+    search in lattices", IEEE Trans. IT 2002), one trial at a time.  The
+    size is tested first, so a small code never builds its index."""
+    if (fading is not None or codebook.points.nbytes < _ML_PRUNE_BYTES
+            or codebook._prefixes is None):
+        return _score_block(y, fading, codebook)
+    near = []
+    for yt in y:
+        among = _pruned_rows(yt, codebook)
+        rows = _score_block(yt[None], None, codebook, among)[0]
+        near.append(rows if among is None else among[rows])
+    return near
 
 
 def _score_block(y, fading, codebook: Codebook, among=None) -> list:
@@ -231,18 +210,20 @@ def _score_block(y, fading, codebook: Codebook, among=None) -> list:
     the (T, n) ``fading`` (None: unit fading), the indices, in codebook
     order, of the rows whose score lies within the rescoring window of that
     trial's lowest.  Only the rows at the increasing indices ``among`` are
-    scored, if given, and the indices are then into ``among``.
+    scored, if given (on unit fading alone), and the indices are then into
+    ``among``.
 
     Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
     sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum
-    is a product of the rows, complex ones read as re, im pairs, with
-    re, im pairs of -2 y conj(h).  On a fading channel the first is another
-    product, with the codebook's cached ``|points|^2``; an unfaded channel
-    has unit fading, so the first sum is the cached row norm ||x||^2 and h
-    is multiplied in nowhere.  Each product takes as many trials at once as
-    keep the (trials x codewords) score matrix within ``_ML_SCORE_BYTES``
-    (one trial at least, whose product runs over blocks of the code's rows),
-    and one mask and one ``nonzero`` pick the near rows of all of them.
+    is a product of the rows, complex ones read as re, im pairs
+    (``LatticeBasis.to_real``), with re, im pairs of -2 y conj(h).  On a
+    fading channel the first is another product, with the codebook's
+    cached ``|points|^2``; an unfaded channel has unit fading, so the first
+    sum is the cached row norm ||x||^2 and h is multiplied in nowhere.
+    Each product takes as many trials at once as keep the (trials x
+    codewords) score matrix within ``_ML_SCORE_BYTES`` (one trial at least,
+    whose product runs over blocks of the code's rows), and one mask and
+    one ``nonzero`` pick the near rows of all of them.
 
     Both sums are at most M = ||y||^2 + max|h|^2 max||x||^2 in magnitude,
     and the exact metric at most 2M, so a score and the exact metric less
@@ -257,19 +238,14 @@ def _score_block(y, fading, codebook: Codebook, among=None) -> list:
     points, (norm2, max_norm2) = codebook.points, codebook._norms
     if among is not None:
         points, norm2 = np.take(points, among, axis=0), np.take(norm2, among)
-    dtype = np.result_type(points, y, 1.0)
-    points = np.ascontiguousarray(points, dtype=dtype)
-    flat = points.view(points.real.dtype)  # a complex row as re, im pairs
-    y = np.ascontiguousarray(y, dtype=dtype)
-    weights = -2.0 * y if fading is None else -2.0 * y * np.conjugate(fading)
-    weights = weights.view(flat.dtype)
-    yy = np.einsum("ij,ij->i", y.view(flat.dtype), y.view(flat.dtype))
+    to_real = codebook.basis.to_real
+    flat = to_real(points)
+    weights = to_real(-2.0 * y if fading is None
+                      else -2.0 * y * np.conjugate(fading))
+    yy = np.einsum("ij,ij->i", to_real(y), to_real(y))
     if fading is None:
         big_m = yy + max_norm2
     else:
-        squares = codebook._squares
-        if among is not None:
-            squares = np.take(squares, among, axis=0)
         w = (np.conjugate(fading) * fading).real
         big_m = yy + np.maximum.reduce(w, axis=1) * max_norm2
     step = max(1, _ML_SCORE_BYTES // (8 * len(points)))
@@ -277,7 +253,8 @@ def _score_block(y, fading, codebook: Codebook, among=None) -> list:
     for lo in range(0, len(y), step):
         part = slice(lo, lo + step)
         scores = _over_rows(weights[part], flat)
-        scores += norm2 if fading is None else _over_rows(w[part], squares)
+        scores += (norm2 if fading is None
+                   else _over_rows(w[part], codebook._squares))
         cut = np.minimum.reduce(scores, axis=1) + _ML_WINDOW * big_m[part]
         trial, rows = np.divmod(np.flatnonzero(scores <= cut[:, None]),
                                 len(points))
@@ -295,10 +272,11 @@ def _over_rows(w, rows) -> np.ndarray:
     return w @ rows.T
 
 
-def _pruned_rows(y, index: PrefixIndex, codebook: Codebook):
-    """Indices, in codebook order, of the rows of every prefix group whose
-    lower bound does not exclude the first exact minimizer of ||y - x||^2;
-    None if they are more than half the code.
+def _pruned_rows(y, codebook: Codebook):
+    """Indices, in codebook order, of the rows of every prefix group
+    (``Codebook._prefixes``) whose lower bound does not exclude the first
+    exact minimizer of ||y - x||^2; None if they are more than half the
+    code.
 
     Group g's bound b_g (``PrefixIndex``) is at most the exact metric of
     each of its rows.  The group with the lowest bound is scored first: its
@@ -311,6 +289,7 @@ def _pruned_rows(y, index: PrefixIndex, codebook: Codebook):
     integer coordinates, so b_g, u and the exact metric each err by a few
     dim ulps of M' at most, far below the window.
     """
+    index = codebook._prefixes
     starts = index.starts
     gap = index.levels - (index.q @ codebook.basis.to_real(y))[:, None]
     gap *= gap

@@ -1,14 +1,18 @@
 """Generic lattice engine: volumes, SVP/CVP enumeration, product distances.
 
-Complex ambient spaces are handled internally as R^{2n} (coordinates
-interleaved re/im); only the product norm reads coordinate pairs back as
-complex moduli.  Every search walks a ``Reduction``: spanning rows, their
-unimodular ``U`` from the caller's basis, and the QR the walk reads.
+Complex ambient spaces are handled internally as R^{2n}: ``to_real``
+reads a complex vector's memory as its re, im pairs, for every module, and
+only the product norm reads coordinate pairs back as complex moduli.
+Every search walks a ``Reduction``: spanning rows, their unimodular ``U``
+from the caller's basis, and the QR the walk reads.
 ``LatticeBasis._reduced`` is the basis's LLL reduction, built once.
 Closest point, shortest vector and ball enumeration are one Schnorr-Euchner
 walk, exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
 ``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, the rank
 cap before any reduction is built and the budget at the node past it.
+A walk that trips its budget where a projected coordinate has passed 2^52
+raises the subclass ``EnumerationPrecisionError``: floats no longer hold
+integers there, so the lattice is too fine for the target.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``count_in_ball``,
@@ -25,6 +29,9 @@ budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
 singularity test and one QR over the stack (``_qr`` takes one matrix or a
 stack), bit-identical to building each alone.  A product over a code's
 many rows goes through ``rows_product``, a block of rows at a time.
+``min_product_distance`` returns the float minimum alone; whether it
+reaches the algebraic floor of a ring of integers is
+``numberfield.reaches_norm_floor``'s to say.
 """
 
 from __future__ import annotations
@@ -91,6 +98,20 @@ class EnumerationCapError(RuntimeError):
             f"enumeration of rank {rank} within squared distance {bound:.6g} "
             f"stopped after {nodes} nodes (caps: rank {MAX_ENUM_RANK}, "
             f"{budget} nodes)")
+
+
+class EnumerationPrecisionError(EnumerationCapError):
+    """A walk whose node budget tripped at a projected coordinate
+    ``coordinate`` of magnitude at least 2^52: floats hold no fractional
+    part there, so the walk tries the same integer again and again."""
+
+    def __init__(self, rank: int, bound: float, nodes: int, budget: int,
+                 coordinate: float):
+        super().__init__(rank, bound, nodes, budget)
+        self.coordinate = coordinate
+        self.args = (f"{self.args[0]}: at projected coordinate "
+                     f"{coordinate:.6g} floats no longer hold integers, so "
+                     f"the lattice is too fine for this target",)
 
 
 class ZeroProductNormError(ValueError):
@@ -235,18 +256,15 @@ class LatticeInvariants:
     dp_min: float | None
     nsv: float
     ndp: float | None
-    dp_exact: bool
     ambient: str
     n: int
 
 
 def _complex_to_real(vecs: np.ndarray) -> np.ndarray:
-    """Interleave re/im along the last axis, of a vector or a stack of them."""
-    arr = np.asarray(vecs, dtype=complex)
-    out = np.empty(arr.shape[:-1] + (2 * arr.shape[-1],))
-    out[..., 0::2] = arr.real
-    out[..., 1::2] = arr.imag
-    return out
+    """Re/im interleaved along the last axis, of a vector or a stack of
+    them: a float view of the contiguous complex array, read-only where
+    that array is."""
+    return np.ascontiguousarray(vecs, dtype=complex).view(float)
 
 
 def _real_to_complex(vecs: np.ndarray) -> np.ndarray:
@@ -387,6 +405,9 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
                 break
             nodes += 1
             if nodes > budget:
+                if abs(ci) >= 2.0 ** 52:  # no fractional part left
+                    raise EnumerationPrecisionError(rank, bound, nodes,
+                                                    budget, ci)
                 raise EnumerationCapError(rank, bound, nodes, budget)
             u[level] = cand
             if level == 0:
@@ -614,30 +635,22 @@ def _min_product_norm(basis: LatticeBasis, radius: float) -> float:
     return float(np.min(np.prod(mods, axis=1), initial=math.inf))
 
 
-def min_product_distance(basis: LatticeBasis, radius: float,
-                         exact_hint: float | None = None):
-    """Minimum product norm over nonzero lattice vectors of Euclidean norm <= radius.
-
-    Returns (dp_min, dp_exact); exactness is only certified when a supplied
-    theory floor is attained, since unit-norm-product vectors can have
-    unbounded Euclidean norm.  A ball with no nonzero vector raises
-    ``ValueError`` naming the radius.
-    """
+def min_product_distance(basis: LatticeBasis, radius: float) -> float:
+    """Minimum product norm over nonzero lattice vectors of Euclidean norm
+    <= radius.  A ball with no nonzero vector raises ``ValueError`` naming
+    the radius."""
     dp = _min_product_norm(basis, radius)
     if math.isinf(dp):
         raise ValueError(f"no nonzero lattice vector within radius {radius}")
-    exact = exact_hint is not None and dp <= exact_hint * (1.0 + 1e-9)
-    return dp, exact
+    return dp
 
 
-def invariants(basis: LatticeBasis,
-               exact_hint: float | None = None) -> LatticeInvariants:
+def invariants(basis: LatticeBasis) -> LatticeInvariants:
     """Volume, shortest vector, product distance, and their normalized
     forms; the product distance is searched within 1.5 sv."""
     vol = volume(basis)
     _, sv = shortest_vector(basis)
-    dp, dp_exact = min_product_distance(basis, 1.5 * sv,
-                                        exact_hint=exact_hint)
+    dp = min_product_distance(basis, 1.5 * sv)
     if basis.ambient == COMPLEX:
         nsv = sv / vol ** (1.0 / (2 * basis.n))
         ndp = dp / math.sqrt(vol)
@@ -645,5 +658,4 @@ def invariants(basis: LatticeBasis,
         nsv = sv / vol ** (1.0 / basis.n)
         ndp = dp / vol
     return LatticeInvariants(volume=vol, sv=sv, dp_min=dp, nsv=nsv, ndp=ndp,
-                             dp_exact=dp_exact, ambient=basis.ambient,
-                             n=basis.n)
+                             ambient=basis.ambient, n=basis.n)

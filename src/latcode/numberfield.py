@@ -413,6 +413,20 @@ def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
     return basis
 
 
+def embedded_norm(f: FieldSpec, norm: int) -> float:
+    """An ideal norm ``norm`` as a product of coordinate moduli reads it:
+    ``norm`` on a real field, whose embedding takes every conjugate, and
+    sqrt(norm) on a complex one, whose embedding takes one of each pair."""
+    return norm if f.totally_real else math.sqrt(norm)
+
+
+def reaches_norm_floor(value: float) -> bool:
+    """Whether a normalized product norm (``min_ideal``'s) has reached 1
+    within roundoff: N(I) divides Nr(x) for every nonzero x in I, so no
+    element lies below 1, and one that reaches it attains the minimum."""
+    return value <= 1.0 + 1e-9
+
+
 def default_min_ideal_radius(f: FieldSpec, ideal: IdealSpec) -> float:
     """Pragmatic search radius for min_ideal; generally an upper-bound search."""
     m = f.degree
@@ -424,21 +438,20 @@ def min_ideal(f: FieldSpec, ideal: IdealSpec,
     """min over nonzero x in I with ||psi(x)|| <= radius of the normalized norm.
 
     Complex fields: sqrt(|Nr(x)| / N(I)); real fields: |Nr(x)| / N(I), each
-    shell's minimum product norm divided once by sqrt(N(I)) or N(I).  This
-    is an upper bound on min(I), exact whenever the attaining element lies
+    shell's minimum product norm divided once by ``embedded_norm``; the
+    first shell that ``reaches_norm_floor`` ends the search.  This is an
+    upper bound on min(I), exact whenever the attaining element lies
     inside the search radius.  A shell past the enumeration node budget
     raises ``lattice.EnumerationCapError``.
     """
     if search_radius is None:
         search_radius = default_min_ideal_radius(f, ideal)
     basis = ideal_lattice(f, ideal)
-    scale = ideal.norm if f.totally_real else math.sqrt(ideal.norm)
+    scale = embedded_norm(f, ideal.norm)
     best = math.inf
-    # N(I) divides Nr(x) for x in an integral ideal, so the normalized value
-    # is >= 1; enumerate in growing shells and stop once that floor is hit
     for r in (search_radius / 4.0, search_radius / 2.0, search_radius):
         best = min(best, lattice._min_product_norm(basis, r) / scale)
-        if best <= 1.0 + 1e-9:
+        if reaches_norm_floor(best):
             break
     if math.isinf(best):
         raise ValueError(

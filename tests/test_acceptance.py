@@ -49,7 +49,7 @@ class _Gate:
 def test_criterion_1_closed_form_invariants():
     with _Gate(1, "closed-form invariants", 10):
         for f in CATALOG:
-            inv = lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+            inv = lattice.invariants(nf.embedding_matrix(f))
             d = abs(f.disc_catalog)
             if f.totally_real:
                 n = f.degree
@@ -66,11 +66,11 @@ def test_criterion_1_closed_form_invariants():
             assert inv.ndp == pytest.approx(ndp_pred, rel=1e-8), f.name
         # the named spot checks
         qs2 = lattice.invariants(
-            nf.embedding_matrix(nf.catalog_field("Qsqrt2")), exact_hint=1.0)
+            nf.embedding_matrix(nf.catalog_field("Qsqrt2")))
         assert qs2.ndp == pytest.approx(1 / math.sqrt(8), rel=1e-8)
         assert qs2.nsv == pytest.approx(math.sqrt(2) / 8 ** 0.25, rel=1e-8)
         qi = lattice.invariants(
-            nf.embedding_matrix(nf.catalog_field("Qi")), exact_hint=1.0)
+            nf.embedding_matrix(nf.catalog_field("Qi")))
         assert qi.ndp == pytest.approx(1.0, rel=1e-8)
         assert qi.nsv == pytest.approx(1.0, rel=1e-8)
 
@@ -78,7 +78,7 @@ def test_criterion_1_closed_form_invariants():
 def test_criterion_2_am_gm_property():
     with _Gate(2, "AM-GM ndp vs nsv", 30):
         for f in CATALOG:
-            inv = lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+            inv = lattice.invariants(nf.embedding_matrix(f))
             n = inv.n
             assert inv.ndp <= inv.nsv ** n / n ** (n / 2.0) + 1e-9, f.name
         rng = np.random.default_rng(2024)

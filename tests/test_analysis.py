@@ -16,7 +16,7 @@ LOG2E = math.log2(math.e)
 
 def ring_invariants(name):
     f = nf.catalog_field(name)
-    return lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+    return lattice.invariants(nf.embedding_matrix(f))
 
 
 class TestSphereBound:

@@ -12,8 +12,7 @@ from latcode import numberfield as nf
 from latcode.specfun import EULER_GAMMA, chernoff_solve
 
 _INV = lattice.LatticeInvariants(volume=1.0, sv=1.0, dp_min=1.0, nsv=1.0,
-                                 ndp=1.0, dp_exact=True, ambient=lattice.REAL,
-                                 n=1)
+                                 ndp=1.0, ambient=lattice.REAL, n=1)
 #: every public entry that takes a channel model, called with model m
 MODEL_ENTRIES = {
     "sample_realization": lambda m: ch.sample_realization(m, 4, 0, 0),

@@ -344,6 +344,14 @@ class TestExtremeSnr:
         rows = self.simulate(tmp_path, "F4-725", "rayleigh_real", "-160")
         assert int(rows[0]["errors_nld"]) <= 50
 
+    def test_too_fine_a_lattice_names_the_cause(self, tmp_path, capsys):
+        # at -400 dB the code lattice is about 1e-20 across: the walk's
+        # projected coordinates pass 2^52 and hold no integers apart
+        assert cli.main(["simulate", "--field", "F4-725", "--model",
+                         "rayleigh_real", "--snr=-400",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert "floats no longer hold integers" in capsys.readouterr().err
+
     def test_high_snr_carves(self, tmp_path):
         # the shift search's volume ratio overflowed a float past 770 dB
         rows = self.simulate(tmp_path, "F8-17", "rayleigh_real", "780,3000")

@@ -8,8 +8,7 @@ import pytest
 from latcode import codebook as cb
 from latcode import lattice
 from latcode import numberfield as nf
-from latcode.codebook import (CodeConfig, RateInfeasibleError,
-                              ShiftSearchError, carve, count_points,
+from latcode.codebook import (CodeConfig, ShiftSearchError, carve, count_points,
                               energy_normalization, shift_search)
 
 
@@ -70,21 +69,16 @@ class TestShiftSearch:
     def test_z2_ball_count_meets_volume_bound(self):
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
         # radius sqrt(2*50) = 10; Vol(B)/Vol(L) = 100 pi
-        shift = shift_search(B, power=50.0, target_count=300, seed=3)
+        shift = shift_search(B, power=50.0, seed=3)
         count = count_points(B, shift, 10.0)
         assert count >= 100.0 * math.pi - 1e-9
         assert count >= 315  # any unit-square shift gives at least this
 
     def test_deterministic_in_seed(self):
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
-        s1 = shift_search(B, power=8.0, target_count=40, seed=17)
-        s2 = shift_search(B, power=8.0, target_count=40, seed=17)
+        s1 = shift_search(B, power=8.0, seed=17)
+        s2 = shift_search(B, power=8.0, seed=17)
         assert np.array_equal(s1, s2)
-
-    def test_infeasible_target(self):
-        B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
-        with pytest.raises(RateInfeasibleError):
-            shift_search(B, power=2.0, target_count=10 ** 6, seed=0)
 
     def test_try_cap_raises_with_best_count(self, monkeypatch):
         # F4-725 at rate 1: the volume ratio is 2^4 = 16, and the first
@@ -94,11 +88,11 @@ class TestShiftSearch:
         B = nf.embedding_matrix(f).scaled(alpha)
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 1)
         with pytest.raises(ShiftSearchError) as info:
-            shift_search(B, power, target_count=16, seed=2)
+            shift_search(B, power, seed=2)
         assert info.value.best_count == 14
         assert info.value.required == pytest.approx(16.0, rel=1e-12)
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 10)
-        shift = shift_search(B, power, target_count=16, seed=2)
+        shift = shift_search(B, power, seed=2)
         assert count_points(B, shift, math.sqrt(4 * power)) >= 16
 
     def test_full_size_count_is_accepted(self, monkeypatch):
@@ -111,7 +105,7 @@ class TestShiftSearch:
         monkeypatch.setattr(cb, "count_points",
                             lambda *args: calls.append(args) or 2 ** 16)
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 3)
-        shift_search(B, power, target_count=2 ** 16, seed=0)
+        shift_search(B, power, seed=0)
         assert len(calls) == 1
 
 

@@ -288,9 +288,9 @@ def force_pruned(mp):
     calls = []
     rows = decoder._pruned_rows
 
-    def spy(y, index, codebook):
-        calls.append(index)
-        return rows(y, index, codebook)
+    def spy(y, codebook):
+        calls.append(codebook._prefixes)
+        return rows(y, codebook)
 
     mp.setattr(decoder, "_ML_PRUNE_BYTES", 0)
     mp.setattr(decoder, "_pruned_rows", spy)
@@ -360,7 +360,7 @@ class TestMlPruned:
         for t in range(40):
             m = (7919 * t) % f8_rate2.size
             y, r = ch.transmit(f8_rate2.points[m], ch.AWGN_REAL, 61, t)
-            rows = decoder._pruned_rows(y, index, f8_rate2)
+            rows = decoder._pruned_rows(y, f8_rate2)
             kept.append(f8_rate2.size if rows is None else len(rows))
             assert ml_decode(y, r, f8_rate2, m).metric == \
                 full_scan(y, r.fading, f8_rate2)[1]
@@ -371,8 +371,10 @@ class TestMlPruned:
         calls = force_pruned(monkeypatch)
         near = []
         real = decoder._score_block
-        monkeypatch.setattr(decoder, "_score_block", lambda *a: near.append(
-            a[3]) or real(*a))
+        monkeypatch.setattr(
+            decoder, "_score_block",
+            lambda y, fading, code, among=None: near.append(among)
+            or real(y, fading, code, among))
         rng = np.random.default_rng(3)
         code = make_code("F4-725", rate=2.0)
         r = unfaded(code)
@@ -399,21 +401,54 @@ class TestMlPruned:
             assert code._prefixes is None
 
     def test_large_awgn_code_stays_pruned(self, f8_rate2, monkeypatch):
-        """A simulation of the 65k-row code on AWGN scores no block: each
-        trial's decode prunes its own rows, and the rows it scores are the
-        pruned ones."""
+        """A simulation of the 65k-row code on AWGN scores no block:
+        ``ml_near_rows`` prunes each trial's rows on its own, and the rows
+        it scores are the pruned ones."""
         calls, scored = force_pruned(monkeypatch), []
         real = decoder._score_block
         monkeypatch.setattr(decoder, "_ML_PRUNE_BYTES", 1 << 20)
-        monkeypatch.setattr(decoder, "_score_block", lambda *a: scored.append(
-            (len(a[0]), a[3] is not None)) or real(*a))
+        monkeypatch.setattr(
+            decoder, "_score_block",
+            lambda y, fading, code, among=None: scored.append(
+                (len(y), among is not None)) or real(y, fading, code, among))
         assert f8_rate2.points.nbytes >= decoder._ML_PRUNE_BYTES
-        assert decoder.ml_near_rows(np.zeros((3, 8)), None, f8_rate2) == \
-            [None] * 3
+        near = decoder.ml_near_rows(np.zeros((3, 8)), None, f8_rate2)
+        assert len(near) == 3
+        assert all(isinstance(rows, np.ndarray) and len(rows) for rows in near)
+        assert len(calls) == 3 and len(scored) == 3
+        calls.clear()
+        scored.clear()
         errors = cli._simulate_chunk(f8_rate2, ch.AWGN_REAL, 5, 0, 20, "ml")
         assert len(calls) == 20 and errors[0] == 0
         assert len(scored) == 20 and all(t == 1 for t, _ in scored)
         assert sum(pruned for _, pruned in scored) >= 18
+
+    def test_block_rows_equal_single_decodes(self, f8_rate2, monkeypatch):
+        """On the pruned rate-2 code, ``ml_near_rows`` returns an index
+        array for every trial of a block, the rows that ``ml_decode`` alone
+        scores for that trial, and the decisions agree."""
+        sent = [(7919 * t) % f8_rate2.size for t in range(5)]
+        block = [ch.transmit(f8_rate2.points[m], ch.AWGN_REAL, 13, t)
+                 for t, m in enumerate(sent)]
+        near = decoder.ml_near_rows(np.array([y for y, _ in block]), None,
+                                    f8_rate2)
+        assert len(near) == len(block)
+        alone, real = [], decoder.ml_near_rows
+        monkeypatch.setattr(decoder, "ml_near_rows",
+                            lambda *a: alone.extend(real(*a)) or alone[-1:])
+        for m, (y, r), rows in zip(sent, block, near):
+            assert isinstance(rows, np.ndarray)
+            out = ml_decode(y, r, f8_rate2, m)
+            assert np.array_equal(rows, alone[-1])
+            given = ml_decode(y, r, f8_rate2, m, near=rows)
+            assert (given.correct, given.metric) == (out.correct, out.metric)
+        assert len(alone) == len(block)
+
+    def test_small_code_builds_no_index(self):
+        code = make_code()  # 16 rows, far below _ML_PRUNE_BYTES
+        r = unfaded(code)
+        assert ml_decode(code.points[3] + 0.1, r, code, 3).correct
+        assert "_prefixes" not in code.__dict__
 
     def test_index_build_memory_is_bounded(self, f8_rate2):
         code = dataclasses.replace(f8_rate2)  # the same code, no caches yet

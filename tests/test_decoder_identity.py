@@ -8,6 +8,7 @@ within 1e-8, and the two decisions agree on every decode here.
 codes of 1 to 300 rows.)"""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from latcode import decoder
 from latcode import lattice
 from latcode import numberfield as nf
 from latcode.codebook import CodeConfig, carve
-from latcode.decoder import DecodeOutcome, ml_decode, nld_decode
+from latcode.decoder import ml_decode, nld_decode
 
 # The decoders before the epilogues were trimmed, kept verbatim as references
-# that the trimmed ones must match exactly.  They take the sent vector, and
-# their tolerance is the decoders' old one.
+# that the trimmed ones must match exactly.  They take the sent vector, their
+# tolerance is the decoders' old one, and each returns an outcome's four
+# fields.
 _MATCH_TOL = 1e-8
 
 
@@ -40,9 +42,9 @@ def reference_nld_decode(y, realization, codebook, transmitted):
     metric = float(np.sum(np.abs(np.asarray(y) - fading * decoded) ** 2))
     radius = math.sqrt(codebook.n * codebook.power)
     is_codeword = float(np.sum(np.abs(decoded) ** 2)) <= lattice.ball_bound(radius)
-    return DecodeOutcome(decoded=decoded, is_codeword=is_codeword,
-                         correct=reference_matches(decoded, transmitted),
-                         metric=metric)
+    return types.SimpleNamespace(
+        decoded=decoded, is_codeword=is_codeword,
+        correct=reference_matches(decoded, transmitted), metric=metric)
 
 
 def reference_exact_metrics(y, fading, rows) -> np.ndarray:
@@ -65,9 +67,10 @@ def reference_ml_decode(y, realization, codebook, transmitted):
     metrics = reference_exact_metrics(y, fading, rows)
     best = metrics.argmin()
     decoded = rows[best]
-    return DecodeOutcome(decoded=decoded, is_codeword=True,
-                         correct=reference_matches(decoded, transmitted),
-                         metric=float(metrics[best]))
+    return types.SimpleNamespace(
+        decoded=decoded, is_codeword=True,
+        correct=reference_matches(decoded, transmitted),
+        metric=float(metrics[best]))
 
 
 def assert_same(got, ref):

@@ -81,7 +81,7 @@ class TestBuiltOnce:
     def test_embedding_reduced_once(self, cold):
         f = nf.catalog_field("F8-17")
         for _ in range(3):
-            lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+            lattice.invariants(nf.embedding_matrix(f))
         assert len(cold) == 1
         assert nf.field_roots.cache_info().misses == 1
 
@@ -99,7 +99,7 @@ class TestBuiltOnce:
             assert nf.ideal_lattice(f, f.unit_ideal()) is \
                 nf.embedding_matrix(f)
         f = nf.catalog_field("F8-17")  # it has no listed norm-1 ideal
-        lattice.invariants(nf.embedding_matrix(f), exact_hint=1.0)
+        lattice.invariants(nf.embedding_matrix(f))
         nf.min_ideal(f, f.unit_ideal())
         assert len(cold) == 1  # one reduction serves both tables
 

@@ -127,6 +127,24 @@ class TestClosestVector:
         u2 = closest_vector_coords(Z2, np.array([0.5, 0.5]))
         assert np.array_equal(u1, u2)
 
+    def test_precision_error_names_the_coordinate(self, monkeypatch):
+        """A lattice far finer than its target: past 2^52 the walk's
+        projected coordinate holds no fraction, every try lands on the same
+        integer, and the budget trips with a typed error naming it."""
+        monkeypatch.setattr(lattice, "MAX_ENUM_NODES", 64)
+        fine = Z2.scaled(1e-20)
+        with pytest.raises(lattice.EnumerationPrecisionError) as info:
+            closest_vector_coords(fine, np.array([1.0, -3.0]))
+        err = info.value
+        assert isinstance(err, lattice.EnumerationCapError)
+        assert abs(err.coordinate) >= 2.0 ** 52
+        assert (err.nodes, err.budget) == (65, 64)
+        assert "floats no longer hold integers" in str(err)
+        with pytest.raises(lattice.EnumerationCapError) as info:
+            lattice._enumerate(Z2._reduced, np.zeros(2), 1e6,
+                               lambda u, d2: 1e6)
+        assert type(info.value) is lattice.EnumerationCapError
+
 
 class TestPointsInBall:
     def test_z2_disc_count(self):
@@ -160,17 +178,17 @@ class TestCachedReduction:
 
 class TestMinProductDistance:
     def test_real_quadratic_exact(self):
-        dp, exact = min_product_distance(ZSQRT2, 6.0, exact_hint=1.0)
+        dp = min_product_distance(ZSQRT2, 6.0)
+        assert type(dp) is float
         assert dp == pytest.approx(1.0, rel=1e-12)
-        assert exact
+        assert nf.reaches_norm_floor(dp)
 
     def test_ring_lattices_attain_one(self):
         for name in ["Qi", "Qzeta5", "F4-725"]:
             B = nf.embedding_matrix(nf.catalog_field(name))
-            dp, exact = min_product_distance(
-                B, 1.5 * math.sqrt(B.n), exact_hint=1.0)
+            dp = min_product_distance(B, 1.5 * math.sqrt(B.n))
             assert dp == pytest.approx(1.0, rel=1e-10)
-            assert exact
+            assert nf.reaches_norm_floor(dp)
 
     def test_zero_product_norm_rejected(self):
         with pytest.raises(ZeroProductNormError):
@@ -181,26 +199,22 @@ class TestMinProductDistance:
         with pytest.raises(ValueError, match="within radius 1.2$"):
             min_product_distance(ZSQRT2, 1.2)
 
-    def test_without_hint_not_certified(self):
-        dp, exact = min_product_distance(ZSQRT2, 6.0)
-        assert not exact
-
 
 class TestInvariants:
     def test_real_quadratic_closed_forms(self):
-        inv = invariants(ZSQRT2, exact_hint=1.0)
+        inv = invariants(ZSQRT2)
         assert inv.ndp == pytest.approx(1 / math.sqrt(8), rel=1e-10)
         assert inv.nsv == pytest.approx(math.sqrt(2) / 8 ** 0.25, rel=1e-10)
 
     def test_gaussian_integer_closed_forms(self):
-        inv = invariants(ZI, exact_hint=1.0)
+        inv = invariants(ZI)
         assert inv.ndp == pytest.approx(1.0, rel=1e-10)
         assert inv.nsv == pytest.approx(1.0, rel=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         B = nf.embedding_matrix(nf.catalog_field("Qsqrt5"))
-        base = invariants(B, exact_hint=1.0)
+        base = invariants(B)
         for _ in range(5):
             c = float(rng.uniform(0.1, 10.0))
             scaled = invariants(B.scaled(c))
@@ -211,7 +225,7 @@ class TestInvariants:
                                       "Qzeta5", "F4-725", "F8-17"])
     def test_catalog_lemma_closed_forms(self, name):
         f = nf.catalog_field(name)
-        inv = invariants(nf.embedding_matrix(f), exact_hint=1.0)
+        inv = invariants(nf.embedding_matrix(f))
         d = abs(f.disc_catalog)
         if f.totally_real:
             n = f.degree
@@ -228,7 +242,7 @@ class TestInvariants:
                                       "Qzeta5", "F4-725", "F8-17"])
     def test_am_gm_bound(self, name):
         f = nf.catalog_field(name)
-        inv = invariants(nf.embedding_matrix(f), exact_hint=1.0)
+        inv = invariants(nf.embedding_matrix(f))
         n = inv.n
         assert inv.ndp <= inv.nsv ** n / n ** (n / 2) + 1e-9
 

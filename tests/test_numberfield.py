@@ -371,6 +371,18 @@ class TestMinIdeal:
             nf.min_ideal(f, f.unit_ideal(), search_radius=0.1)
 
 
+class TestNormFloor:
+    def test_boundary(self):
+        edge = 1.0 + 1e-9
+        assert nf.reaches_norm_floor(edge)
+        assert nf.reaches_norm_floor(np.nextafter(edge, 0.0))
+        assert not nf.reaches_norm_floor(np.nextafter(edge, 2.0))
+
+    def test_embedded_norm(self):
+        assert nf.embedded_norm(get("Qsqrt5"), 4) == 4
+        assert nf.embedded_norm(get("Qsqrt-5"), 4) == 2.0
+
+
 def _polymulmod(a, b, minpoly):
     """Multiply two power-basis elements modulo the monic defining polynomial."""
     m = len(minpoly) - 1

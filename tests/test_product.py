@@ -27,7 +27,7 @@ def reference_product_norm(vec) -> float:
     return float(np.prod(np.abs(v)))
 
 
-def reference_min_product_distance(basis, radius, exact_hint=None):
+def reference_min_product_distance(basis, radius):
     coords, vecs = points_in_ball(basis, np.zeros(basis.n), radius)
     dp = math.inf
     for u, v in zip(coords, vecs):
@@ -39,8 +39,7 @@ def reference_min_product_distance(basis, radius, exact_hint=None):
         dp = min(dp, reference_product_norm(v))
     if math.isinf(dp):
         raise ValueError(f"no nonzero lattice vector within radius {radius}")
-    exact = exact_hint is not None and dp <= exact_hint * (1.0 + 1e-9)
-    return dp, exact
+    return dp
 
 
 def reference_min_ideal(f, ideal, search_radius=None):
@@ -77,11 +76,9 @@ def outcome(fn, *args, **kwargs):
                 None if vector is None else vector.tolist())
 
 
-def assert_same(basis, radius, exact_hint=None):
-    got = outcome(lattice.min_product_distance, basis, radius,
-                  exact_hint=exact_hint)
-    want = outcome(reference_min_product_distance, basis, radius,
-                   exact_hint=exact_hint)
+def assert_same(basis, radius):
+    got = outcome(lattice.min_product_distance, basis, radius)
+    want = outcome(reference_min_product_distance, basis, radius)
     assert got == want
     return got
 
@@ -101,11 +98,10 @@ class TestMinProductDistanceOracle:
     def test_catalog_embeddings(self, name, scale):
         basis = nf.embedding_matrix(nf.catalog_field(name)).scaled(scale)
         _, sv = lattice.shortest_vector(basis)
-        results = [assert_same(basis, k * sv, exact_hint=scale ** basis.n)
-                   for k in (0.5, 1.5, 2.5)]
+        results = [assert_same(basis, k * sv) for k in (0.5, 1.5, 2.5)]
         # below the shortest vector the ball holds only the origin
         assert results[0][0] is ValueError
-        assert isinstance(results[2][0], float)
+        assert isinstance(results[2], float)
 
     def test_random_bases(self):
         rng = np.random.default_rng(5)

@@ -259,7 +259,7 @@ class TestMatchesOldSearches:
     @pytest.mark.parametrize("rate", [1.0, 1.5, 2.0])
     def test_f8_17_carving_balls(self, rate):
         basis = code_lattice("F8-17", rate)
-        shift = shift_search(basis, 10.0, round(2 ** (8 * rate)), 0)
+        shift = shift_search(basis, 10.0, 0)
         count = assert_same_ball(basis, -shift, math.sqrt(80.0))
         assert count >= 2 ** (8 * rate)
         assert_same_shortest(basis)

@@ -2,9 +2,10 @@
 
 Reproducibility contract: a (master_seed, trial_index) pair fully determines
 one channel realization via a counter-based Philox generator keyed by
-(master_seed, 4*trial_index + stream), with stream 0 for fading, stream 1
-for noise, and stream 2 reserved for message selection in simulation
-drivers.  Realizations are independent of execution order or thread count.
+(master_seed mod 2^64, 4*trial_index + stream), with stream 0 for fading,
+stream 1 for noise, and stream 2 reserved for message selection in
+simulation drivers.  Realizations are independent of execution order or
+thread count.
 
 ``stream_rng`` does not build a generator per call: each thread keeps one
 Philox generator per stream and re-keys it, counter 0 and empty buffer, so
@@ -15,6 +16,7 @@ stream in the same thread.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -51,7 +53,8 @@ STREAM_MESSAGE = 2  # reserved for codeword selection in simulation drivers
 @dataclass(frozen=True)
 class ChannelRealization:
     """One block's fading and noise.  A non-fading model's ``fading`` is all
-    ones: both decoders then skip the fading (NLD searches the code lattice
+    ones, one read-only array shared by every realization of its shape:
+    both decoders then skip the fading (NLD searches the code lattice
     itself, ML scores on the cached row norms)."""
     fading: np.ndarray
     noise: np.ndarray
@@ -60,17 +63,19 @@ class ChannelRealization:
 
 _generators = threading.local()  # .by_stream: {stream: Generator}, per thread
 _EMPTY = (0, 0, 0, 0)
+_KEY_MODULUS = 1 << 64  # a Philox key word is an unsigned 64-bit integer
 
 
 def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
     """Counter-based generator for one (seed, trial, stream) triple.
 
-    Its draws are those of a fresh
-    ``Generator(Philox(key=(master_seed, 4 * trial_index + stream)))``, but
-    the generator is this thread's one for ``stream``, re-keyed: it stays
-    valid only until the next call for the same stream.  The key goes
-    through Philox's own conversion of an array key, so seed -1 wraps to
-    2**64 - 1 as it does for a fresh generator.
+    Its draws are those of a fresh ``Generator(Philox(key=key))`` for the
+    key (master_seed mod 2^64, 4 * trial_index + stream), both words
+    unsigned 64-bit, but the generator is this thread's one for ``stream``,
+    re-keyed: it stays valid only until the next call for the same stream.
+    Valid seeds are [-2^63, 2^64), the signed and unsigned 64-bit integers:
+    seed -1 draws as 2^64 - 1 does, and a seed outside that range would
+    alias one inside it.
     """
     try:
         by_stream = _generators.by_stream
@@ -81,8 +86,9 @@ def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Gen
         gen = by_stream[stream] = np.random.Generator(np.random.Philox(key=0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _EMPTY, "key": np.asarray(
-            (master_seed, 4 * trial_index + stream)).astype(np.uint64)},
+        "state": {"counter": _EMPTY, "key": (
+            master_seed % _KEY_MODULUS,
+            (4 * trial_index + stream) % _KEY_MODULUS)},
         "buffer": _EMPTY, "buffer_pos": 4,  # position 4 of 4: buffer empty
         "has_uint32": 0, "uinteger": 0}
     return gen
@@ -111,21 +117,30 @@ def sample_realization(model: str, n: int, master_seed: int,
         if not cplx:  # real models see the Rayleigh modulus
             fading = np.abs(fading)
     else:
-        fading = np.ones(n, dtype=complex if cplx else float)
+        fading = _unit_fading(n, cplx)
     return ChannelRealization(fading=fading, noise=noise, model=model)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_fading(n: int, cplx: bool) -> np.ndarray:
+    """All ones, read-only: every unfaded realization of this shape shares
+    it."""
+    ones = np.ones(n, dtype=complex if cplx else float)
+    ones.flags.writeable = False
+    return ones
 
 
 def transmit(s, model: str, master_seed: int, trial_index: int):
     """Send codeword s through the channel: y_i = fading_i * s_i + w_i."""
-    model = Model(model)
     s = np.asarray(s)
+    realization = sample_realization(model, len(s), master_seed, trial_index)
+    model = realization.model  # converted once, there
     if model.complex:
         s = s.astype(complex, copy=False)
     elif np.iscomplexobj(s):
         if np.max(np.abs(s.imag)) > 0:
             raise ValueError(f"real model {model} needs a real codeword")
         s = s.real  # a real model sends and returns real vectors
-    realization = sample_realization(model, len(s), master_seed, trial_index)
     if model.fading:
         y = realization.fading * s + realization.noise
     else:  # unit fading: a product by 1 is exact, so it is left out

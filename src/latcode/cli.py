@@ -31,7 +31,7 @@ DECODERS = {"nld": (True, False), "ml": (False, True), "both": (True, True)}
 # rate-1 F4-725, F8-17 and Qzeta5 codes (LatticeBasis.faded, in-process,
 # best of 7, 2 CPUs) cost 38-79 us a trial one at a time, 6-9 us in blocks
 # of 64 and 5-10 us in blocks of 128 or 256: past 64 a block saves under
-# 3 us of a fading_nld trial's ~130 us.  ML scores the same block at once
+# 3 us of a fading_nld trial's ~30 us.  ML scores the same block at once
 # (decoder.ml_near_rows): 2.2 us a trial on the 268-row F8-17 code against
 # 13 us alone; a larger code is scored a few trials per product within
 # decoder._ML_SCORE_BYTES.
@@ -59,6 +59,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not -(1 << 63) <= self.master_seed < 1 << 64:
+            raise ValueError(f"--seed {self.master_seed} is outside "
+                             f"[-2^63, 2^64), the 64-bit integers")
         for snr_db in self.snr_db_grid:
             if not math.isfinite(snr_db):
                 raise ValueError(f"--snr values must be finite, got {snr_db}")

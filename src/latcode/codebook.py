@@ -83,13 +83,16 @@ class Codebook:
     ``basis._reduced.rows``, lexicographically sorted, in the smallest
     signed integer dtype that holds them; a code built by hand may leave it
     None, and then has no NLD decode and no prefix index.  Neither array
-    may be mutated: three caches are built on first use, never refreshed.
+    may be mutated: four caches are built on first use, never refreshed.
 
     - ``_norms``: the squared row norms ||x||^2 and their maximum.  ``carve``
       builds it for its power check; ML decoding scores an unfaded channel
       on it and bounds its rescoring window with the maximum.
     - ``_squares``: the elementwise ``|points|^2``, built only by the first
       ML decode on a fading channel.
+    - ``_basis_coords``: ``coords @ basis._reduced.U``, the rows' integer
+      coordinates in ``basis`` itself, which NLD decisions are judged on;
+      built only by the first NLD decode.
     - ``_prefixes``: the ``PrefixIndex`` that prunes an unfaded ML decode of
       a large code, built only by the first such decode.  Rows sharing their
       first L coordinates are contiguous, as ``coords`` is sorted; a code
@@ -121,6 +124,11 @@ class Codebook:
     def _squares(self) -> np.ndarray:
         """|points|^2 elementwise, for ``decoder.ml_decode`` on fading."""
         return np.abs(self.points) ** 2
+
+    @functools.cached_property
+    def _basis_coords(self) -> np.ndarray:
+        """``coords`` in ``basis`` itself, for ``decoder.nld_decode``."""
+        return self.coords @ self.basis._reduced.U
 
     @functools.cached_property
     def _prefixes(self) -> PrefixIndex | None:
@@ -216,7 +224,10 @@ def shift_search(basis: LatticeBasis, power: float, seed: int):
     # Vol(B(sqrt(nP))) = C P^{dim/2}, and Vol(L) = |det Breal|
     required = math.exp(_ln_ball_constant(dim, n) + 0.5 * dim * math.log(power)
                         - np.linalg.slogdet(Breal)[1])
-    rng = np.random.Generator(np.random.Philox(key=(seed, 0)))
+    # the key (seed mod 2^64, 0) as unsigned words: -1 is 2^64 - 1, and a
+    # seed past 2^63 does not pass through float64 on its way in
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array((seed % (1 << 64), 0), dtype=np.uint64)))
     best_count = -1
     best_shift = None
     for _ in range(_SHIFT_TRY_CAP):

@@ -120,7 +120,8 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     Decoding lands on shift + alpha*psi(x) for some algebraic integer x; it
     is correct when x's integer coordinates in the code basis, all that
     ``lattice.closest_vector_coords`` returns, equal row ``sent``'s
-    (``codebook.coords`` needed).
+    (``codebook.coords`` needed, carried into the code basis once per code,
+    ``Codebook._basis_coords``).
     The decoded point, its metric and whether it lies in the codebook are
     computed when read.  Unit fading is left out of every product: a
     product by 1 is exact.  On a fading channel, ``faded`` is the code
@@ -136,9 +137,8 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     else:  # the code lattice itself is searched: one cached reduction
         fading, basis, target = None, codebook.basis, y - codebook.shift
     coords = lattice.closest_vector_coords(basis, target)
-    sent_coords = codebook.coords[sent] @ codebook.basis._reduced.U
-    return _NldOutcome(coords.tolist() == sent_coords.tolist(), y, fading,
-                       codebook, coords)
+    correct = coords.tolist() == codebook._basis_coords[sent].tolist()
+    return _NldOutcome(correct, y, fading, codebook, coords)
 
 
 def _exact_metrics(y, fading, rows) -> np.ndarray:

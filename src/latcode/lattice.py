@@ -7,12 +7,15 @@ Every search walks a ``Reduction``: spanning rows, their unimodular ``U``
 from the caller's basis, and the QR the walk reads.
 ``LatticeBasis._reduced`` is the basis's LLL reduction, built once.
 Closest point, shortest vector and ball enumeration are one Schnorr-Euchner
-walk, exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
+walk (``_enumerate``), a single loop over the levels in which each level
+keeps its projected centres until its zig-zag runs past the bound.  It is
+exact within the rank cap ``MAX_ENUM_RANK`` and the node budget
 ``MAX_ENUM_NODES``; past either it raises ``EnumerationCapError``, the rank
 cap before any reduction is built and the budget at the node past it.
-A walk that trips its budget where a projected coordinate has passed 2^52
-raises the subclass ``EnumerationPrecisionError``: floats no longer hold
-integers there, so the lattice is too fine for the target.
+A walk that enters a level whose projected coordinate has reached 2^52
+raises the subclass ``EnumerationPrecisionError`` as it enters, not at
+the budget: floats no longer hold integers there, so the lattice is too
+fine for the target.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``count_in_ball``,
@@ -101,9 +104,10 @@ class EnumerationCapError(RuntimeError):
 
 
 class EnumerationPrecisionError(EnumerationCapError):
-    """A walk whose node budget tripped at a projected coordinate
-    ``coordinate`` of magnitude at least 2^52: floats hold no fractional
-    part there, so the walk tries the same integer again and again."""
+    """A walk that entered a level whose projected coordinate
+    ``coordinate`` has magnitude at least 2^52: floats hold no fractional
+    part there, so its zig-zag would try the same integer again and again.
+    It is raised as the level is entered, before any of its nodes."""
 
     def __init__(self, rank: int, bound: float, nodes: int, budget: int,
                  coordinate: float):
@@ -369,57 +373,77 @@ def _check_rank(rank: int, bound: float) -> None:
 
 
 def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
-               budget: int | None = None) -> None:
+               budget: int | None = None) -> int:
     """Schnorr-Euchner walk over the lattice points v with ||v - center||^2 <= bound.
 
     The walk runs in the coordinates u of ``red.rows``, as ||R u - t||^2 with
-    t = Q^T center (``center`` in the real representation).  Each level
-    tries integers in zig-zag order around its projected center, nearest
-    first, and stops at the first one past the bound.  Every lattice point
-    within the bound goes to ``leaf(u, d2)``; ``u`` is the live coordinate
-    list (copy it to keep it), and the leaf returns the bound for the rest
-    of the walk, so a closest-point leaf can shrink it.  More tree nodes
-    than ``budget`` (capped by ``MAX_ENUM_NODES``) raise
+    t = Q^T center (``center`` in the real representation).  It is one loop
+    over the levels, not a recursion: each level it enters keeps its
+    projected centres y, its partial squared distance and its next zig-zag
+    step, so that it resumes where it left off when its child level runs
+    out.  Each level tries integers in zig-zag order around its projected
+    centre, nearest first, and stops at the first one past the bound; each
+    child's centres are computed from the parent's, top down, as
+    y[j] - u[level] * R[j][level].  Every lattice point within the bound
+    goes to ``leaf(u, d2)``; ``u`` is the live coordinate list (copy it to
+    keep it), and the leaf returns the bound for the rest of the walk, so a
+    closest-point leaf can shrink it.  Returns the node count (integers
+    fixed at some level).
+
+    More tree nodes than ``budget`` (capped by ``MAX_ENUM_NODES``) raise
     ``EnumerationCapError`` at the node past it, even within one level's
-    zig-zag; the caller checks the rank cap.
+    zig-zag.  A level whose projected centre reaches 2^52 in magnitude
+    raises ``EnumerationPrecisionError`` as it is entered, before any of
+    its nodes: floats hold no integers apart there.  The caller checks the
+    rank cap.
     """
     R = red.R
     rank = len(R)
     budget = MAX_ENUM_NODES if budget is None else min(budget, MAX_ENUM_NODES)
-    t = red.Q.T @ center
+    floor = math.floor
     u = [0] * rank
+    # what each level above the current one resumes with
+    ys, accs, jumps = [None] * rank, [0.0] * rank, [0] * rank
     nodes = 0
-
-    def rec(level, y, acc):
-        nonlocal bound, nodes
+    level = rank - 1
+    y = (red.Q.T @ center).tolist()
+    acc = 0.0
+    while True:  # enter ``level`` with its centres y and distance acc
         rii = R[level][level]
         yl = y[level]
         ci = yl / rii
-        cand = math.floor(ci + 0.5)
+        if abs(ci) >= 2.0 ** 52:  # no fractional part left
+            raise EnumerationPrecisionError(rank, bound, nodes, budget, ci)
+        cand = floor(ci + 0.5)
         jump = 1 if ci >= cand else -1
         while True:
             diff = yl - cand * rii
             d2 = acc + diff * diff
             if d2 > bound:
-                # zig-zag order: every later candidate is at least this far
-                break
-            nodes += 1
-            if nodes > budget:
-                if abs(ci) >= 2.0 ** 52:  # no fractional part left
-                    raise EnumerationPrecisionError(rank, bound, nodes,
-                                                    budget, ci)
-                raise EnumerationCapError(rank, bound, nodes, budget)
-            u[level] = cand
-            if level == 0:
-                bound = leaf(u, d2)
+                # zig-zag order: every later candidate is at least this far,
+                # so the level above takes its next step
+                level += 1
+                if level == rank:
+                    return nodes
+                y, acc, jump = ys[level], accs[level], jumps[level]
+                rii = R[level][level]
+                yl = y[level]
+                cand = u[level]
             else:
-                rec(level - 1, [y[j] - cand * R[j][level] for j in range(level)],
-                    d2)
+                nodes += 1
+                if nodes > budget:
+                    raise EnumerationCapError(rank, bound, nodes, budget)
+                u[level] = cand
+                if level:
+                    break  # down to the child level
+                bound = leaf(u, d2)
             # jumps of 1, -2, 3, -4, ... (signs flipped if ci < cand)
             cand += jump
             jump = -jump - 1 if jump > 0 else 1 - jump
-
-    rec(rank - 1, [float(v) for v in t], 0.0)
+        ys[level], accs[level], jumps[level] = y, acc, jump
+        y = [y[j] - cand * R[j][level] for j in range(level)]
+        acc = d2
+        level -= 1
 
 
 def _nearest(red: Reduction, target: np.ndarray, exclude_zero: bool = False,

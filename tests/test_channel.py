@@ -65,6 +65,14 @@ class TestSampleRealization:
         assert not r.model.fading
         rc = ch.sample_realization(ch.AWGN_COMPLEX, 8, 1, 0)
         assert np.all(rc.fading == 1.0 + 0j)
+        assert (r.fading.dtype, rc.fading.dtype) == (float, complex)
+
+    def test_unit_fading_is_shared_and_read_only(self):
+        r = ch.sample_realization(ch.AWGN_REAL, 8, 1, 0)
+        assert ch.transmit(np.ones(8), ch.AWGN_REAL, 2, 5)[1].fading is r.fading
+        assert ch.sample_realization(ch.AWGN_REAL, 4, 1, 0).fading.shape == (4,)
+        with pytest.raises(ValueError):
+            r.fading[0] = 2.0
 
     def test_rayleigh_flags(self):
         r = ch.sample_realization(ch.RAYLEIGH_REAL, 8, 1, 0)
@@ -202,6 +210,27 @@ class TestStreamContract:
             assert np.array_equal(r.noise, noise)
             assert np.array_equal(y, fading * s + noise)
             assert y.dtype == (complex if model.complex else float)
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63 - 1, -2 ** 63, 2 ** 63,
+                                      2 ** 63 + 1000, 2 ** 64 - 1])
+    def test_every_64_bit_seed_keys_exactly(self, seed):
+        """The key is (seed mod 2^64, 4 * trial + stream) in unsigned words:
+        no seed passes through a float on its way in."""
+        for t in (0, 3, 1 << 40):
+            for stream in range(3):
+                key = np.array([seed % 2 ** 64, 4 * t + stream],
+                               dtype=np.uint64)
+                ref = np.random.Generator(np.random.Philox(key=key))
+                assert np.array_equal(
+                    ch.stream_rng(seed, t, stream).standard_normal(7),
+                    ref.standard_normal(7))
+
+    def test_seeds_past_2_63_are_distinct(self):
+        # both seeds were one float64, 2^63, in the key before
+        def draw(seed):
+            return ch.stream_rng(seed, 3, 1).standard_normal(4)
+        assert not np.array_equal(draw(2 ** 63), draw(2 ** 63 + 1000))
+        assert np.array_equal(draw(2 ** 64 - 1), draw(-1))
 
     def test_one_generator_per_stream(self):
         """The documented limit: a call re-keys the generator that the last

@@ -199,6 +199,30 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+class TestSeedRange:
+    """A seed is a 64-bit integer, signed or unsigned: [-2^63, 2^64)."""
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
+    def test_outside_is_a_typed_error(self, tmp_path, capsys, seed):
+        # 2^64 ended in a bare OverflowError traceback from Philox
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--field", "Qsqrt2", "--model",
+                         "awgn_real", "--snr", "10", f"--seed={seed}",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"latcode: error: --seed {seed} is outside [-2^63, 2^64), the "
+            f"64-bit integers\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 64 - 1])
+    def test_ends_run(self, tmp_path, seed):
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--field", "Qsqrt2", "--model",
+                         "awgn_real", "--snr", "10", "--trials", "20",
+                         f"--seed={seed}", "--out", str(out)]) == 0
+        assert read_csv(out)[1][0]["trials"] == "20"
+
+
 class TestPinnedOutput:
     """Seeded simulate CSVs, less the ``# config:`` line, pinned by digest.
 

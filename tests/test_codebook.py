@@ -80,6 +80,15 @@ class TestShiftSearch:
         s2 = shift_search(B, power=8.0, seed=17)
         assert np.array_equal(s1, s2)
 
+    def test_seeds_past_2_63_are_distinct(self):
+        # the key (seed mod 2^64, 0) holds every 64-bit seed exactly
+        B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
+
+        def shift(seed):
+            return shift_search(B, power=8.0, seed=seed)
+        assert not np.array_equal(shift(2 ** 63), shift(2 ** 63 + 1000))
+        assert np.array_equal(shift(2 ** 64 - 1), shift(-1))
+
     def test_try_cap_raises_with_best_count(self, monkeypatch):
         # F4-725 at rate 1: the volume ratio is 2^4 = 16, and the first
         # shift of seed 2 holds 14 points

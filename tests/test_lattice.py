@@ -129,8 +129,9 @@ class TestClosestVector:
 
     def test_precision_error_names_the_coordinate(self, monkeypatch):
         """A lattice far finer than its target: past 2^52 the walk's
-        projected coordinate holds no fraction, every try lands on the same
-        integer, and the budget trips with a typed error naming it."""
+        projected coordinate holds no fraction, every try would land on the
+        same integer, and the walk stops with a typed error naming it as it
+        enters the top level, before its first node."""
         monkeypatch.setattr(lattice, "MAX_ENUM_NODES", 64)
         fine = Z2.scaled(1e-20)
         with pytest.raises(lattice.EnumerationPrecisionError) as info:
@@ -138,7 +139,7 @@ class TestClosestVector:
         err = info.value
         assert isinstance(err, lattice.EnumerationCapError)
         assert abs(err.coordinate) >= 2.0 ** 52
-        assert (err.nodes, err.budget) == (65, 64)
+        assert (err.nodes, err.budget) == (0, 64)
         assert "floats no longer hold integers" in str(err)
         with pytest.raises(lattice.EnumerationCapError) as info:
             lattice._enumerate(Z2._reduced, np.zeros(2), 1e6,

@@ -100,14 +100,23 @@ _rng = stream_rng
 
 
 def _complex_std_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    # variance 1/2 per real dimension, so E|z|^2 = 1
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    """n complex normals of variance 1/2 per real dimension, so E|z|^2 = 1:
+    the bits of ``(a + 1j * b) / sqrt(2)`` for a then b, n draws each, as
+    one draw of 2n times 1/sqrt(2), the factor by which numpy's division of
+    a complex by a real multiplies each part."""
+    parts = rng.standard_normal(2 * n)
+    parts *= 1.0 / math.sqrt(2.0)
+    z = np.empty(n, dtype=complex)
+    z.real = parts[:n]
+    z.imag = parts[n:]
+    return z
 
 
 def sample_realization(model: str, n: int, master_seed: int,
                        trial_index: int) -> ChannelRealization:
     """Draw the fading and noise vectors for one block of length n."""
-    model = Model(model)
+    if not isinstance(model, Model):
+        model = Model(model)
     cplx = model.complex
     nrng = _rng(master_seed, trial_index, _STREAM_NOISE)
     noise = _complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)

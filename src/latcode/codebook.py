@@ -16,7 +16,6 @@ import numpy as np
 from . import lattice
 from .lattice import LatticeBasis
 from .numberfield import FieldSpec, embedding_matrix
-from .specfun import ln_gamma
 
 _SHIFT_TRY_CAP = 10_000
 #: Entries of the code-lattice LRU (``code_lattice``): one pass of a
@@ -175,12 +174,6 @@ class Codebook:
                            reach=float(np.linalg.norm(shift)) + span.max())
 
 
-def _ln_ball_constant(dim: int, n: int) -> float:
-    """ln C in Vol(B(r)) = C (r^2/n)^{dim/2}, the Euclidean ball in R^dim:
-    C_n for a complex field (dim = 2n), C_n^R for a real one (dim = n)."""
-    return 0.5 * dim * math.log(math.pi * n) - ln_gamma(dim / 2.0 + 1.0)
-
-
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
     """alpha^2 making Vol(B(sqrt(nP))) / Vol(alpha psi(O_K)) equal 2^{Rn}:
     some shift of the lattice then puts at least 2^{Rn} points in the ball
@@ -192,7 +185,7 @@ def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
     """
     n = field.ambient_n
     d = abs(field.disc_catalog)
-    ln_c = _ln_ball_constant(field.degree, n)
+    ln_c = lattice._ln_ball_constant(field.degree, n)
     if field.totally_real:
         ln_alpha2 = math.log(power) + (2.0 / n) * ln_c \
             - 2.0 * rate * math.log(2.0) - math.log(d) / n
@@ -222,7 +215,8 @@ def shift_search(basis: LatticeBasis, power: float, seed: int):
     dim = basis.rank
     Breal = basis.real_matrix
     # Vol(B(sqrt(nP))) = C P^{dim/2}, and Vol(L) = |det Breal|
-    required = math.exp(_ln_ball_constant(dim, n) + 0.5 * dim * math.log(power)
+    required = math.exp(lattice._ln_ball_constant(dim, n)
+                        + 0.5 * dim * math.log(power)
                         - np.linalg.slogdet(Breal)[1])
     # the key (seed mod 2^64, 0) as unsigned words: -1 is 2^64 - 1, and a
     # seed past 2^63 does not pass through float64 on its way in

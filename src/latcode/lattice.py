@@ -19,9 +19,13 @@ fine for the target.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``count_in_ball``,
-``points_in_ball``) is walked within ``_BALL_DFS_NODES`` nodes; a larger tree
-is enumerated again level by level in numpy with the walk's arithmetic, so
-the points, the node count and the cap are the walk's.  ``points_in_ball``
+``points_in_ball``) chooses its path before it walks: one whose expected
+point count, Vol(B) / det in logs (``_ln_ball_constant``, the one
+ball-volume formula, which ``codebook`` reads too), passes
+``_BALL_DFS_NODES`` is enumerated level by level in numpy at once; any other
+is walked within ``_BALL_DFS_NODES`` nodes, and a larger tree is enumerated
+again level by level.  Both paths have the walk's arithmetic, so the
+points, the node count and the cap are the walk's.  ``points_in_ball``
 returns the points' coordinates in ``_reduced.rows``, as the integer-valued
 floats the enumeration holds.  A ball's slack for roundoff
 (``ball_bound``) is relative to its squared radius.  A faded basis
@@ -46,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import ln_gamma
+
 REAL = "real"
 COMPLEX = "complex"
 
@@ -59,14 +65,17 @@ MAX_ENUM_NODES = 1 << 20
 #: the fading_nld benchmark (seeds 0-20) that walk visited at most 221 nodes
 #: (p99 44); a budget of 64 would have tripped 120 times.
 _FADED_NODES = 256
-#: Node budget of the walk that a ball search runs first; past it the ball is
-#: enumerated again level by level (``_enumerate_levels``), which costs a
-#: fixed 0.12 ms at rank 4 and 0.24 ms at rank 8 (per call, in-process,
-#: 2 CPUs) against the walk's 0.5-0.8 us per node, so the two cross near 230
-#: nodes at rank 4 and 340 at rank 8 (343 nodes: 0.26 ms either way; 667
-#: nodes: 0.45 ms walked, 0.27 ms level by level).  Below both, a tree past
-#: the budget wastes under 0.1 ms of walking, and the rate-1 carving balls of
-#: the rank-2 and rank-4 fields (13-31 nodes) never leave the walk.
+#: Node budget of the walk that a ball search runs first, and the expected
+#: point count past which a ball skips that walk (``_walk_first``): a walk
+#: visits at least one node per point.  Past the budget the ball is
+#: enumerated again level by level (``_enumerate_levels``).  Timed side by
+#: side on the rate-1 code lattices (in-process, 2 shared CPUs, best of 7
+#: per ball), the walk costs 1.0-1.8 us per node and the level-wise search
+#: a fixed 0.16 ms at rank 4 and 0.17-0.31 ms at rank 8 (plus 0.1 us per
+#: node), so the two cross near 120 nodes at rank 4 and 150-230 at rank 8.
+#: The rate-1 carving balls of the rank-2 and rank-4 fields (expected 4 to
+#: 16 points) are walked alone; those of F8-17 (expected 256) go level by
+#: level at once.
 _BALL_DFS_NODES = 128
 #: Cap on the candidates that one level-wise step evaluates (one node may
 #: exceed it alone), which bounds the memory of the frontier.
@@ -80,7 +89,11 @@ _ZIGZAG_SPARE = 2
 #: Rows of the left factor that ``rows_product`` multiplies at once.  The
 #: threaded OpenBLAS stalls on thin products on a shared 2-CPU machine: a
 #: 65,707 x 8 by 8 x 8 product took 31.7 ms whole and 1.9-2.9 ms in blocks
-#: of 8,192 or 4,096 rows (in-process, 2 CPUs).
+#: of 8,192 or 4,096 rows, and ``_lex_order``'s 65,707 x 8 key product a
+#: median of 0.3-6.3 ms whole against 0.4-0.5 ms in blocks (in-process,
+#: 2 CPUs, with Python work between calls).  Its callers: one trial's ML
+#: scores (``decoder._over_rows``), ``points_in_ball``'s vectors and
+#: ``_lex_order``'s key.
 _PRODUCT_ROWS = 4096
 
 _TIE_EPS = 1e-12  # relative tie window of ``_nearest``
@@ -147,6 +160,14 @@ class Reduction:
     U: np.ndarray
     Q: np.ndarray
     R: list
+
+    @functools.cached_property
+    def _ln_unit_ball_points(self) -> float:
+        """ln(Vol(B(1)) / |det R|), the Gaussian heuristic's point count of
+        a unit ball on these rows, in logs; built on first use (``_ball``)."""
+        rank = len(self.R)
+        return _ln_ball_constant(rank, 1) - sum(
+            math.log(self.R[i][i]) for i in range(rank))
 
 
 def _reduction(rows: np.ndarray, U: np.ndarray) -> Reduction:
@@ -366,6 +387,31 @@ def ball_bound(radius: float) -> float:
     return radius * radius * (1.0 + _BALL_SLACK)
 
 
+def _ln_ball_constant(dim: int, n: int) -> float:
+    """ln C in Vol(B(r)) = C (r^2/n)^{dim/2}, the Euclidean ball in R^dim:
+    C_n for a complex field (dim = 2n), C_n^R for a real one (dim = n).
+    The one ball-volume formula: ``codebook``'s rate and shift counts and
+    ``_ball``'s choice of path read it."""
+    return 0.5 * dim * math.log(math.pi * n) - ln_gamma(dim / 2.0 + 1.0)
+
+
+def _walk_first(red: Reduction, r2: float) -> bool:
+    """Whether a ball of squared radius ``r2`` on ``red``'s lattice is
+    walked before it goes level by level: whether its expected point count
+    Vol(B) / |det R| (the Gaussian heuristic) is at most
+    ``_BALL_DFS_NODES``.  A walk visits at least one node per point, so a
+    ball expected to hold more would most likely trip the walk's budget and
+    be enumerated twice.  Taken in logs, of the ball constant and of R's
+    diagonal, so no radius overflows it; a ball of radius 0 has no volume
+    and is walked."""
+    if r2 <= 0.0:
+        return True
+    if _BALL_DFS_NODES < 1:  # no node to walk
+        return False
+    ln_points = red._ln_unit_ball_points + 0.5 * len(red.R) * math.log(r2)
+    return ln_points <= math.log(_BALL_DFS_NODES)
+
+
 def _check_rank(rank: int, bound: float) -> None:
     """The rank cap, checked once per search before any reduction is built."""
     if rank > MAX_ENUM_RANK:
@@ -510,6 +556,17 @@ def _closest(basis: LatticeBasis, red: Reduction, target,
     return np.asarray(u, dtype=np.int64) @ red.U
 
 
+@functools.lru_cache(maxsize=64)
+def _zigzag(tries: int) -> np.ndarray:
+    """Offsets 0, 1, -1, 2, -2, ... of a level-wise step's first ``tries``
+    tries from the nearest integer, toward the projected center first (for
+    a sign of +1), as a read-only (tries, 1) column: built once per count."""
+    j = np.arange(tries)[:, None]
+    offsets = (j + 1) // 2 * np.where(j & 1, 1.0, -1.0)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
                       keep: bool):
     """``_enumerate``'s walk over the points within the constant ``bound``,
@@ -555,12 +612,14 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
         nearest = np.floor(ci + 0.5)
         sign = np.where(ci >= nearest, 1.0, -1.0)
         while True:
-            # try j of every node (row j): offsets 0, 1, -1, 2, -2, ... from
-            # the nearest integer, toward the projected center first
-            j = np.arange(tries)[:, None]
-            cand = nearest + sign * ((j + 1) // 2 * np.where(j & 1, 1.0, -1.0))
-            diff = yl - cand * rll
-            d2 = acc + diff * diff
+            # try j of every node (row j): cand = nearest + sign * offset j
+            # and d2 = acc + (yl - cand * rll)^2, each step in place
+            cand = sign * _zigzag(tries)
+            cand += nearest
+            d2 = cand * rll
+            np.subtract(yl, d2, out=d2)
+            d2 *= d2
+            d2 += acc
             # each node keeps its tries before the first past the bound
             inside = ~np.logical_or.accumulate(d2 > bound)
             if not inside[-1].any():
@@ -595,25 +654,31 @@ def _lex_order(ured: np.ndarray) -> np.ndarray:
     """``np.lexsort(ured.T[::-1])`` of distinct integer-valued float rows.
     Past ``_BALL_DFS_NODES`` rows it is one argsort of a mixed-radix key,
     where that key is exact in floats; that is about where the key starts to
-    pay (on 128 rows: 8 us against lexsort's 7 us at rank 4, 14 us at 8)."""
+    pay (on 128 rows: 8 us against lexsort's 7 us at rank 4, 14 us at 8).
+    The key goes through ``rows_product``: each is an integer below 2^53,
+    exact in any order of summation, so the blocks change no bit of it."""
     if len(ured) > _BALL_DFS_NODES:
         lo = ured.min()
         base = ured.max() - lo + 1.0
         if base ** ured.shape[1] < 2.0 ** 53:
-            return np.argsort((ured - lo) @ base ** np.arange(
-                ured.shape[1] - 1.0, -1.0, -1.0))
+            return np.argsort(rows_product(ured - lo, base ** np.arange(
+                ured.shape[1] - 1.0, -1.0, -1.0)))
     return np.lexsort(ured.T[::-1])
 
 
 def _ball(basis: LatticeBasis, center, radius: float, keep: bool):
     """``_enumerate_levels``'s (count, coordinates) for the closed ball
-    B(center, radius) on ``basis._reduced``.  The walk runs first, within
-    ``_BALL_DFS_NODES`` nodes; a larger tree is enumerated again level by
-    level in numpy, with the walk's arithmetic and the same points."""
+    B(center, radius) on ``basis._reduced``.  A ball expected to hold more
+    than ``_BALL_DFS_NODES`` points (``_walk_first``) goes level by level in
+    numpy at once; any other is walked first, within ``_BALL_DFS_NODES``
+    nodes, and a larger tree is enumerated again level by level.  Both
+    paths have the walk's arithmetic and the same points."""
     r2 = ball_bound(radius)
     _check_rank(basis.rank, r2)
     red = basis._reduced
     center = basis.to_real(np.asarray(center))
+    if not _walk_first(red, r2):
+        return _enumerate_levels(red, center, r2, keep)
     flat = array.array("d")  # 8 bytes per coordinate while the walk runs
     try:
         _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2,

@@ -159,14 +159,22 @@ def fresh_rng(seed, trial, stream):
     return np.random.Generator(np.random.Philox(key=(seed, 4 * trial + stream)))
 
 
+def reference_complex_std_normal(rng, n):
+    """The complex draw as the channel first wrote it: n real parts, then n
+    imaginary parts, their sum divided by sqrt(2)."""
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        / math.sqrt(2.0)
+
+
 def fresh_realization(model, n, seed, trial):
     """(fading, noise) drawn from fresh generators."""
     cplx = model.complex
     nrng = fresh_rng(seed, trial, 1)
-    noise = ch._complex_std_normal(nrng, n) if cplx else nrng.standard_normal(n)
+    noise = (reference_complex_std_normal(nrng, n) if cplx
+             else nrng.standard_normal(n))
     if not model.fading:
         return np.ones(n, dtype=noise.dtype), noise
-    fading = ch._complex_std_normal(fresh_rng(seed, trial, 0), n)
+    fading = reference_complex_std_normal(fresh_rng(seed, trial, 0), n)
     return (fading if cplx else np.abs(fading)), noise
 
 
@@ -231,6 +239,24 @@ class TestStreamContract:
             return ch.stream_rng(seed, 3, 1).standard_normal(4)
         assert not np.array_equal(draw(2 ** 63), draw(2 ** 63 + 1000))
         assert np.array_equal(draw(2 ** 64 - 1), draw(-1))
+
+    @pytest.mark.parametrize("model", ch.MODELS)
+    def test_draws_byte_identical_to_the_quotient(self, model):
+        """One draw of 2n scaled by 1/sqrt(2) fills the real and imaginary
+        parts with the bytes of ``(a + 1j*b) / sqrt(2)``, signed zeros
+        included; a real fading is still the modulus of that draw."""
+        for seed in self.SEEDS:
+            for t in range(0, 400, 7):
+                for n in (1, 2, 3, 4, 8, 17):
+                    r = ch.sample_realization(model, n, seed, t)
+                    fading, noise = fresh_realization(model, n, seed, t)
+                    assert r.noise.tobytes() == noise.tobytes()
+                    assert r.fading.tobytes() == fading.tobytes()
+                    assert r.noise.dtype == noise.dtype
+                    assert r.fading.dtype == fading.dtype
+        # the model may come as its name or as the member
+        assert ch.sample_realization(str(model), 4, 3, 2).noise.tobytes() \
+            == ch.sample_realization(model, 4, 3, 2).noise.tobytes()
 
     def test_one_generator_per_stream(self):
         """The documented limit: a call re-keys the generator that the last

@@ -20,7 +20,7 @@ def ball_volume(f, radius):
     """Vol(B(radius)) in the field's real dimension, C (r^2/n)^{dim/2}: the
     formula ``energy_normalization`` and the shift search take in logs."""
     dim, n = f.degree, f.ambient_n
-    return math.exp(cb._ln_ball_constant(dim, n)
+    return math.exp(lattice._ln_ball_constant(dim, n)
                     + 0.5 * dim * math.log(radius * radius / n))
 
 

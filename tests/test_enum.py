@@ -568,6 +568,106 @@ class TestLevelwiseBalls:
             assert np.array_equal(lattice._lex_order(rows),
                                   np.lexsort(rows.T[::-1]))
 
+    def test_lex_order_past_product_rows(self):
+        """Past ``_PRODUCT_ROWS`` rows the mixed-radix key is multiplied in
+        blocks (``rows_product``): the order is still lexsort's, on the
+        rate-2 F8-17 carving ball and on rows whose key nears 2^53."""
+        f = nf.catalog_field("F8-17")
+        basis = nf.embedding_matrix(f).scaled(
+            math.sqrt(energy_normalization(f, 2.0, 10.0)))
+        shift = shift_search(basis, 10.0, 0)
+        ured = lattice._ball(basis, -shift, math.sqrt(80.0), True)[1]
+        assert len(ured) > 2 ** 16
+        rng = np.random.default_rng(4)
+        # 98^8 < 2^53: the widest span whose key is exact at width 8
+        wide = np.unique(rng.integers(-49, 49, (6000, 8)), axis=0)
+        wide = wide[rng.permutation(len(wide))[:lattice._PRODUCT_ROWS + 1]]
+        assert wide.max() - wide.min() + 1 == 98
+        for rows in (ured, wide.astype(float)):
+            assert np.array_equal(lattice._lex_order(rows),
+                                  np.lexsort(rows.T[::-1]))
+
+
+def spied_ball(search, basis, center, radius, patch=None):
+    """``search``'s result and which kernels its ball ran: a tuple of
+    "walk" and "levels" in call order."""
+    ran = []
+    walk, levels = lattice._enumerate, lattice._enumerate_levels
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (patch or {}).items():
+            mp.setattr(lattice, name, value)
+        mp.setattr(lattice, "_enumerate", spy("walk", walk))
+        mp.setattr(lattice, "_enumerate_levels", spy("levels", levels))
+        return search(basis, center, radius), tuple(ran)
+
+
+class TestBallPath:
+    """A ball expected to hold more than ``_BALL_DFS_NODES`` points (the
+    Gaussian heuristic, Vol(B) / det) goes level by level without a walk;
+    any other is walked first and falls back on a trip."""
+
+    def test_paths_of_the_carving_balls(self):
+        """Rate 1 at P = 10: the rank-8 ball is expected to hold 2^8 points
+        and skips the walk; the rank-4 ball (2^4) is walked alone."""
+        for name, want in (("F8-17", ("levels",)), ("F4-725", ("walk",))):
+            basis = code_lattice(name)
+            center = -shift_search(basis, 10.0, 0)
+            radius = math.sqrt(basis.n * 10.0)
+            for search in (lattice.count_in_ball, lattice.points_in_ball):
+                assert spied_ball(search, basis, center, radius)[1] == want
+
+    def test_patches_force_each_path(self):
+        """``WALKED`` walks every ball to its end, ``LEVELLED`` goes level
+        by level at once, and both give the same points."""
+        for name in ("F8-17", "F4-725", "Qzeta5"):
+            basis = code_lattice(name)
+            center = -shift_search(basis, 10.0, 0)
+            for scale in (0.5, 1.0, 1.5):
+                radius = scale * math.sqrt(basis.n * 10.0)
+                walked, ran = spied_ball(lattice.points_in_ball, basis,
+                                         center, radius, WALKED)
+                assert ran == ("walk",)
+                levelled, ran = spied_ball(lattice.points_in_ball, basis,
+                                           center, radius, LEVELLED)
+                assert ran == ("levels",)
+                for g, w in zip(levelled, walked):
+                    assert g.tobytes() == w.tobytes()
+
+    def test_radius_zero_is_walked(self):
+        """A ball of radius 0 has no volume, so no logarithm of it is
+        taken: it holds its center when that is a lattice point."""
+        for f in nf.load_catalog():
+            basis = nf.embedding_matrix(f)
+            origin = np.zeros(basis.n)
+            count, ran = spied_ball(lattice.count_in_ball, basis, origin, 0.0)
+            assert (count, ran) == (1, ("walk",))
+            coords, vecs = lattice.points_in_ball(basis, origin, 0.0)
+            assert not coords.any() and not vecs.any() and len(coords) == 1
+            off = basis.to_ambient(np.full(basis.rank, 0.5)
+                                   @ basis.real_matrix)
+            assert lattice.count_in_ball(basis, off, 0.0) == 0
+
+    @pytest.mark.parametrize("radius", [1e150, 1e200, math.inf])
+    def test_overflowing_estimate_caps(self, radius):
+        """An estimate past a float's range (Vol(B) ~ r^8 at rank 8) goes
+        level by level and stops at the budget, with the context of the
+        level-wise trip a walk would have handed it."""
+        basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
+        for search in (lattice.count_in_ball, lattice.points_in_ball):
+            with pytest.raises(EnumerationCapError) as info:
+                search(basis, np.zeros(basis.n), radius)
+            err = info.value
+            assert (err.rank, err.bound, err.nodes, err.budget) == (
+                8, lattice.ball_bound(radius), lattice.MAX_ENUM_NODES + 1,
+                lattice.MAX_ENUM_NODES)
+
 
 # ---------------------------------------------------------------- caps
 

@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from latcode import codebook
 from latcode import lattice
 from latcode import numberfield as nf
 from latcode.lattice import (REAL, LatticeBasis, ZeroProductNormError,
@@ -146,6 +145,6 @@ class TestBallVolume:
                     / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
                 # Vol(B(r)) = C (r^2/n)^{d/2}, as energy_normalization and
                 # the shift search take it
-                got = math.exp(codebook._ln_ball_constant(d, n)
+                got = math.exp(lattice._ln_ball_constant(d, n)
                                + 0.5 * d * math.log(radius * radius / n))
                 assert got == pytest.approx(float(want), rel=1e-13)

@@ -93,9 +93,8 @@ class Codebook:
       coordinates in ``basis`` itself, which NLD decisions are judged on;
       built only by the first NLD decode.
     - ``_prefixes``: the ``PrefixIndex`` that prunes an unfaded ML decode of
-      a large code, built only by the first such decode.  Rows sharing their
-      first L coordinates are contiguous, as ``coords`` is sorted; a code
-      without ``coords``, or with them out of that order, has none (None).
+      a large code, built only by the first such decode; a code without
+      ``coords`` has none (None).
     """
     points: np.ndarray
     alpha: float
@@ -134,8 +133,9 @@ class Codebook:
         """Group the rows by their first L coordinates in ``coords``: the
         longest prefix, of at most ``_PREFIX_LEVELS``, whose groups hold
         ``_PREFIX_GROUP_ROWS`` rows on average (at least one coordinate).
-        None without ``coords``, or unless the rows are in lexicographic
-        order of their prefixes.  No (N, n) temporary is built."""
+        A group is a maximal run of rows with equal prefixes, so its bound
+        holds in any row order; ``carve``'s sorted rows make each prefix
+        one run.  None without ``coords``.  No (N, n) temporary is built."""
         if self.coords is None:
             return None
         red = self.basis._reduced
@@ -149,20 +149,12 @@ class Codebook:
             if np.count_nonzero(longer) + 1 > N / _PREFIX_GROUP_ROWS:
                 break
             new, L = longer, L + 1
-        keys = keys[:L]
-        lo, hi = float(keys.min()), float(keys.max())
-        base = hi - lo + 1.0
-        if max(-lo, hi) * base ** L >= 2.0 ** 53:
-            return None  # the mixed-radix key below would not be exact
-        key = base ** np.arange(L - 1.0, -1.0, -1.0) @ keys
-        if np.any(key[1:] < key[:-1]):
-            return None
         starts = np.concatenate(([0], new.nonzero()[0] + 1, [N]))
         shift = self.basis.to_real(self.shift)
-        rev = lattice._reduction(red.rows[::-1], red.U[::-1])
-        block = np.array(rev.R)[k - L:, k - L:]
-        q = rev.Q[:, k - L:].T
-        levels = block[:, ::-1] @ keys[:, starts[:-1]].astype(float)
+        Q, R = lattice._qr(red.rows[::-1])
+        q = Q[:, k - L:].T
+        prefixes = keys[:L, starts[:-1]].astype(float)  # one per group
+        levels = R[k - L:, k - L:][:, ::-1] @ prefixes
         levels += (q @ shift)[:, None]
         # ||x - shift|| <= sum_j |u_j| ||rows_j||, and |R'_ij| <= ||rows_j||
         span = np.zeros(N)

@@ -19,16 +19,15 @@ fine for the target.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``count_in_ball``,
-``points_in_ball``) chooses its path before it walks: one whose expected
-point count, Vol(B) / det in logs (``_ln_ball_constant``, the one
-ball-volume formula, which ``codebook`` reads too), passes
-``_BALL_DFS_NODES`` is enumerated level by level in numpy at once; any other
-is walked within ``_BALL_DFS_NODES`` nodes, and a larger tree is enumerated
-again level by level.  Both paths have the walk's arithmetic, so the
-points, the node count and the cap are the walk's.  ``points_in_ball``
-returns the points' coordinates in ``_reduced.rows``, as the integer-valued
-floats the enumeration holds.  A ball's slack for roundoff
-(``ball_bound``) is relative to its squared radius.  A faded basis
+``points_in_ball``) is enumerated once: level by level in numpy if the
+walk is expected to visit more than ``_BALL_DFS_NODES`` nodes
+(``_walk_first``), else walked.  Both paths have the walk's arithmetic, so
+the points, the node count and the cap are the walk's, and both raise
+``EnumerationPrecisionError`` rather than run where floats hold no
+integers.  ``points_in_ball`` returns the points' coordinates in
+``_reduced.rows``, as the integer-valued floats the enumeration holds.  A
+ball's slack for roundoff (``ball_bound``) is relative to its squared
+radius; a negative or NaN radius is rejected.  A faded basis
 (``LatticeBasis.faded``) carries a hint, its parent's reduction with the
 rows faded, and its closest point is searched on the hint within the small
 budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
@@ -65,17 +64,13 @@ MAX_ENUM_NODES = 1 << 20
 #: the fading_nld benchmark (seeds 0-20) that walk visited at most 221 nodes
 #: (p99 44); a budget of 64 would have tripped 120 times.
 _FADED_NODES = 256
-#: Node budget of the walk that a ball search runs first, and the expected
-#: point count past which a ball skips that walk (``_walk_first``): a walk
-#: visits at least one node per point.  Past the budget the ball is
-#: enumerated again level by level (``_enumerate_levels``).  Timed side by
-#: side on the rate-1 code lattices (in-process, 2 shared CPUs, best of 7
-#: per ball), the walk costs 1.0-1.8 us per node and the level-wise search
-#: a fixed 0.16 ms at rank 4 and 0.17-0.31 ms at rank 8 (plus 0.1 us per
-#: node), so the two cross near 120 nodes at rank 4 and 150-230 at rank 8.
-#: The rate-1 carving balls of the rank-2 and rank-4 fields (expected 4 to
-#: 16 points) are walked alone; those of F8-17 (expected 256) go level by
-#: level at once.
+#: The walk's expected node count (``_walk_first``) past which a ball is
+#: enumerated level by level instead of walked; ``_lex_order`` reads it as
+#: the row count past which its sort key pays.  Timed side by side on the
+#: rate-1 code lattices (in-process, 2 shared CPUs, best of 7 per ball),
+#: the walk costs 1.0-1.8 us per node and the level-wise search a fixed
+#: 0.16 ms at rank 4 and 0.17-0.31 ms at rank 8 (plus 0.1 us per node), so
+#: the two cross near 120 nodes at rank 4 and 150-230 at rank 8.
 _BALL_DFS_NODES = 128
 #: Cap on the candidates that one level-wise step evaluates (one node may
 #: exceed it alone), which bounds the memory of the frontier.
@@ -117,10 +112,11 @@ class EnumerationCapError(RuntimeError):
 
 
 class EnumerationPrecisionError(EnumerationCapError):
-    """A walk that entered a level whose projected coordinate
-    ``coordinate`` has magnitude at least 2^52: floats hold no fractional
-    part there, so its zig-zag would try the same integer again and again.
-    It is raised as the level is entered, before any of its nodes."""
+    """A search that met a projected coordinate ``coordinate`` of magnitude
+    at least 2^52, where floats hold no fractional part, so a zig-zag would
+    try the same integer again and again: the walk as it enters that level,
+    the level-wise search (naming the centre's largest coordinate in the
+    reduced rows) before any node."""
 
     def __init__(self, rank: int, bound: float, nodes: int, budget: int,
                  coordinate: float):
@@ -162,12 +158,23 @@ class Reduction:
     R: list
 
     @functools.cached_property
-    def _ln_unit_ball_points(self) -> float:
-        """ln(Vol(B(1)) / |det R|), the Gaussian heuristic's point count of
-        a unit ball on these rows, in logs; built on first use (``_ball``)."""
+    def _node_coefficients(self) -> tuple:
+        """c_rank, ..., c_1: a walk of the ball of radius r on these rows
+        is expected to visit sum_k c_k r^k nodes, k levels from the top the
+        Gaussian heuristic's Vol(B_k(r)) / (product of R's last k diagonal
+        entries) (Gama, Nguyen and Regev, "Lattice enumeration using extreme
+        pruning", EUROCRYPT 2010).  An overflow reads as inf."""
         rank = len(self.R)
-        return _ln_ball_constant(rank, 1) - sum(
-            math.log(self.R[i][i]) for i in range(rank))
+        coefficients, inverse = [], 1.0
+        for k in range(1, rank + 1):
+            inverse /= self.R[rank - k][rank - k]
+            coefficients.append(math.exp(_ln_ball_constant(k, 1)) * inverse)
+        return tuple(reversed(coefficients))
+
+    @functools.cached_property
+    def _R_inverse(self) -> np.ndarray:
+        """R^-1: Q^T c to c's coordinates in ``rows``."""
+        return np.linalg.inv(np.array(self.R))
 
 
 def _reduction(rows: np.ndarray, U: np.ndarray) -> Reduction:
@@ -383,7 +390,9 @@ def ball_bound(radius: float) -> float:
     """Squared radius, widened for roundoff, within which a point is in the
     closed ball: the one test for carving, counting and codebook membership.
     The slack is relative, so scaling a lattice and its ball together keeps
-    the same points."""
+    the same points.  A negative or NaN radius raises ``ValueError``."""
+    if not radius >= 0.0:  # False for NaN
+        raise ValueError(f"ball radius must be non-negative, got {radius}")
     return radius * radius * (1.0 + _BALL_SLACK)
 
 
@@ -397,19 +406,14 @@ def _ln_ball_constant(dim: int, n: int) -> float:
 
 def _walk_first(red: Reduction, r2: float) -> bool:
     """Whether a ball of squared radius ``r2`` on ``red``'s lattice is
-    walked before it goes level by level: whether its expected point count
-    Vol(B) / |det R| (the Gaussian heuristic) is at most
-    ``_BALL_DFS_NODES``.  A walk visits at least one node per point, so a
-    ball expected to hold more would most likely trip the walk's budget and
-    be enumerated twice.  Taken in logs, of the ball constant and of R's
-    diagonal, so no radius overflows it; a ball of radius 0 has no volume
-    and is walked."""
-    if r2 <= 0.0:
-        return True
-    if _BALL_DFS_NODES < 1:  # no node to walk
-        return False
-    ln_points = red._ln_unit_ball_points + 0.5 * len(red.R) * math.log(r2)
-    return ln_points <= math.log(_BALL_DFS_NODES)
+    walked, not enumerated level by level: whether the walk's expected node
+    count (``Reduction._node_coefficients``, in Horner form in r, so an
+    overflow reads as inf) is at most ``_BALL_DFS_NODES``."""
+    r = math.sqrt(r2)
+    nodes = 0.0
+    for c in red._node_coefficients:
+        nodes = (nodes + c) * r
+    return nodes <= _BALL_DFS_NODES
 
 
 def _check_rank(rank: int, bound: float) -> None:
@@ -583,11 +587,18 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
     ``EnumerationCapError``, before a step whose widest node alone would pass
     the budget builds its tries, so a step's memory stays within a few
-    times the budget however large the bound.
+    times the budget however large the bound.  A centre with a coordinate
+    in ``red.rows`` of 2^52 or more raises ``EnumerationPrecisionError``
+    first: no node within the budget strays far from it, so below that each
+    stays under 2^53, where floats hold integers.
     """
     R = np.array(red.R)
     rank, budget = len(R), MAX_ENUM_NODES
     t = red.Q.T @ center
+    x = red._R_inverse @ t
+    far = np.abs(x).argmax()
+    if abs(x[far]) >= 2.0 ** 52:
+        raise EnumerationPrecisionError(rank, bound, 0, budget, float(x[far]))
     nodes, points, leaves = 0, 0, []
     stack = [(rank - 1, t[None, :], np.zeros(1),
               np.zeros((1, rank if keep else 0)))]
@@ -668,11 +679,10 @@ def _lex_order(ured: np.ndarray) -> np.ndarray:
 
 def _ball(basis: LatticeBasis, center, radius: float, keep: bool):
     """``_enumerate_levels``'s (count, coordinates) for the closed ball
-    B(center, radius) on ``basis._reduced``.  A ball expected to hold more
-    than ``_BALL_DFS_NODES`` points (``_walk_first``) goes level by level in
-    numpy at once; any other is walked first, within ``_BALL_DFS_NODES``
-    nodes, and a larger tree is enumerated again level by level.  Both
-    paths have the walk's arithmetic and the same points."""
+    B(center, radius) on ``basis._reduced``, by one enumeration: level by
+    level if the walk is expected to visit more than ``_BALL_DFS_NODES``
+    nodes (``_walk_first``), else walked.  Both paths have the walk's
+    arithmetic and the same points."""
     r2 = ball_bound(radius)
     _check_rank(basis.rank, r2)
     red = basis._reduced
@@ -680,11 +690,7 @@ def _ball(basis: LatticeBasis, center, radius: float, keep: bool):
     if not _walk_first(red, r2):
         return _enumerate_levels(red, center, r2, keep)
     flat = array.array("d")  # 8 bytes per coordinate while the walk runs
-    try:
-        _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2,
-                   _BALL_DFS_NODES)
-    except EnumerationCapError:
-        return _enumerate_levels(red, center, r2, keep)
+    _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2)
     ured = np.frombuffer(flat).reshape(-1, basis.rank)
     return len(ured), ured if keep else None
 
@@ -700,9 +706,9 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     Returns (coords, vectors), sorted by coords: the points' coordinates in
     ``basis._reduced.rows`` as an integer-valued float (count, rank) array
     (``coords @ basis._reduced.U`` are those in the given basis), and the
-    ambient vectors.  A ball past ``_BALL_DFS_NODES`` walk nodes goes level
-    by level, and its memory peaks below three times the coordinate array
-    returned.
+    ambient vectors.  A ball expected past ``_BALL_DFS_NODES`` walk nodes
+    goes level by level, and its memory peaks below three times the
+    coordinate array returned.
     """
     ured = _ball(basis, center, radius, keep=True)[1]
     ured = np.take(ured, _lex_order(ured), axis=0)

@@ -432,8 +432,8 @@ class TestFadedHint:
 # ---------------------------------------------------------------- level-wise
 
 
-WALKED = {"_BALL_DFS_NODES": 1 << 62}  # the walk never hands a ball over
-LEVELLED = {"_BALL_DFS_NODES": 0}  # every ball goes level by level
+WALKED = {"_BALL_DFS_NODES": 1 << 62}  # every ball is walked
+LEVELLED = {"_BALL_DFS_NODES": 0}  # every ball of radius > 0 goes level-wise
 
 
 def ball_outcome(search, basis, center, radius, patch):
@@ -492,8 +492,9 @@ def ball_cases(draw):
 
 
 class TestLevelwiseBalls:
-    """Past ``_BALL_DFS_NODES`` a ball is enumerated level by level: the
-    same count, points and order as the walk, and the same cap."""
+    """A ball expected past ``_BALL_DFS_NODES`` walk nodes is enumerated
+    level by level: the same count, points and order as the walk, and the
+    same cap."""
 
     @settings(max_examples=150, deadline=None)
     @given(ball_cases())
@@ -588,6 +589,18 @@ class TestLevelwiseBalls:
                                   np.lexsort(rows.T[::-1]))
 
 
+def expected_nodes(red, r2):
+    """The walk's expected node count, sum over k of Vol(B_k(r)) over the
+    product of R's last k diagonal entries, in logs."""
+    rank, r = len(red.R), math.sqrt(r2)
+    total, ln_volume = 0.0, 0.0
+    for k in range(1, rank + 1):
+        ln_volume += math.log(red.R[rank - k][rank - k])
+        total += math.exp(0.5 * k * math.log(math.pi) - math.lgamma(k / 2 + 1)
+                          + k * math.log(r) - ln_volume)
+    return total
+
+
 def spied_ball(search, basis, center, radius, patch=None):
     """``search``'s result and which kernels its ball ran: a tuple of
     "walk" and "levels" in call order."""
@@ -608,14 +621,41 @@ def spied_ball(search, basis, center, radius, patch=None):
         return search(basis, center, radius), tuple(ran)
 
 
+def recorded_balls(run):
+    """``run()``, and the (basis, center, radius) of every ball it searched."""
+    balls, ball = [], lattice._ball
+
+    def spy(basis, center, radius, keep):
+        balls.append((basis, center, radius))
+        return ball(basis, center, radius, keep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ball", spy)
+        run()
+    return balls
+
+
+def ideal_runs():
+    """For each catalog field, ``min_ideal`` of each ideal of the ``ideal``
+    table: the catalog's, and the unit ideal where none has norm 1."""
+    for f in nf.load_catalog():
+        ideals = list(f.ideals)
+        if not any(i.norm == 1 for i in ideals):
+            ideals.insert(0, f.unit_ideal())
+        for i in ideals:
+            yield lambda f=f, i=i: nf.min_ideal(f, i)
+
+
 class TestBallPath:
-    """A ball expected to hold more than ``_BALL_DFS_NODES`` points (the
-    Gaussian heuristic, Vol(B) / det) goes level by level without a walk;
-    any other is walked first and falls back on a trip."""
+    """A ball is enumerated once: level by level if the walk is expected to
+    visit more than ``_BALL_DFS_NODES`` nodes (the Gaussian heuristic on
+    each level's projected lattice), else walked, and a walk's error
+    reaches the caller."""
 
     def test_paths_of_the_carving_balls(self):
-        """Rate 1 at P = 10: the rank-8 ball is expected to hold 2^8 points
-        and skips the walk; the rank-4 ball (2^4) is walked alone."""
+        """Rate 1 at P = 10: the rank-8 ball (2^8 points, some 650 walk
+        nodes expected) goes level by level; the rank-4 ball (2^4 points)
+        is walked."""
         for name, want in (("F8-17", ("levels",)), ("F4-725", ("walk",))):
             basis = code_lattice(name)
             center = -shift_search(basis, 10.0, 0)
@@ -641,8 +681,8 @@ class TestBallPath:
                     assert g.tobytes() == w.tobytes()
 
     def test_radius_zero_is_walked(self):
-        """A ball of radius 0 has no volume, so no logarithm of it is
-        taken: it holds its center when that is a lattice point."""
+        """A ball of radius 0 expects no node and is walked: it holds its
+        center when that is a lattice point."""
         for f in nf.load_catalog():
             basis = nf.embedding_matrix(f)
             origin = np.zeros(basis.n)
@@ -654,11 +694,78 @@ class TestBallPath:
                                    @ basis.real_matrix)
             assert lattice.count_in_ball(basis, off, 0.0) == 0
 
+    def test_qzeta5_unit_ideal_goes_level_by_level(self):
+        """Its ball holds 111 points in 194 walk nodes.  Expected at 165
+        nodes, it goes level by level at once; by its expected point count
+        (100) it would have walked 128 nodes and started over."""
+        f = nf.catalog_field("Qzeta5")
+        basis = nf.ideal_lattice(f, f.unit_ideal())
+        radius = nf.default_min_ideal_radius(f, f.unit_ideal()) / 4.0
+        _, ran = spied_ball(nf.min_ideal, f, f.unit_ideal(), None)
+        assert ran == ("levels",)
+        red, r2 = basis._reduced, lattice.ball_bound(radius)
+        assert lattice._enumerate(red, np.zeros(4), r2, lambda u, d2: r2) \
+            == 194
+        assert 128 < expected_nodes(red, r2) < 194
+
+    def test_node_estimate_tracks_the_walk(self):
+        """Within 0.5-2x of the walk's node count on every ball that the
+        catalog's carves at rates 0.5-2 and P = 10, ``invariants`` and
+        ``ideal`` search, and the same sum as the cached coefficients'."""
+        runs = [lambda f=f, rate=rate: carve(CodeConfig(
+            rate=rate, power=10.0, field=f, seed=0))
+            for f in nf.load_catalog() for rate in (0.5, 1.0, 1.5, 2.0)]
+        runs += [lambda f=f: lattice.invariants(nf.embedding_matrix(f))
+                 for f in nf.load_catalog()]
+        runs += list(ideal_runs())
+        seen, paths = set(), set()
+        for run in runs:
+            for basis, center, radius in recorded_balls(run):
+                red, r2 = basis._reduced, lattice.ball_bound(radius)
+                center = basis.to_real(np.asarray(center))
+                key = (id(red), center.tobytes(), r2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nodes = lattice._enumerate(red, center, r2, lambda u, d2: r2)
+                estimate = expected_nodes(red, r2)
+                assert 0.5 <= nodes / estimate <= 2.0, (basis.rank, radius)
+                r = math.sqrt(r2)
+                horner = sum(c * r ** k for k, c in zip(
+                    range(basis.rank, 0, -1), red._node_coefficients))
+                assert horner == pytest.approx(estimate, rel=1e-9)
+                walked = lattice._walk_first(red, r2)
+                assert walked == (horner <= lattice._BALL_DFS_NODES)
+                paths.add(walked)
+        assert paths == {True, False}
+
+    @pytest.mark.parametrize("radius", [1.5, 40.0])
+    def test_both_paths_stop_where_floats_hold_no_integers(self, radius):
+        """Far from the origin of the Qsqrt2 ring the walk's error reaches
+        the caller, and the level-wise search raises it too, before any
+        node; nearer, where floats still hold integers, the two agree."""
+        ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
+        for patch in (WALKED, LEVELLED, {}):
+            for search in (lattice.count_in_ball, lattice.points_in_ball):
+                with pytest.MonkeyPatch.context() as mp:
+                    for name, value in patch.items():
+                        mp.setattr(lattice, name, value)
+                    with pytest.raises(
+                            lattice.EnumerationPrecisionError) as info:
+                        search(ring, (1e17, 1e17), radius)
+                err = info.value
+                assert abs(err.coordinate) >= 2.0 ** 52
+                assert err.budget == lattice.MAX_ENUM_NODES
+                if patch is LEVELLED:
+                    assert err.nodes == 0
+        kind, count = assert_levels_match_walk(ring, (1e12, 1e12), radius)
+        assert kind == "ok" and count > 0
+
     @pytest.mark.parametrize("radius", [1e150, 1e200, math.inf])
     def test_overflowing_estimate_caps(self, radius):
-        """An estimate past a float's range (Vol(B) ~ r^8 at rank 8) goes
-        level by level and stops at the budget, with the context of the
-        level-wise trip a walk would have handed it."""
+        """An estimate past a float's range (~ r^8 at rank 8) goes level by
+        level and stops at the budget before its first step, one node past
+        it."""
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
         for search in (lattice.count_in_ball, lattice.points_in_ball):
             with pytest.raises(EnumerationCapError) as info:

@@ -157,6 +157,30 @@ class TestPointsInBall:
         coords, vecs = points_in_ball(Z2, np.array([0.5, 0.5]), 0.8)
         assert len(coords) == 4
 
+    @pytest.mark.parametrize("radius", [-3.0, -1e-300, math.nan])
+    def test_rejects_negative_or_nan_radius(self, radius):
+        """``ball_bound`` squares the radius, so a negative one would search
+        the ball of its magnitude: every ball search names it instead."""
+        f = nf.catalog_field("Qsqrt2")
+        ring = nf.embedding_matrix(f)
+        for search in (
+                lambda: lattice.count_in_ball(ring, np.zeros(2), radius),
+                lambda: points_in_ball(ring, np.zeros(2), radius),
+                lambda: min_product_distance(ring, radius),
+                lambda: nf.min_ideal(f, f.unit_ideal(), radius)):
+            with pytest.raises(ValueError,
+                               match="^ball radius must be non-negative, "
+                                     "got (-|nan)"):
+                search()
+
+    def test_radius_zero_and_inf_keep_their_results(self):
+        ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
+        assert lattice.count_in_ball(ring, np.zeros(2), 0.0) == 1
+        assert lattice.count_in_ball(ring, np.zeros(2), -0.0) == 1
+        with pytest.raises(lattice.EnumerationCapError) as info:
+            lattice.count_in_ball(ring, np.zeros(2), math.inf)
+        assert info.value.nodes > info.value.budget
+
 
 class TestCachedReduction:
     def test_lll_runs_once_per_basis(self, monkeypatch):

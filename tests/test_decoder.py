@@ -372,8 +372,13 @@ class TestMlPruned:
                 full_scan(y, r.fading, f8_rate2)[1]
         assert np.median(kept) < f8_rate2.size / 20
 
-    @pytest.mark.parametrize("case", ["off_lattice", "fading"])
+    @pytest.mark.parametrize("case", ["off_lattice", "permuted", "fading"])
     def test_falls_back_to_near_best(self, case, monkeypatch):
+        """A code without coordinates or a faded channel scores every row
+        without pruning.  A permuted code is pruned, but its groups are
+        short runs, so ``_pruned_rows`` often keeps more than half the rows
+        and falls back to scoring them all.  Every decision is a full
+        scan's."""
         calls = force_pruned(monkeypatch)
         near = []
         real = decoder._score_block
@@ -386,6 +391,10 @@ class TestMlPruned:
         r = unfaded(code)
         if case == "off_lattice":
             code = plain_code(rng.standard_normal((300, 4)))
+        elif case == "permuted":
+            order = rng.permutation(code.size)
+            code = dataclasses.replace(code, points=code.points[order],
+                                       coords=code.coords[order])
         else:
             r = ch.ChannelRealization(fading=rng.rayleigh(size=4),
                                       noise=np.zeros(4),
@@ -396,10 +405,14 @@ class TestMlPruned:
             idx, metric = full_scan(y, r.fading, code)
             assert np.array_equal(out.decoded, code.points[idx])
             assert out.metric == metric
-        assert not calls and near == [None] * 10
+        if case == "permuted":
+            assert len(calls) == 10 and calls[0] is not None
+            assert len(near) == 10 and any(a is None for a in near)
+        else:
+            assert not calls and near == [None] * 10
         if case == "fading":
             assert "_prefixes" not in code.__dict__  # never built
-        else:
+        elif case == "off_lattice":
             assert code._prefixes is None
 
     def test_large_awgn_code_stays_pruned(self, f8_rate2, monkeypatch):

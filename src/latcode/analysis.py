@@ -7,14 +7,12 @@ the asymptotic (n -> infinity) gap constants are exposed separately in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (AWGN_COMPLEX, AWGN_REAL, RAYLEIGH_COMPLEX, RAYLEIGH_REAL,
-                      Model)
+from .channel import AWGN_COMPLEX, AWGN_REAL, RAYLEIGH_REAL, Model
 from .lattice import COMPLEX, LatticeInvariants
 from .specfun import EULER_GAMMA, chernoff_solve, chi_square_tail
 
@@ -82,8 +80,6 @@ def gap_from_lattice(inv: LatticeInvariants, model: str) -> RateBound:
     model = Model(model)
     n = inv.n
     if model.fading:
-        if inv.ndp is None:
-            raise ValueError("normalized product distance unknown")
         ratio = 2.0 / (math.pi * math.e * inv.ndp ** (2.0 / n))
         params = {"ndp": inv.ndp, "n": n}
     else:
@@ -142,38 +138,28 @@ def bound_table() -> list[RateBound]:
     return rows
 
 
-def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
-                       model: str = RAYLEIGH_COMPLEX) -> float:
+def fading_error_bound(n: int, alpha: float, model: str) -> float:
     """Union bound: atypical-noise term plus Chernoff tail of the fading
-    geometric mean; saturates at 1 when the slack delta exceeds
-    delta_max(eps) = ln(alpha^2 / (4 (1 + eps))) - gamma or delta_max <= 0.
+    geometric mean, at the largest slack delta_max(eps) =
+    ln(alpha^2 / (4 (1 + eps))) - gamma; at an eps whose delta_max <= 0 it
+    saturates at 1.
 
-    With ``delta=None`` delta_max is used for each epsilon; with
-    ``epsilon=None`` as well, the bound is minimized over a 100-point
-    log-grid of epsilon values; a grid point whose atypical-noise term
-    alone reaches the least bound so far skips its Chernoff solve, which
-    leaves the minimum unchanged.  An explicit ``delta`` <= 0 raises
-    ``ValueError`` whatever alpha and epsilon are.
+    The bound is minimized over a 100-point log-grid of epsilon values; a
+    grid point whose atypical-noise term alone reaches the least bound so
+    far skips its Chernoff solve, which leaves the minimum unchanged.
     """
     model = Model(model)
     if not model.fading:
         raise ValueError(f"fading_error_bound needs a fading model, got {model}")
-    if delta is not None and delta <= 0:
-        raise ValueError(f"fading_error_bound requires delta > 0, got {delta}")
     dof = model.dims * n
-    solve = functools.cache(chernoff_solve)  # an explicit delta: one solve
 
-    def bound_for(eps: float, dlt: float | None,
-                  best: float = math.inf) -> float:
+    def bound_for(eps: float, best: float) -> float:
         """The bound at ``eps``, or inf where it cannot be below ``best``."""
         arg = alpha ** 2 / (4.0 * (1.0 + eps))
         if arg <= 0:
             return 1.0
         dmax = math.log(arg) - EULER_GAMMA
-        # compare with delta_max itself: the precondition recomputed from
-        # delta = delta_max holds with equality, and fails by an ulp in floats
-        dlt = dmax if dlt is None else dlt
-        if dlt > dmax or dmax <= 0:
+        if dmax <= 0:
             return 1.0
         term1 = 2.0 * math.exp(-dof * eps ** 2 / 16.0)
         # fl(term1 + term2) >= term1 for term2 >= 0, so the Chernoff solve
@@ -181,12 +167,10 @@ def fading_error_bound(n: int, alpha: float, delta=None, epsilon=None,
         # bit for bit
         if min(1.0, term1) >= best:
             return math.inf
-        term2 = math.exp(n * solve(dlt).exponent)
+        term2 = math.exp(n * chernoff_solve(dmax).exponent)
         return min(1.0, term1 + term2)
 
-    if epsilon is not None:
-        return bound_for(epsilon, delta)
     best = math.inf
     for e in np.logspace(-3, math.log10(50.0), 100):
-        best = min(best, bound_for(float(e), delta, best))
+        best = min(best, bound_for(float(e), best))
     return best

@@ -266,7 +266,7 @@ def run_simulate(cfg: ExperimentConfig):
         cb, err_nld, err_ml, _ = simulate_point(
             field, model, cfg.rate, power, cfg.trials, cfg.master_seed,
             which=cfg.decoder, workers=cfg.workers)
-        _, sv = lattice.shortest_vector(cb.basis)
+        sv = lattice.shortest_vector(cb.basis)
         sbound = analysis.sphere_bound(sv, cb.n, model)
         if model.fading:
             cbound = analysis.fading_error_bound(cb.n, cb.alpha, model=model)

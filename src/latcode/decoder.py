@@ -10,14 +10,16 @@ builds a block of trials' faded bases at once and hands each to
 coefficient makes the faded basis singular, and NLD raises ``ValueError`` on
 it; ML decodes it.
 
-Both decoders decide first: ``correct`` is set at once, in integers, and
-the decoded point, its metric and its codebook membership are computed only
-when read (``DecodeOutcome``).  ``ml_near_rows`` alone chooses the rows an
-ML decode scores, for every trial of a block: an unfaded large code is
-pruned by its prefix groups one trial at a time, and every other code is
-scored as a block, with one product over the code's rows, one mask over the
-rescoring window and one ``nonzero``.  ``ml_decode`` rescores a trial only
-if more than one row lies in its window; called alone it is a block of one.
+Both decoders return their decision (``DecodeOutcome``): whether it is the
+sent codeword, decided in integers, and the decided point's coordinates in
+the code basis (NLD) or its codebook row (ML); whether an NLD point lies in
+the codebook is computed only when read.  ``ml_near_rows`` alone chooses
+the rows an ML decode scores, for every trial of a block: an unfaded large
+code is pruned by its prefix groups one trial at a time, and every other
+code is scored as a block, with one product over the code's rows, one mask
+over the rescoring window and one ``nonzero``.  ``ml_decode`` rescores a
+trial only if more than one row lies in its window; called alone it is a
+block of one.
 """
 
 from __future__ import annotations
@@ -52,64 +54,34 @@ _ML_PRUNE_BYTES = 1 << 20
 
 class DecodeOutcome:
     """What a decode decided.  ``correct`` says whether it decided the sent
-    codeword, ``decoded`` is the point x it decided, ``metric`` is
-    ||y - h x||^2 and ``is_codeword`` says whether x lies in the codebook.
-
-    The decoders set ``correct`` at once and leave the other three to their
-    subclasses, which compute each on first read, bit for bit as the decode
-    itself would have."""
+    codeword and ``is_codeword`` whether the point it decided lies in the
+    codebook; each subclass names that point its own way."""
 
 
 class _NldOutcome(DecodeOutcome):
     """An NLD decision, the lattice point with coordinates ``coords`` in
-    the code basis; ``fading`` None is unit fading, multiplied in nowhere."""
+    the code basis; whether it is a codeword is computed on first read."""
 
-    def __init__(self, correct: bool, y, fading, codebook: Codebook, coords):
-        self.correct = correct
-        self._y, self._fading, self._codebook = y, fading, codebook
-        self._coords = coords
-
-    @functools.cached_property
-    def decoded(self):
-        code = self._codebook
-        return code.shift + self._coords.astype(float) @ code.basis.vectors
-
-    @functools.cached_property
-    def metric(self) -> float:
-        x = self.decoded
-        if self._fading is not None:
-            x = self._fading * x
-        return float(np.add.reduce(np.abs(self._y - x) ** 2))
+    def __init__(self, correct: bool, codebook: Codebook, coords):
+        self.correct, self.coords, self._codebook = correct, coords, codebook
 
     @functools.cached_property
     def is_codeword(self) -> bool:
         # the codebook is every shifted lattice point in carve's ball
         code = self._codebook
+        x = code.shift + self.coords.astype(float) @ code.basis.vectors
         radius = math.sqrt(code.n * code.power)
-        return (float(np.add.reduce(np.abs(self.decoded) ** 2))
+        return (float(np.add.reduce(np.abs(x) ** 2))
                 <= lattice.ball_bound(radius))
 
 
 class _MlOutcome(DecodeOutcome):
-    """An ML decision, row ``row`` of the code; ``fading`` None is unit
-    fading.  A decode that rescored its near rows sets ``metric``."""
+    """An ML decision, row ``row`` of the code."""
 
     is_codeword = True
 
-    def __init__(self, correct: bool, y, fading, codebook: Codebook,
-                 row: int):
-        self.correct = correct
-        self._y, self._fading, self._codebook = y, fading, codebook
-        self._row = row
-
-    @functools.cached_property
-    def decoded(self):
-        return self._codebook.points[self._row]
-
-    @functools.cached_property
-    def metric(self) -> float:
-        rows = self._codebook.points[self._row:self._row + 1]
-        return float(_exact_metrics(self._y, self._fading, rows)[0])
+    def __init__(self, correct: bool, row: int):
+        self.correct, self.row = correct, row
 
 
 def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
@@ -121,13 +93,12 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
     is correct when x's integer coordinates in the code basis, all that
     ``lattice.closest_vector_coords`` returns, equal row ``sent``'s
     (``codebook.coords`` needed, carried into the code basis once per code,
-    ``Codebook._basis_coords``).
-    The decoded point, its metric and whether it lies in the codebook are
-    computed when read.  Unit fading is left out of every product: a
-    product by 1 is exact.  On a fading channel, ``faded`` is the code
-    lattice faded by this realization, as a caller that builds a block of
-    them at once (``LatticeBasis.faded``) passes it; without it the decode
-    builds its own.
+    ``Codebook._basis_coords``).  The outcome holds those coordinates, and
+    whether they give a codeword is computed when read.  Unit fading is
+    left out of every product: a product by 1 is exact.  On a fading
+    channel, ``faded`` is the code lattice faded by this realization, as a
+    caller that builds a block of them at once (``LatticeBasis.faded``)
+    passes it; without it the decode builds its own.
     """
     if realization.model.fading:
         fading = realization.fading
@@ -135,10 +106,10 @@ def nld_decode(y, realization: ChannelRealization, codebook: Codebook,
         basis = codebook.basis.faded(fading) if faded is None else faded
         target = y - fading * codebook.shift
     else:  # the code lattice itself is searched: one cached reduction
-        fading, basis, target = None, codebook.basis, y - codebook.shift
+        basis, target = codebook.basis, y - codebook.shift
     coords = lattice.closest_vector_coords(basis, target)
     correct = coords.tolist() == codebook._basis_coords[sent].tolist()
-    return _NldOutcome(correct, y, fading, codebook, coords)
+    return _NldOutcome(correct, codebook, coords)
 
 
 def _exact_metrics(y, fading, rows) -> np.ndarray:
@@ -161,10 +132,9 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
     ``near`` holds the rows whose score lies near this trial's best
     (``ml_near_rows``), as a caller that scores a block of trials at once
     passes it; without it the decode is a block of one.  One near row is
-    the decision, and its metric is computed when read.  Several are
-    rescored with the exact per-row arithmetic of a full scan, and the
-    first index among the exact minima wins.  Either way the decision and
-    ``metric`` are those of a full scan, bit for bit.
+    the decision.  Several are rescored with the exact per-row arithmetic
+    of a full scan, and the first index among the exact minima wins, as in
+    a full scan.
     """
     fading = realization.fading if realization.model.fading else None
     if near is None:
@@ -172,14 +142,11 @@ def ml_decode(y, realization: ChannelRealization, codebook: Codebook,
                             None if fading is None else fading[None],
                             codebook)[0]
     if len(near) == 1:
-        return _MlOutcome(bool(near[0] == sent), y, fading, codebook,
-                          int(near[0]))
-    metrics = _exact_metrics(y, fading, codebook.points[near])
-    best = metrics.argmin()  # first index wins ties
-    out = _MlOutcome(bool(near[best] == sent), y, fading, codebook,
-                     int(near[best]))
-    out.metric = float(metrics[best])
-    return out
+        row = int(near[0])
+    else:  # first index wins ties
+        row = int(near[_exact_metrics(y, fading, codebook.points[near])
+                        .argmin()])
+    return _MlOutcome(row == sent, row)
 
 
 def ml_near_rows(y, fading, codebook: Codebook) -> list:

@@ -15,7 +15,8 @@ cap before any reduction is built and the budget at the node past it.
 A walk that enters a level whose projected coordinate has reached 2^52
 raises the subclass ``EnumerationPrecisionError`` as it enters, not at
 the budget: floats no longer hold integers there, so the lattice is too
-fine for the target.
+fine for the target.  A NaN centre or target raises ``ValueError`` there
+instead, on both ball paths and before any node.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``count_in_ball``,
@@ -65,13 +66,16 @@ MAX_ENUM_NODES = 1 << 20
 #: (p99 44); a budget of 64 would have tripped 120 times.
 _FADED_NODES = 256
 #: The walk's expected node count (``_walk_first``) past which a ball is
-#: enumerated level by level instead of walked; ``_lex_order`` reads it as
-#: the row count past which its sort key pays.  Timed side by side on the
+#: enumerated level by level instead of walked.  Timed side by side on the
 #: rate-1 code lattices (in-process, 2 shared CPUs, best of 7 per ball),
 #: the walk costs 1.0-1.8 us per node and the level-wise search a fixed
 #: 0.16 ms at rank 4 and 0.17-0.31 ms at rank 8 (plus 0.1 us per node), so
 #: the two cross near 120 nodes at rank 4 and 150-230 at rank 8.
 _BALL_DFS_NODES = 128
+#: Rows past which ``_lex_order`` sorts by a mixed-radix key (best of 7,
+#: 2 CPUs: 7.0-7.6 us on 32-60 rows against lexsort's 1.6-3.9 us at ranks
+#: 2-4; 8.0-8.7 us on 128 rows against 4.1, 7.5 and 13.7 us at 2, 4, 8).
+_LEX_KEY_ROWS = 128
 #: Cap on the candidates that one level-wise step evaluates (one node may
 #: exceed it alone), which bounds the memory of the frontier.
 _LEVEL_BLOCK = 1 << 14
@@ -285,9 +289,9 @@ class LatticeBasis:
 class LatticeInvariants:
     volume: float
     sv: float
-    dp_min: float | None
+    dp_min: float
     nsv: float
-    ndp: float | None
+    ndp: float
     ambient: str
     n: int
 
@@ -422,6 +426,15 @@ def _check_rank(rank: int, bound: float) -> None:
         raise EnumerationCapError(rank, bound, 0, MAX_ENUM_NODES)
 
 
+def _far_error(coordinate: float, rank: int, bound: float, nodes: int,
+               budget: int) -> Exception:
+    """The error for a projected ``coordinate`` not below 2^52 in magnitude:
+    ``ValueError`` for a NaN, else ``EnumerationPrecisionError``."""
+    if math.isnan(coordinate):
+        return ValueError("the search centre has a NaN coordinate")
+    return EnumerationPrecisionError(rank, bound, nodes, budget, coordinate)
+
+
 def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
                budget: int | None = None) -> int:
     """Schnorr-Euchner walk over the lattice points v with ||v - center||^2 <= bound.
@@ -444,8 +457,8 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
     ``EnumerationCapError`` at the node past it, even within one level's
     zig-zag.  A level whose projected centre reaches 2^52 in magnitude
     raises ``EnumerationPrecisionError`` as it is entered, before any of
-    its nodes: floats hold no integers apart there.  The caller checks the
-    rank cap.
+    its nodes: floats hold no integers apart there (a NaN one raises
+    ``ValueError``, ``_far_error``).  The caller checks the rank cap.
     """
     R = red.R
     rank = len(R)
@@ -462,8 +475,8 @@ def _enumerate(red: Reduction, center: np.ndarray, bound: float, leaf,
         rii = R[level][level]
         yl = y[level]
         ci = yl / rii
-        if abs(ci) >= 2.0 ** 52:  # no fractional part left
-            raise EnumerationPrecisionError(rank, bound, nodes, budget, ci)
+        if not abs(ci) < 2.0 ** 52:  # no fractional part left, or NaN
+            raise _far_error(ci, rank, bound, nodes, budget)
         cand = floor(ci + 0.5)
         jump = 1 if ci >= cand else -1
         while True:
@@ -524,13 +537,11 @@ def _nearest(red: Reduction, target: np.ndarray, exclude_zero: bool = False,
     return best_u, best_d2
 
 
-def shortest_vector(basis: LatticeBasis):
-    """Exact shortest nonzero lattice vector and its Euclidean norm."""
+def shortest_vector(basis: LatticeBasis) -> float:
+    """The exact Euclidean norm of the shortest nonzero lattice vector."""
     _check_rank(basis.rank, math.inf)
-    red = basis._reduced
-    u, d2 = _nearest(red, np.zeros(basis.rank), exclude_zero=True)
-    vec_real = np.asarray(u, dtype=float) @ red.rows
-    return basis.to_ambient(vec_real), math.sqrt(d2)
+    _, d2 = _nearest(basis._reduced, np.zeros(basis.rank), exclude_zero=True)
+    return math.sqrt(d2)
 
 
 def closest_vector_coords(basis: LatticeBasis, target) -> np.ndarray:
@@ -590,15 +601,15 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
     times the budget however large the bound.  A centre with a coordinate
     in ``red.rows`` of 2^52 or more raises ``EnumerationPrecisionError``
     first: no node within the budget strays far from it, so below that each
-    stays under 2^53, where floats hold integers.
+    stays under 2^53, where floats hold integers (a NaN: ``ValueError``).
     """
     R = np.array(red.R)
     rank, budget = len(R), MAX_ENUM_NODES
     t = red.Q.T @ center
     x = red._R_inverse @ t
     far = np.abs(x).argmax()
-    if abs(x[far]) >= 2.0 ** 52:
-        raise EnumerationPrecisionError(rank, bound, 0, budget, float(x[far]))
+    if not abs(x[far]) < 2.0 ** 52:  # argmax takes a NaN first
+        raise _far_error(float(x[far]), rank, bound, 0, budget)
     nodes, points, leaves = 0, 0, []
     stack = [(rank - 1, t[None, :], np.zeros(1),
               np.zeros((1, rank if keep else 0)))]
@@ -663,12 +674,11 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
 
 def _lex_order(ured: np.ndarray) -> np.ndarray:
     """``np.lexsort(ured.T[::-1])`` of distinct integer-valued float rows.
-    Past ``_BALL_DFS_NODES`` rows it is one argsort of a mixed-radix key,
-    where that key is exact in floats; that is about where the key starts to
-    pay (on 128 rows: 8 us against lexsort's 7 us at rank 4, 14 us at 8).
-    The key goes through ``rows_product``: each is an integer below 2^53,
-    exact in any order of summation, so the blocks change no bit of it."""
-    if len(ured) > _BALL_DFS_NODES:
+    Past ``_LEX_KEY_ROWS`` rows it is one argsort of a mixed-radix key,
+    where that key is exact in floats.  The key goes through
+    ``rows_product``: each is an integer below 2^53, exact in any order of
+    summation, so the blocks change no bit of it."""
+    if len(ured) > _LEX_KEY_ROWS:
         lo = ured.min()
         base = ured.max() - lo + 1.0
         if base ** ured.shape[1] < 2.0 ** 53:
@@ -744,7 +754,7 @@ def invariants(basis: LatticeBasis) -> LatticeInvariants:
     """Volume, shortest vector, product distance, and their normalized
     forms; the product distance is searched within 1.5 sv."""
     vol = volume(basis)
-    _, sv = shortest_vector(basis)
+    sv = shortest_vector(basis)
     dp = min_product_distance(basis, 1.5 * sv)
     if basis.ambient == COMPLEX:
         nsv = sv / vol ** (1.0 / (2 * basis.n))

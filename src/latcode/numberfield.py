@@ -427,25 +427,24 @@ def reaches_norm_floor(value: float) -> bool:
     return value <= 1.0 + 1e-9
 
 
-def default_min_ideal_radius(f: FieldSpec, ideal: IdealSpec) -> float:
+def ideal_search_radius(f: FieldSpec, ideal: IdealSpec) -> float:
     """Pragmatic search radius for min_ideal; generally an upper-bound search."""
     m = f.degree
     return 3.0 * math.sqrt(m) * (ideal.norm * math.sqrt(abs(f.disc_catalog))) ** (1.0 / m)
 
 
-def min_ideal(f: FieldSpec, ideal: IdealSpec,
-              search_radius: float | None = None) -> float:
+def min_ideal(f: FieldSpec, ideal: IdealSpec) -> float:
     """min over nonzero x in I with ||psi(x)|| <= radius of the normalized norm.
 
     Complex fields: sqrt(|Nr(x)| / N(I)); real fields: |Nr(x)| / N(I), each
-    shell's minimum product norm divided once by ``embedded_norm``; the
-    first shell that ``reaches_norm_floor`` ends the search.  This is an
-    upper bound on min(I), exact whenever the attaining element lies
-    inside the search radius.  A shell past the enumeration node budget
-    raises ``lattice.EnumerationCapError``.
+    shell's minimum product norm divided once by ``embedded_norm``.  The
+    shells have radius ``ideal_search_radius`` and its half and quarter,
+    smallest first; the first that ``reaches_norm_floor`` ends the search.
+    This is an upper bound on min(I), exact whenever the attaining element
+    lies inside the search radius.  A shell past the enumeration node
+    budget raises ``lattice.EnumerationCapError``.
     """
-    if search_radius is None:
-        search_radius = default_min_ideal_radius(f, ideal)
+    search_radius = ideal_search_radius(f, ideal)
     basis = ideal_lattice(f, ideal)
     scale = embedded_norm(f, ideal.norm)
     best = math.inf

@@ -172,16 +172,18 @@ def test_criterion_6_decoder_correctness():
             # oracle 1: exhaustive-scan ML
             metrics = [float(np.sum(np.abs(y - r.fading * p) ** 2))
                        for p in code.points]
-            assert ml.metric == pytest.approx(min(metrics), rel=1e-10)
+            assert metrics[ml.row] == pytest.approx(min(metrics), rel=1e-10)
             # oracle 2: NLD against boxed enumeration around the ML point
             nl = nld_decode(y, r, code, m)
+            x = code.shift + nl.coords @ code.basis.vectors
+            nl_metric = float(np.sum(np.abs(y - r.fading * x) ** 2))
             faded = lattice.LatticeBasis(
                 code.basis.ambient, code.basis.vectors * r.fading)
             coords, vecs = lattice.points_in_ball(
                 faded, np.asarray(y) - r.fading * code.shift,
-                math.sqrt(nl.metric) * (1.0 + 1e-9) + 1e-12)
+                math.sqrt(nl_metric) * (1.0 + 1e-9) + 1e-12)
             d2 = np.sum(np.abs(vecs + r.fading * code.shift - y) ** 2, axis=1)
-            assert nl.metric == pytest.approx(float(d2.min()), rel=1e-9)
+            assert nl_metric == pytest.approx(float(d2.min()), rel=1e-9)
         violations = 0
         for t in range(10_000):
             mrng = ch.stream_rng(601, t, ch.STREAM_MESSAGE)
@@ -213,7 +215,7 @@ def test_criterion_7_monte_carlo_consistency():
                 pes.append(pe)
                 sigmas.append(sigma)
                 if model == ch.AWGN_REAL:
-                    _, sv = lattice.shortest_vector(cb.basis)
+                    sv = lattice.shortest_vector(cb.basis)
                     sbound = an.sphere_bound(sv, cb.n, model)
                     assert pe <= sbound + 3 * sigma, (model, snr_db)
                 else:

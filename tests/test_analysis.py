@@ -176,57 +176,47 @@ class TestBoundTable:
 
 
 class TestFadingErrorBound:
+    @staticmethod
+    def closed_form(n, alpha, eps, model, delta=None):
+        """The union bound at ``eps`` and slack ``delta`` (delta_max(eps) if
+        None), or 1 where the slack precondition fails."""
+        dof = 2 * n if model.complex else n
+        dmax = math.log(alpha ** 2 / (4.0 * (1.0 + eps))) - EULER_GAMMA
+        delta = dmax if delta is None else delta
+        if dmax <= 0 or delta > dmax:
+            return 1.0
+        return min(1.0, 2 * math.exp(-dof * eps ** 2 / 16.0)
+                   + math.exp(n * chernoff_solve(delta).exponent))
+
     def test_saturates_when_precondition_fails(self):
-        # alpha too small: no positive slack exists
-        assert an.fading_error_bound(8, 1.0, epsilon=0.5,
-                                     model=ch.RAYLEIGH_COMPLEX) == 1.0
+        # alpha too small: no positive slack exists at any grid epsilon
+        assert an.fading_error_bound(8, 1.0, ch.RAYLEIGH_COMPLEX) == 1.0
 
     @pytest.mark.parametrize("n,alpha,model", [
         (8, 57.8, ch.RAYLEIGH_REAL), (4, 20.0, ch.RAYLEIGH_REAL),
         (2, 30.0, ch.RAYLEIGH_COMPLEX), (8, 40.0, ch.RAYLEIGH_COMPLEX)])
     def test_largest_slack_is_feasible(self, n, alpha, model):
-        # delta = delta_max(eps) meets the slack precondition with equality;
-        # every grid eps must score the closed form, not saturate at 1
-        dof = 2 * n if model.complex else n
-        for eps in np.logspace(-3, math.log10(50.0), 100):
-            eps = float(eps)
-            dmax = math.log(alpha ** 2 / (4.0 * (1.0 + eps))) - EULER_GAMMA
-            want = 1.0 if dmax <= 0 else min(
-                1.0, 2 * math.exp(-dof * eps ** 2 / 16.0)
-                + math.exp(n * chernoff_solve(dmax).exponent))
-            assert an.fading_error_bound(n, alpha, epsilon=eps, model=model) \
-                == pytest.approx(want, rel=1e-12)
+        # delta = delta_max(eps) meets the slack precondition with equality:
+        # each grid eps scores the closed form (dof n real, 2n complex),
+        # not 1, and the bound is their minimum
+        want = self.unpruned(n, alpha, model)
+        assert want < 1.0
+        assert an.fading_error_bound(n, alpha, model) == \
+            pytest.approx(want, rel=1e-12)
 
     def test_minimized_bound_uses_every_grid_epsilon(self):
         n, alpha, model = 8, 47.0, ch.RAYLEIGH_REAL
-        best = min(an.fading_error_bound(n, alpha, epsilon=float(e),
-                                         model=model)
-                   for e in np.logspace(-3, math.log10(50.0), 100))
-        assert an.fading_error_bound(n, alpha, model=model) == best
+        best = an.fading_error_bound(n, alpha, model)
+        assert best == self.unpruned(n, alpha, model)
         assert best == pytest.approx(1.6067e-7, rel=1e-4)
 
-    @staticmethod
-    def unpruned(n, alpha, delta, model):
+    @classmethod
+    def unpruned(cls, n, alpha, model):
         """The grid loop before pruning: every grid point's Chernoff solve."""
-        dof = 2 * n if model.complex else n
+        return min(cls.closed_form(n, alpha, float(e), model)
+                   for e in np.logspace(-3, math.log10(50.0), 100))
 
-        def bound_for(eps, dlt):
-            arg = alpha ** 2 / (4.0 * (1.0 + eps))
-            if arg <= 0:
-                return 1.0
-            dmax = math.log(arg) - EULER_GAMMA
-            dlt = dmax if dlt is None else dlt
-            if dlt > dmax or dmax <= 0:
-                return 1.0
-            term1 = 2.0 * math.exp(-dof * eps ** 2 / 16.0)
-            term2 = math.exp(n * chernoff_solve(dlt).exponent)
-            return min(1.0, term1 + term2)
-
-        eps_grid = np.logspace(-3, math.log10(50.0), 100)
-        return min(bound_for(float(e), delta) for e in eps_grid)
-
-    @pytest.mark.parametrize("delta", [None, 0.5, 3.0])
-    def test_pruned_grid_equals_full_grid(self, delta):
+    def test_pruned_grid_equals_full_grid(self):
         # every catalog field at rate 1, 0-40 dB: the pruned minimum is the
         # full grid's, bit for bit
         from latcode.codebook import energy_normalization
@@ -235,81 +225,40 @@ class TestFadingErrorBound:
             for snr_db in range(0, 41, 4):
                 alpha = math.sqrt(energy_normalization(
                     f, 1.0, 10.0 ** (snr_db / 10.0)))
-                assert an.fading_error_bound(
-                    f.ambient_n, alpha, delta=delta, model=model) == \
-                    self.unpruned(f.ambient_n, alpha, delta, model)
+                assert an.fading_error_bound(f.ambient_n, alpha, model) == \
+                    self.unpruned(f.ambient_n, alpha, model)
 
     def test_pruned_grid_skips_chernoff_solves(self, monkeypatch):
         calls = []
         monkeypatch.setattr(an, "chernoff_solve",
                             lambda d: calls.append(d) or chernoff_solve(d))
-        an.fading_error_bound(8, 47.0, model=ch.RAYLEIGH_REAL)
+        an.fading_error_bound(8, 47.0, ch.RAYLEIGH_REAL)
         assert 0 < len(calls) < 50
 
-    def test_explicit_delta_solves_once(self, monkeypatch):
-        # one root for every grid eps: it was solved at each feasible one
-        calls = []
-        monkeypatch.setattr(an, "chernoff_solve",
-                            lambda d: calls.append(d) or chernoff_solve(d))
-        got = an.fading_error_bound(8, 60.0, delta=0.5, model=ch.RAYLEIGH_REAL)
-        assert calls == [0.5]
-        assert got == self.unpruned(8, 60.0, 0.5, ch.RAYLEIGH_REAL)
-        # infeasible at every eps: saturates without a solve
-        calls.clear()
-        assert an.fading_error_bound(8, 60.0, delta=100.0,
-                                     model=ch.RAYLEIGH_REAL) == 1.0
-        assert calls == []
-
-    def test_explicit_terms(self):
-        n, alpha, delta, eps = 8, 20.0, 0.5, 0.5
-        got = an.fading_error_bound(n, alpha, delta=delta, epsilon=eps,
-                                    model=ch.RAYLEIGH_COMPLEX)
-        sol = chernoff_solve(delta)
-        expected = 2 * math.exp(-2 * n * eps ** 2 / 16.0) \
-            + math.exp(n * sol.exponent)
-        assert got == pytest.approx(min(1.0, expected), rel=1e-12)
-
-    def test_real_dof_convention(self):
-        n, alpha, delta, eps = 8, 20.0, 0.5, 0.5
-        got = an.fading_error_bound(n, alpha, delta=delta, epsilon=eps,
-                                    model=ch.RAYLEIGH_REAL)
-        sol = chernoff_solve(delta)
-        expected = 2 * math.exp(-n * eps ** 2 / 16.0) \
-            + math.exp(n * sol.exponent)
-        assert got == pytest.approx(min(1.0, expected), rel=1e-12)
-
-    @pytest.mark.parametrize("alpha", [20.0, 1.0])  # delta_max > 0, <= 0
-    @pytest.mark.parametrize("delta", [0.0, -0.5])
-    @pytest.mark.parametrize("epsilon", [0.5, None])
-    def test_rejects_nonpositive_slack(self, alpha, delta, epsilon):
-        with pytest.raises(ValueError, match="delta > 0"):
-            an.fading_error_bound(8, alpha, delta=delta, epsilon=epsilon,
-                                  model=ch.RAYLEIGH_COMPLEX)
-
     def test_auto_delta_no_worse_than_fixed(self):
+        # delta_max is the best slack at each epsilon
         for alpha in [10.0, 30.0, 100.0]:
-            auto = an.fading_error_bound(8, alpha, epsilon=0.5,
-                                         model=ch.RAYLEIGH_COMPLEX)
-            fixed = an.fading_error_bound(8, alpha, delta=0.3, epsilon=0.5,
-                                          model=ch.RAYLEIGH_COMPLEX)
+            auto = an.fading_error_bound(8, alpha, ch.RAYLEIGH_COMPLEX)
+            fixed = self.closed_form(8, alpha, 0.5, ch.RAYLEIGH_COMPLEX,
+                                     delta=0.3)
             assert auto <= fixed + 1e-12
 
     def test_auto_epsilon_minimizes_over_grid(self):
         alpha = 40.0
-        auto = an.fading_error_bound(8, alpha, model=ch.RAYLEIGH_COMPLEX)
+        auto = an.fading_error_bound(8, alpha, ch.RAYLEIGH_COMPLEX)
         for eps in [0.1, 0.5, 1.0, 3.0]:
-            assert auto <= an.fading_error_bound(
-                8, alpha, epsilon=eps, model=ch.RAYLEIGH_COMPLEX) + 1e-12
+            assert auto <= self.closed_form(
+                8, alpha, eps, ch.RAYLEIGH_COMPLEX) + 1e-12
 
     def test_decreasing_in_alpha(self):
-        vals = [an.fading_error_bound(8, a, model=ch.RAYLEIGH_COMPLEX)
+        vals = [an.fading_error_bound(8, a, ch.RAYLEIGH_COMPLEX)
                 for a in [5.0, 10.0, 20.0, 40.0, 80.0]]
         assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 1.0
 
     def test_requires_fading_model(self):
         with pytest.raises(ValueError):
-            an.fading_error_bound(8, 10.0, model=ch.AWGN_COMPLEX)
+            an.fading_error_bound(8, 10.0, ch.AWGN_COMPLEX)
 
     def test_monte_carlo_cross_check(self):
         # the Chernoff tail term bounds the empirical geometric-mean event

@@ -148,7 +148,7 @@ class TestCarve:
     def test_min_distance_vs_shortest_vector(self):
         code = carve(CodeConfig(rate=1.0, power=10.0,
                                 field=field("F4-725"), seed=5))
-        _, sv = lattice.shortest_vector(code.basis)
+        sv = lattice.shortest_vector(code.basis)
         diffs = code.points[:, None, :] - code.points[None, :, :]
         d2 = np.sum(np.abs(diffs) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)

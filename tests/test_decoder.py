@@ -60,6 +60,12 @@ def brute_force_ml(y, realization, codebook):
     return best, best_m
 
 
+def nld_point(code, out):
+    """The lattice point that an NLD decode decided, from its coordinates
+    in the code basis."""
+    return code.shift + out.coords @ code.basis.vectors
+
+
 def noiseless(s, model, master_seed, trial_index):
     """The channel output y = fading * s of a seeded realization, and it."""
     r = ch.sample_realization(model, len(s), master_seed, trial_index)
@@ -96,9 +102,8 @@ class TestMlOracle:
             m = t % code.size
             y, r = ch.transmit(code.points[m], model, 21, t)
             out = ml_decode(y, r, code, m)
-            ref, ref_m = brute_force_ml(y, r, code)
-            assert out.metric == pytest.approx(ref_m, rel=1e-10)
-            assert np.allclose(out.decoded, ref)
+            ref, _ = brute_force_ml(y, r, code)
+            assert np.array_equal(code.points[out.row], ref)
 
     @pytest.mark.parametrize("name,model", [
         ("F8-17", ch.AWGN_REAL), ("F8-17", ch.RAYLEIGH_REAL),
@@ -109,9 +114,8 @@ class TestMlOracle:
             m = (7 * t) % code.size
             y, r = ch.transmit(code.points[m], model, 23, t)
             out = ml_decode(y, r, code, m)
-            idx, metric = full_scan(y, r.fading, code)
-            assert out.metric == metric
-            assert np.array_equal(out.decoded, code.points[idx])
+            idx, _ = full_scan(y, r.fading, code)
+            assert out.row == idx
             assert out.correct == (idx == m)
 
     @staticmethod
@@ -148,9 +152,11 @@ class TestMlOracle:
             y, r = ch.transmit(code.points[m], ch.RAYLEIGH_REAL, 31, t)
             ml = ml_decode(y, r, code, m)
             nl = nld_decode(y, r, code, m)
-            assert nl.metric <= ml.metric + 1e-9
+            ml_m, nl_m = (float(np.sum(np.abs(y - r.fading * x) ** 2))
+                          for x in (code.points[ml.row], nld_point(code, nl)))
+            assert nl_m <= ml_m + 1e-9
             if nl.is_codeword:
-                assert ml.metric <= nl.metric + 1e-9
+                assert ml_m <= nl_m + 1e-9
 
 
 class TestMlTies:
@@ -176,9 +182,8 @@ class TestMlTies:
         r = ch.ChannelRealization(fading=np.ones(3), noise=np.zeros(3),
                                   model=ch.AWGN_REAL)
         out = ml_decode(y, r, self.code, b)
-        assert np.array_equal(out.decoded, self.code.points[a])
-        assert not out.correct and out.metric == 0.25
-        assert full_scan(y, r.fading, self.code) == (a, out.metric)
+        assert out.row == a and not out.correct
+        assert full_scan(y, r.fading, self.code) == (a, 0.25)
         assert rescored == [2]
 
     def test_zero_coefficient_ties_every_row_in_its_coordinate(self,
@@ -188,10 +193,9 @@ class TestMlTies:
         r = ch.ChannelRealization(fading=fading, noise=np.zeros(3),
                                   model=ch.RAYLEIGH_REAL)
         out = ml_decode(y, r, self.code, 88)  # (1, 0, 1)
-        idx, metric = full_scan(y, fading, self.code)
-        assert np.array_equal(out.decoded, self.code.points[idx])
-        assert out.metric == metric
-        assert out.decoded[0] == -2  # five rows tie; the first one wins
+        assert out.row == full_scan(y, fading, self.code)[0]
+        # five rows tie; the first one wins
+        assert self.code.points[out.row][0] == -2
         assert rescored == [5]
         with pytest.raises(ValueError, match="singular"):
             nld_decode(y, r, self.code, 88)
@@ -212,10 +216,8 @@ class TestMlTies:
             r = ch.ChannelRealization(fading=h, noise=np.zeros(3),
                                       model=ch.RAYLEIGH_REAL)
             out = ml_decode(y, r, self.code, 0, near=rows)
-            idx, metric = full_scan(y, h, self.code)
-            assert np.array_equal(out.decoded, self.code.points[idx])
-            assert out.metric == metric
-        assert rescored == [5, 2, 1]  # the last read its metric alone
+            assert out.row == full_scan(y, h, self.code)[0]
+        assert rescored == [5, 2]  # the untied trial is not rescored
         code = make_code()
         h = np.array([1.1, 0.0, 0.7, 0.9])
         for i in range(code.size):
@@ -224,10 +226,9 @@ class TestMlTies:
                                       model=ch.RAYLEIGH_REAL)
             rows, = decoder.ml_near_rows(y[None], h[None], code)
             out = ml_decode(y, r, code, i, near=rows)
-            idx, metric = full_scan(y, h, code)
+            idx, _ = full_scan(y, h, code)
             assert out.correct == (idx == i)
-            assert np.array_equal(out.decoded, code.points[idx])
-            assert out.metric == metric
+            assert out.row == idx
 
 
 class TestMlProperty:
@@ -266,15 +267,9 @@ class TestMlProperty:
             model=[[ch.AWGN_REAL, ch.AWGN_COMPLEX],
                    [ch.RAYLEIGH_REAL, ch.RAYLEIGH_COMPLEX]][fades][cplx])
         out = ml_decode(y, r, code, a)
-        ref, ref_metric = brute_force_ml(y, r, code)
-        assert np.array_equal(out.decoded, ref)
-        assert out.metric == ref_metric
-        # one row and one complex coordinate: numpy's scalar multiply loop
-        # may round the one-shot scan differently
-        if size > 1:
-            idx, metric = full_scan(y, fading, code)
-            assert np.array_equal(out.decoded, code.points[idx])
-            assert out.metric == metric
+        ref, _ = brute_force_ml(y, r, code)
+        assert np.array_equal(code.points[out.row], ref)
+        assert out.row == full_scan(y, fading, code)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,9 +301,9 @@ def unfaded(code):
 class TestMlPruned:
     """The pruned scoring of large unfaded codes (``Codebook._prefixes``,
     ``decoder._pruned_rows``), forced onto every code size by patching the
-    size thresholds: the decision and metric are a full scan's, bit for
-    bit, in any row order, and every other code or channel falls back to
-    scoring every row (``_score_block``)."""
+    size thresholds: the decision is a full scan's, in any row order, and
+    every other code or channel falls back to scoring every row
+    (``_score_block``)."""
 
     CODES = [(name, rate, seed)
              for name in ("F4-725", "F8-17", "Qzeta5", "Qi")
@@ -353,9 +348,7 @@ class TestMlPruned:
             r = unfaded(code)
             out = ml_decode(y, r, code, a)
             assert code._prefixes is not None and len(calls) == 1
-        idx, metric = full_scan(y, r.fading, code)
-        assert np.array_equal(out.decoded, code.points[idx])
-        assert out.metric == metric
+        assert out.row == full_scan(y, r.fading, code)[0]
 
     def test_prunes_the_rate_2_code(self, f8_rate2):
         """On the F8-17 rate-2 code the bound keeps a small share of the
@@ -368,8 +361,8 @@ class TestMlPruned:
             y, r = ch.transmit(f8_rate2.points[m], ch.AWGN_REAL, 61, t)
             rows = decoder._pruned_rows(y, f8_rate2)
             kept.append(f8_rate2.size if rows is None else len(rows))
-            assert ml_decode(y, r, f8_rate2, m).metric == \
-                full_scan(y, r.fading, f8_rate2)[1]
+            assert ml_decode(y, r, f8_rate2, m).row == \
+                full_scan(y, r.fading, f8_rate2)[0]
         assert np.median(kept) < f8_rate2.size / 20
 
     @pytest.mark.parametrize("case", ["off_lattice", "permuted", "fading"])
@@ -402,9 +395,7 @@ class TestMlPruned:
         for t in range(10):
             y = r.fading * code.points[t] + 0.3 * rng.standard_normal(4)
             out = ml_decode(y, r, code, t)
-            idx, metric = full_scan(y, r.fading, code)
-            assert np.array_equal(out.decoded, code.points[idx])
-            assert out.metric == metric
+            assert out.row == full_scan(y, r.fading, code)[0]
         if case == "permuted":
             assert len(calls) == 10 and calls[0] is not None
             assert len(near) == 10 and any(a is None for a in near)
@@ -456,7 +447,7 @@ class TestMlPruned:
             out = ml_decode(y, r, f8_rate2, m)
             assert np.array_equal(rows, alone[-1])
             given = ml_decode(y, r, f8_rate2, m, near=rows)
-            assert (given.correct, given.metric) == (out.correct, out.metric)
+            assert (given.correct, given.row) == (out.correct, out.row)
         assert len(alone) == len(block)
 
     def test_small_code_builds_no_index(self):
@@ -549,8 +540,9 @@ class TestFadingHandling:
             y = fading * s
             out = nld_decode(y, r, code, 0)
             assert out.correct
-            assert np.all(np.isfinite(out.decoded))
-            assert out.metric < 1e-12
+            x = nld_point(code, out)
+            assert np.all(np.isfinite(x))
+            assert np.sum(np.abs(y - fading * x) ** 2) < 1e-12
 
     def test_zero_fading_raises(self):
         code = make_code()
@@ -569,7 +561,7 @@ class TestFadingHandling:
         from latcode import lattice
         u = lattice.closest_vector_coords(code.basis,
                                           np.asarray(y) - code.shift)
-        assert np.allclose(out.decoded, code.shift + u @ code.basis.vectors)
+        assert np.array_equal(out.coords, u)
 
 
 class TestCodebookMembership:
@@ -588,7 +580,8 @@ class TestCodebookMembership:
                     m = t % code.size
                     y, r = ch.transmit(code.points[m], model, 17, t)
                     out = nld_decode(y, r, code, m)
-                    gap = np.max(np.abs(code.points - out.decoded), axis=1)
+                    gap = np.max(np.abs(code.points - nld_point(code, out)),
+                                 axis=1)
                     in_scan = bool(gap.min() <= 1e-8)
                     assert out.is_codeword == in_scan
                     off += not in_scan

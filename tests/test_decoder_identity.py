@@ -1,7 +1,7 @@
 """The trimmed NLD and ML epilogues, ML scored a block of trials at once,
-and outcomes whose float fields are computed when read: bit-identical
-outcomes to the decoders they replaced, on seeded AWGN and Rayleigh decodes
-and on deep fades.  The decoders now decide ``correct`` in
+and outcomes that hold the decision alone: bit-identical decisions to the
+decoders they replaced, on seeded AWGN and Rayleigh decodes and on deep
+fades.  The decoders now decide ``correct`` in
 integers from the sent row's index; the references keep the float match
 within 1e-8, and the two decisions agree on every decode here.
 (``test_decoder.TestMlProperty`` checks ML against a full scan on random
@@ -22,8 +22,8 @@ from latcode.decoder import ml_decode, nld_decode
 
 # The decoders before the epilogues were trimmed, kept verbatim as references
 # that the trimmed ones must match exactly.  They take the sent vector, their
-# tolerance is the decoders' old one, and each returns an outcome's four
-# fields.
+# tolerance is the decoders' old one, and each returns the decided point,
+# whether it is a codeword and whether it is correct.
 _MATCH_TOL = 1e-8
 
 
@@ -39,12 +39,11 @@ def reference_nld_decode(y, realization, codebook, transmitted):
     target = np.asarray(y) - fading * codebook.shift
     coords = lattice.closest_vector_coords(basis, target)
     decoded = codebook.shift + coords.astype(float) @ codebook.basis.vectors
-    metric = float(np.sum(np.abs(np.asarray(y) - fading * decoded) ** 2))
     radius = math.sqrt(codebook.n * codebook.power)
     is_codeword = float(np.sum(np.abs(decoded) ** 2)) <= lattice.ball_bound(radius)
     return types.SimpleNamespace(
         decoded=decoded, is_codeword=is_codeword,
-        correct=reference_matches(decoded, transmitted), metric=metric)
+        correct=reference_matches(decoded, transmitted))
 
 
 def reference_exact_metrics(y, fading, rows) -> np.ndarray:
@@ -64,20 +63,20 @@ def reference_ml_decode(y, realization, codebook, transmitted):
         max_w = 1.0
     window = decoder._ML_WINDOW * (np.vdot(y, y).real + max_w * max_norm2)
     rows = points[(scores <= scores[scores.argmin()] + window).nonzero()[0]]
-    metrics = reference_exact_metrics(y, fading, rows)
-    best = metrics.argmin()
-    decoded = rows[best]
+    decoded = rows[reference_exact_metrics(y, fading, rows).argmin()]
     return types.SimpleNamespace(
         decoded=decoded, is_codeword=True,
-        correct=reference_matches(decoded, transmitted),
-        metric=float(metrics[best]))
+        correct=reference_matches(decoded, transmitted))
 
 
-def assert_same(got, ref):
-    assert np.array_equal(got.decoded, ref.decoded)
+def assert_same(got, ref, code):
+    """The point ``got`` decided, rebuilt from its codebook row (ML) or its
+    coordinates in the code basis (NLD), and its flags are ``ref``'s."""
+    decoded = (code.points[got.row] if isinstance(got, decoder._MlOutcome)
+               else code.shift + got.coords.astype(float) @ code.basis.vectors)
+    assert np.array_equal(decoded, ref.decoded)
     assert got.is_codeword == ref.is_codeword
     assert got.correct == ref.correct
-    assert got.metric == ref.metric
 
 
 def make_code(name, rate=1.0, snr_db=10.0):
@@ -106,7 +105,7 @@ def test_seeded_decodes_match(name, rate, models, snr_db):
             for got, ref in ((nld_decode, reference_nld_decode),
                              (ml_decode, reference_ml_decode)):
                 out = got(y, r, code, m)
-                assert_same(out, ref(y, r, code, s))
+                assert_same(out, ref(y, r, code, s), code)
                 wrong += not out.correct
     if snr_db == 3.0:
         assert wrong > 0  # the errors and off-codebook decisions are covered
@@ -132,7 +131,7 @@ def test_deep_fades_match(name, model, depth, noisy):
             y = y + 0.3 * ch.sample_realization(model, code.n, 9, i).noise
         for got, ref in ((nld_decode, reference_nld_decode),
                          (ml_decode, reference_ml_decode)):
-            assert_same(got(y, r, code, i), ref(y, r, code, s))
+            assert_same(got(y, r, code, i), ref(y, r, code, s), code)
 
 
 def test_zero_fading_matches():
@@ -144,7 +143,8 @@ def test_zero_fading_matches():
     for i in range(code.size):
         s = code.points[i]
         y = fading * s + np.array([0.2, -0.1, 0.3, 0.05])
-        assert_same(ml_decode(y, r, code, i), reference_ml_decode(y, r, code, s))
+        assert_same(ml_decode(y, r, code, i),
+                    reference_ml_decode(y, r, code, s), code)
         with pytest.raises(ValueError, match="singular"):
             nld_decode(y, r, code, i)
 
@@ -160,9 +160,8 @@ BLOCK_CODES = [("Qzeta5", 1.0, (ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX)),
 @pytest.mark.parametrize("snr_db", [3.0, 12.0])
 def test_block_decisions_match(name, rate, models, snr_db):
     """A block scored at once (``ml_near_rows``), then decoded trial by
-    trial: each decision, and ``decoded`` and ``metric`` read afterwards,
-    equal the reference's.  The 4,132-row code is scored a few trials per
-    product (``_ML_SCORE_BYTES``)."""
+    trial: each decision equals the reference's.  The 4,132-row code is
+    scored a few trials per product (``_ML_SCORE_BYTES``)."""
     code = make_code(name, rate, snr_db)
     wrong = 0
     for model in models:
@@ -177,26 +176,7 @@ def test_block_decisions_match(name, rate, models, snr_db):
         for (m, y, r), rows in zip(block, near):
             out = ml_decode(y, r, code, m, near=rows)
             ref = reference_ml_decode(y, r, code, code.points[m])
-            assert out.correct == ref.correct  # decided before any read
-            assert_same(out, ref)
+            assert_same(out, ref, code)
             wrong += not out.correct
     if snr_db == 3.0:
         assert wrong > 0  # wrong decisions are covered
-
-
-@pytest.mark.parametrize("name,rate,models", CODES)
-def test_lazy_fields_read_in_any_order(name, rate, models):
-    """An outcome's float fields, read in reverse order, are those of the
-    reference decoders, which compute them at once."""
-    code = make_code(name, rate, 6.0)
-    for model in models:
-        for t in range(40):
-            m = int(ch.stream_rng(3, t, ch.STREAM_MESSAGE).integers(code.size))
-            y, r = ch.transmit(code.points[m], model, 3, t)
-            for got, ref in ((nld_decode, reference_nld_decode),
-                             (ml_decode, reference_ml_decode)):
-                out, want = got(y, r, code, m), ref(y, r, code, code.points[m])
-                assert out.metric == want.metric
-                assert out.is_codeword == want.is_codeword
-                assert np.array_equal(out.decoded, want.decoded)
-                assert out.correct == want.correct

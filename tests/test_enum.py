@@ -152,7 +152,7 @@ def assert_same_search(basis, rng, targets=3):
         x = 3.0 * rng.standard_normal(basis.rank)
         assert_same_closest(basis, basis.to_ambient(x @ B))
     assert_same_shortest(basis)
-    _, sv = lattice.shortest_vector(basis)
+    sv = lattice.shortest_vector(basis)
     center = basis.to_ambient(rng.random(basis.rank) @ B)
     return assert_same_ball(basis, center, 2.0 * sv)
 
@@ -276,8 +276,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=100, deadline=None)
     @given(bases())
     def test_shortest(self, basis):
-        vec, sv = lattice.shortest_vector(basis)
-        assert sv == pytest.approx(np.linalg.norm(vec), rel=1e-12)
+        sv = lattice.shortest_vector(basis)
         coords, d2 = box_points(basis, np.zeros(basis.n), sv * (1 + 1e-9))
         d2 = d2[np.any(coords != 0, axis=1)]
         assert sv * sv == pytest.approx(d2.min(), rel=1e-9)
@@ -286,7 +285,7 @@ class TestAgainstBruteForce:
     @given(bases(), st.data(), st.floats(0.5, 2.5))
     def test_ball(self, basis, data, factor):
         center = np.array(data.draw(unit_box(basis.rank))) @ basis.real_matrix
-        radius = factor * lattice.shortest_vector(basis)[1]
+        radius = factor * lattice.shortest_vector(basis)
         coords, d2 = box_points(basis, center, radius)
         assert_ball_matches(ball_coords(basis, center, radius), coords, d2,
                             radius * radius)
@@ -319,8 +318,8 @@ class TestChangeOfBasis:
         scale = float(np.max(np.abs(other.real_matrix)))
         assert np.linalg.norm(v2 - target) == pytest.approx(
             np.linalg.norm(v1 - target), rel=1e-9, abs=1e-12 * scale)
-        _, sv = lattice.shortest_vector(basis)
-        assert lattice.shortest_vector(other)[1] == pytest.approx(sv, rel=1e-9)
+        sv = lattice.shortest_vector(basis)
+        assert lattice.shortest_vector(other) == pytest.approx(sv, rel=1e-9)
         # the same ball, both in the first basis's coordinates
         radius = 2.0 * sv
         coords, d2 = box_points(basis, target, radius)
@@ -421,8 +420,8 @@ class TestFadedHint:
         fading = ch.sample_realization(ch.RAYLEIGH_REAL, 4, 3, 1).fading
         faded = basis.faded(fading)
         plain = LatticeBasis(basis.ambient, basis.vectors * fading)
-        _, sv = lattice.shortest_vector(plain)
-        assert lattice.shortest_vector(faded)[1] == sv
+        sv = lattice.shortest_vector(plain)
+        assert lattice.shortest_vector(faded) == sv
         for got, want in zip(
                 lattice.points_in_ball(faded, np.zeros(4), 2.0 * sv),
                 lattice.points_in_ball(plain, np.zeros(4), 2.0 * sv)):
@@ -484,7 +483,7 @@ def ball_cases(draw):
     else:
         basis = LatticeBasis(REAL, B)
     center = basis.to_ambient(rng.uniform(-3.0, 3.0, rank) @ basis.real_matrix)
-    radius = rng.uniform(0.5, 4.0) * lattice.shortest_vector(basis)[1]
+    radius = rng.uniform(0.5, 4.0) * lattice.shortest_vector(basis)
     patch = {"MAX_ENUM_NODES": draw(st.sampled_from([20_000, 2_000, 50])),
              "_LEVEL_BLOCK": draw(st.sampled_from([lattice._LEVEL_BLOCK, 16])),
              "_ZIGZAG_SPARE": draw(st.sampled_from([2, 1]))}
@@ -528,7 +527,7 @@ class TestLevelwiseBalls:
         basis = code_lattice("F8-17")
         center = basis.to_ambient(np.random.default_rng(6).random(8)
                                   @ basis.real_matrix)
-        radius = 2.0 * lattice.shortest_vector(basis)[1]
+        radius = 2.0 * lattice.shortest_vector(basis)
         lo, hi = 0, 1 << 20  # the walk raises within lo nodes, not within hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -568,6 +567,28 @@ class TestLevelwiseBalls:
             rows = rows[rng.permutation(len(rows))].astype(float)
             assert np.array_equal(lattice._lex_order(rows),
                                   np.lexsort(rows.T[::-1]))
+
+    def test_lex_order_keeps_its_threshold_under_path_patches(
+            self, monkeypatch):
+        """``WALKED`` and ``LEVELLED`` switch the ball path alone: the sort
+        key is taken past ``_LEX_KEY_ROWS`` rows, as without them."""
+        keyed, product = [], lattice.rows_product
+        monkeypatch.setattr(lattice, "rows_product",
+                            lambda a, b: keyed.append(len(a)) or product(a, b))
+        rng = np.random.default_rng(5)
+        for patch in (WALKED, LEVELLED, {}):
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in patch.items():
+                    mp.setattr(lattice, name, value)
+                for count in (lattice._LEX_KEY_ROWS, lattice._LEX_KEY_ROWS + 1):
+                    rows = np.unique(rng.integers(-9, 9, (4 * count, 4)),
+                                     axis=0)[:count]
+                    rows = rows[rng.permutation(count)].astype(float)
+                    keyed.clear()
+                    assert np.array_equal(lattice._lex_order(rows),
+                                          np.lexsort(rows.T[::-1]))
+                    assert keyed == ([count] if count > lattice._LEX_KEY_ROWS
+                                     else [])
 
     def test_lex_order_past_product_rows(self):
         """Past ``_PRODUCT_ROWS`` rows the mixed-radix key is multiplied in
@@ -700,8 +721,9 @@ class TestBallPath:
         (100) it would have walked 128 nodes and started over."""
         f = nf.catalog_field("Qzeta5")
         basis = nf.ideal_lattice(f, f.unit_ideal())
-        radius = nf.default_min_ideal_radius(f, f.unit_ideal()) / 4.0
-        _, ran = spied_ball(nf.min_ideal, f, f.unit_ideal(), None)
+        radius = nf.ideal_search_radius(f, f.unit_ideal()) / 4.0
+        _, ran = spied_ball(lambda f, ideal, _: nf.min_ideal(f, ideal),
+                            f, f.unit_ideal(), None)
         assert ran == ("levels",)
         red, r2 = basis._reduced, lattice.ball_bound(radius)
         assert lattice._enumerate(red, np.zeros(4), r2, lambda u, d2: r2) \
@@ -761,6 +783,36 @@ class TestBallPath:
         kind, count = assert_levels_match_walk(ring, (1e12, 1e12), radius)
         assert kind == "ok" and count > 0
 
+    def test_nan_centre_raises_before_any_node(self, monkeypatch):
+        """A NaN centre or target raises ``ValueError`` on both ball paths
+        and in the closest-point walk, plain or faded, before any node (a
+        budget of 0 trips at the first), and a faded basis raises it from
+        its hint without its LLL fallback.  On the identity lattice the
+        NaN may be the first coordinate or the last."""
+        ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
+        eye = LatticeBasis(REAL, np.eye(4))
+        code = code_lattice("F4-725")
+        faded = code.faded(ch.sample_realization(
+            ch.RAYLEIGH_REAL, 4, 9, 0).fading)
+        ring._reduced, eye._reduced, code._reduced  # built before the patches
+        monkeypatch.setattr(lattice, "MAX_ENUM_NODES", 0)
+        monkeypatch.setattr(lattice, "_lll", None)  # no reduction runs
+        cases = [(ring, (math.nan, 0.0)), (eye, [math.nan, 0.0, 0.0, 0.0]),
+                 (eye, [0.0, 0.0, 0.0, math.nan])]
+        nan = "^the search centre has a NaN coordinate$"
+        for basis, centre in cases:
+            for patch in (WALKED, LEVELLED):
+                for name, value in patch.items():
+                    monkeypatch.setattr(lattice, name, value)
+                for search in (lattice.count_in_ball, lattice.points_in_ball):
+                    for radius in (1.5, 40.0):
+                        with pytest.raises(ValueError, match=nan):
+                            search(basis, centre, radius)
+            with pytest.raises(ValueError, match=nan):
+                lattice.closest_vector_coords(basis, centre)
+        with pytest.raises(ValueError, match=nan):
+            lattice.closest_vector_coords(faded, [0.3, math.nan, 0.1, 0.2])
+
     @pytest.mark.parametrize("radius", [1e150, 1e200, math.inf])
     def test_overflowing_estimate_caps(self, radius):
         """An estimate past a float's range (~ r^8 at rank 8) goes level by
@@ -781,11 +833,11 @@ class TestBallPath:
 
 class TestCaps:
     def test_node_budget_bounds_the_ring_ball(self):
-        """The full default min_ideal ball of the F8-17 ring (about 1e8
+        """The full min_ideal ball of the F8-17 ring (about 1e8
         points) stops at the budget with its context, in bounded memory."""
         f = nf.catalog_field("F8-17")
         basis = nf.embedding_matrix(f)
-        radius = nf.default_min_ideal_radius(f, f.unit_ideal())
+        radius = nf.ideal_search_radius(f, f.unit_ideal())
         basis._reduced
         tracemalloc.start()
         try:
@@ -855,7 +907,7 @@ class TestCaps:
 
     def test_budget_read_at_call_time(self, monkeypatch):
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
-        radius = 2.0 * lattice.shortest_vector(basis)[1]
+        radius = 2.0 * lattice.shortest_vector(basis)
         count = lattice.count_in_ball(basis, np.zeros(basis.n), radius)
         monkeypatch.setattr(lattice, "MAX_ENUM_NODES", count // 2)
         for search in (lattice.count_in_ball, lattice.points_in_ball):

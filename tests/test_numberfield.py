@@ -361,14 +361,16 @@ class TestMinIdeal:
             return out
 
         monkeypatch.setattr(lattice, "points_in_ball", spy)
+        monkeypatch.setattr(nf, "ideal_search_radius", lambda f, i: 3.0)
         f = get("Qi")
-        assert nf.min_ideal(f, f.unit_ideal(), search_radius=3.0) == 1.0
+        assert nf.min_ideal(f, f.unit_ideal()) == 1.0
         assert balls == [(0.75, 1), (1.5, 9)]
 
-    def test_radius_too_small(self):
+    def test_radius_too_small(self, monkeypatch):
+        monkeypatch.setattr(nf, "ideal_search_radius", lambda f, i: 0.1)
         f = get("Qi")
-        with pytest.raises(ValueError, match="radius"):
-            nf.min_ideal(f, f.unit_ideal(), search_radius=0.1)
+        with pytest.raises(ValueError, match="within radius 0.1$"):
+            nf.min_ideal(f, f.unit_ideal())
 
 
 class TestNormFloor:

@@ -41,9 +41,7 @@ def reference_min_product_distance(basis, radius):
     return dp
 
 
-def reference_min_ideal(f, ideal, search_radius=None):
-    if search_radius is None:
-        search_radius = nf.default_min_ideal_radius(f, ideal)
+def reference_min_ideal(f, ideal, search_radius):
     basis = nf.ideal_lattice(f, ideal)
     best = math.inf
     for r in (search_radius / 4.0, search_radius / 2.0, search_radius):
@@ -96,7 +94,7 @@ class TestMinProductDistanceOracle:
     @pytest.mark.parametrize("scale", [0.37, 1.0, 2.9])
     def test_catalog_embeddings(self, name, scale):
         basis = nf.embedding_matrix(nf.catalog_field(name)).scaled(scale)
-        _, sv = lattice.shortest_vector(basis)
+        sv = lattice.shortest_vector(basis)
         results = [assert_same(basis, k * sv) for k in (0.5, 1.5, 2.5)]
         # below the shortest vector the ball holds only the origin
         assert results[0][0] is ValueError
@@ -107,7 +105,7 @@ class TestMinProductDistanceOracle:
         for t in range(60):
             rank = 2 + t % 4
             basis = LatticeBasis(REAL, rng.standard_normal((rank, rank)))
-            _, sv = lattice.shortest_vector(basis)
+            sv = lattice.shortest_vector(basis)
             for k in (0.5, 1.5, 2.5):
                 assert_same(basis, k * sv)
 
@@ -124,13 +122,16 @@ class TestMinProductDistanceOracle:
 
 class TestMinIdealOracle:
     @pytest.mark.parametrize("name", NAMES)
-    def test_catalog_ideals(self, name):
+    def test_catalog_ideals(self, name, monkeypatch):
         f = nf.catalog_field(name)
+        search_radius = nf.ideal_search_radius
         for ideal in catalog_ideals(f):
-            radius = nf.default_min_ideal_radius(f, ideal)
+            radius = search_radius(f, ideal)
             for r in (radius / 4.0, radius / 2.0, radius):
-                assert outcome(nf.min_ideal, f, ideal, search_radius=r) \
-                    == outcome(reference_min_ideal, f, ideal, search_radius=r)
+                monkeypatch.setattr(nf, "ideal_search_radius",
+                                    lambda f, i, r=r: r)
+                assert outcome(nf.min_ideal, f, ideal) \
+                    == outcome(reference_min_ideal, f, ideal, r)
 
 
 class TestBallVolume:

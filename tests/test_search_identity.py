@@ -91,10 +91,9 @@ def reference_nearest(basis, target, red, exclude_zero=False, budget=None):
 
 def reference_shortest_vector(basis):
     red = reference_reduced(basis)
-    u, d2 = reference_nearest(basis, np.zeros(basis.n), red,
+    _, d2 = reference_nearest(basis, np.zeros(basis.n), red,
                               exclude_zero=True)
-    vec_real = np.asarray(u, dtype=float) @ red["rows"]
-    return basis.to_ambient(vec_real), math.sqrt(d2)
+    return math.sqrt(d2)
 
 
 def reference_closest_vector_coords(basis, target, parent=None, h=None):
@@ -216,9 +215,8 @@ def assert_same_closest(basis, target, parent=None, h=None):
 
 
 def assert_same_shortest(basis):
-    vec, sv = lattice.shortest_vector(basis)
-    ref_vec, ref_sv = reference_shortest_vector(basis)
-    assert np.array_equal(vec, ref_vec) and sv == ref_sv
+    sv = lattice.shortest_vector(basis)
+    assert sv == reference_shortest_vector(basis)
     return sv
 
 
@@ -280,7 +278,7 @@ class TestMatchesOldSearches:
             plain = LatticeBasis(basis.ambient, basis.vectors * h)
             assert_same_shortest(faded)
             assert_same_ball(faded, np.zeros(basis.n),
-                             2.0 * lattice.shortest_vector(plain)[1])
+                             2.0 * lattice.shortest_vector(plain))
 
     @pytest.mark.parametrize("name", ["F4-725", "F8-17", "Qzeta5"])
     def test_single_coordinate_deep_fades(self, name):

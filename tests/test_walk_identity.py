@@ -199,7 +199,7 @@ class TestMatchesTheRecursion:
                  if is_complex else LatticeBasis(REAL, B))
         red = basis._reduced
         center = rng.uniform(-3.0, 3.0, rank) @ basis.real_matrix
-        sv = lattice.shortest_vector(basis)[1]
+        sv = lattice.shortest_vector(basis)
         for bound, shrink in ((math.inf, True), ((reach * sv) ** 2, False)):
             assert (walk_log(lattice._enumerate, red, center, bound, budget,
                              shrink)

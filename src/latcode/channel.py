@@ -8,9 +8,9 @@ simulation drivers.  Realizations are independent of execution order or
 thread count.
 
 ``stream_rng`` does not build a generator per call: each thread keeps one
-Philox generator per stream and re-keys it, counter 0 and empty buffer, so
-a returned generator stays valid only until the next call for the same
-stream in the same thread.
+Philox generator per slot (each stream, and the shift search's) and re-keys
+it (``_keyed``), so a returned generator stays valid only until the next
+call for the same slot in the same thread.
 """
 
 from __future__ import annotations
@@ -61,37 +61,40 @@ class ChannelRealization:
     model: Model
 
 
-_generators = threading.local()  # .by_stream: {stream: Generator}, per thread
+_generators = threading.local()  # .by_slot: {slot: Generator}, per thread
 _EMPTY = (0, 0, 0, 0)
 _KEY_MODULUS = 1 << 64  # a Philox key word is an unsigned 64-bit integer
 
 
-def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, trial, stream) triple.
-
-    Its draws are those of a fresh ``Generator(Philox(key=key))`` for the
-    key (master_seed mod 2^64, 4 * trial_index + stream), both words
-    unsigned 64-bit, but the generator is this thread's one for ``stream``,
-    re-keyed: it stays valid only until the next call for the same stream.
-    Valid seeds are [-2^63, 2^64), the signed and unsigned 64-bit integers:
-    seed -1 draws as 2^64 - 1 does, and a seed outside that range would
-    alias one inside it.
-    """
+def _keyed(slot, key0: int, key1: int) -> np.random.Generator:
+    """This thread's generator for ``slot`` (a stream, or "shift_search"),
+    re-keyed, counter 0 and buffer empty: it draws what a fresh
+    ``Generator(Philox(key=key))`` draws for the key (key0, key1) mod 2^64,
+    both words unsigned 64-bit, until the next call for the same slot."""
     try:
-        by_stream = _generators.by_stream
+        by_slot = _generators.by_slot
     except AttributeError:
-        by_stream = _generators.by_stream = {}
-    gen = by_stream.get(stream)
+        by_slot = _generators.by_slot = {}
+    gen = by_slot.get(slot)
     if gen is None:
-        gen = by_stream[stream] = np.random.Generator(np.random.Philox(key=0))
+        gen = by_slot[slot] = np.random.Generator(np.random.Philox(key=0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _EMPTY, "key": (
-            master_seed % _KEY_MODULUS,
-            (4 * trial_index + stream) % _KEY_MODULUS)},
+        "state": {"counter": _EMPTY, "key": (key0 % _KEY_MODULUS,
+                                             key1 % _KEY_MODULUS)},
         "buffer": _EMPTY, "buffer_pos": 4,  # position 4 of 4: buffer empty
         "has_uint32": 0, "uinteger": 0}
     return gen
+
+
+def stream_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
+    """Counter-based generator for one (seed, trial, stream) triple: this
+    thread's one for ``stream``, re-keyed (``_keyed``) to the key
+    (master_seed, 4 * trial_index + stream), valid only until the next call
+    for the same stream.  Valid seeds are [-2^63, 2^64), the signed and
+    unsigned 64-bit integers: seed -1 draws as 2^64 - 1 does, and a seed
+    outside that range would alias one inside it."""
+    return _keyed(stream, master_seed, 4 * trial_index + stream)
 
 
 # The channel's own draws go through this alias, so a tracer that wraps

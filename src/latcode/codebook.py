@@ -2,7 +2,7 @@
 
 A code is the intersection of a ball of radius sqrt(n*P) with a shifted copy
 of alpha * psi(O_K); the shift is found by seeded random search over the
-fundamental parallelotope and certified by exact point counting.
+fundamental parallelotope, certified by counting its ball, which is the code.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
+from . import channel, lattice
 from .lattice import LatticeBasis
 from .numberfield import FieldSpec, embedding_matrix
 
@@ -33,12 +33,13 @@ _PREFIX_GROUP_ROWS = 32
 
 
 class ShiftSearchError(RuntimeError):
-    def __init__(self, best_count: int, required: float):
+    def __init__(self, best_count: int, required: float, tries: int):
         self.best_count = best_count
         self.required = required
+        self.tries = tries
         super().__init__(
-            f"shift search cap exceeded: best count {best_count} "
-            f"< required {required:.3f}")
+            f"shift search gave up after {tries} tries: best count "
+            f"{best_count} < required {required:.3f}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,12 @@ class PrefixIndex:
 
 @dataclass(frozen=True)
 class Codebook:
-    """A carved code.  ``coords`` holds the rows' integer coordinates in
-    ``basis._reduced.rows``, lexicographically sorted, in the smallest
-    signed integer dtype that holds them; a code built by hand may leave it
-    None, and then has no NLD decode and no prefix index.  Neither array
-    may be mutated: four caches are built on first use, never refreshed.
+    """A carved code: the accepted shift try's ball.  ``coords`` holds the
+    rows' integer coordinates in ``basis._reduced.rows``, lexicographically
+    sorted, in the smallest signed integer dtype that holds them; a code
+    built by hand may leave it None, and then has no NLD decode and no
+    prefix index.  Neither array may be mutated: four caches are built on
+    first use, never refreshed.
 
     - ``_norms``: the squared row norms ||x||^2 and their maximum.  ``carve``
       builds it for its power check; ML decoding scores an unfaded channel
@@ -187,46 +189,42 @@ def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
     return math.exp(ln_alpha2)
 
 
-def count_points(basis: LatticeBasis, shift, radius: float) -> int:
-    """|(L + shift) intersect B(0, radius)| by exact enumeration."""
-    return lattice.count_in_ball(basis, -np.asarray(shift), radius)
+def count_points(basis: LatticeBasis, shift, radius: float):
+    """(|(L + shift) intersect B(0, radius)|, its points' coordinates in
+    ``basis._reduced.rows`` in no set order) by one exact enumeration
+    (``lattice._ball``)."""
+    coords = lattice._ball(basis, -np.asarray(shift), radius)
+    return len(coords), coords
 
 
 def shift_search(basis: LatticeBasis, power: float, seed: int):
-    """Find a shift meeting the averaging-lemma count Vol(B)/Vol(L).
+    """(shift, coords) of the first try whose shift meets the
+    averaging-lemma count Vol(B)/Vol(L), coords as ``count_points``'s.
 
-    Shifts are sampled uniformly from the fundamental parallelotope; the
-    lemma guarantees a qualifying shift exists, so sampling retries until
-    the bound is met, at most ``_SHIFT_TRY_CAP`` times (read at call time).
-    Ties in count keep the earliest sample.  The ratio, taken in logs, is
-    met within a relative 1e-9.  Whether the ratio carries the rate is
-    ``energy_normalization``'s choice of the lattice's scale.
+    Shifts are sampled uniformly from the fundamental parallelotope, drawn
+    as a fresh Philox keyed (seed mod 2^64, 0) draws (``channel._keyed``);
+    the lemma guarantees a qualifying shift exists, so sampling retries
+    until the bound is met, at most ``_SHIFT_TRY_CAP`` times (read at call
+    time).  The ratio, taken in logs, is met within a relative 1e-9.
+    Whether the ratio carries the rate is ``energy_normalization``'s choice
+    of the lattice's scale.
     """
-    n = basis.n
+    n, dim, Breal = basis.n, basis.rank, basis.real_matrix
     radius = math.sqrt(n * power)
-    dim = basis.rank
-    Breal = basis.real_matrix
     # Vol(B(sqrt(nP))) = C P^{dim/2}, and Vol(L) = |det Breal|
     required = math.exp(lattice._ln_ball_constant(dim, n)
                         + 0.5 * dim * math.log(power)
-                        - np.linalg.slogdet(Breal)[1])
-    # the key (seed mod 2^64, 0) as unsigned words: -1 is 2^64 - 1, and a
-    # seed past 2^63 does not pass through float64 on its way in
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array((seed % (1 << 64), 0), dtype=np.uint64)))
+                        - basis._slogdet[1])
+    rng = channel._keyed("shift_search", seed, 0)
     best_count = -1
-    best_shift = None
     for _ in range(_SHIFT_TRY_CAP):
-        frac = rng.random(dim)
-        shift_real = frac @ Breal
-        shift = basis.to_ambient(shift_real)
-        count = count_points(basis, shift, radius)
-        if count > best_count:
-            best_count = count
-            best_shift = shift
-        if best_count >= required * (1.0 - 1e-9):
-            return best_shift
-    raise ShiftSearchError(best_count, required)
+        shift = basis.to_ambient(rng.random(dim) @ Breal)
+        count, coords = count_points(basis, shift, radius)
+        if count >= required * (1.0 - 1e-9):
+            return shift, coords
+        best_count = max(best_count, count)
+        del coords  # before the next try's ball is enumerated
+    raise ShiftSearchError(best_count, required, _SHIFT_TRY_CAP)
 
 
 @functools.lru_cache(maxsize=_CODE_LATTICE_CACHE)
@@ -243,18 +241,17 @@ def carve(config: CodeConfig) -> Codebook:
     """Build the finite code B(sqrt(nP)) intersect (shift + alpha*psi(O_K)).
 
     The lattice comes from ``code_lattice``, built once per (field, alpha)
-    in a process: the shift search, the ball and ``Codebook.basis`` share
-    it, and a carve pays only for the search and the ball.  The points,
-    shift and rate are never cached.
+    in a process and shared with ``Codebook.basis``.  The accepted shift
+    try's ball is the code, sorted and multiplied into vectors as
+    ``lattice.points_in_ball`` does: no ball is enumerated after the
+    search.  The points, shift and rate are never cached.
     """
     field = config.field
     n = field.ambient_n
-    alpha2 = energy_normalization(field, config.rate, config.power)
-    alpha = math.sqrt(alpha2)
+    alpha = math.sqrt(energy_normalization(field, config.rate, config.power))
     basis = code_lattice(field, alpha)
-    shift = shift_search(basis, config.power, config.seed)
-    radius = math.sqrt(n * config.power)
-    ured, points = lattice.points_in_ball(basis, -shift, radius)
+    shift, ured = shift_search(basis, config.power, config.seed)
+    ured, points = lattice._ball_points(basis, ured)
     points += shift  # a fresh array: no second one of its size
     # the smallest signed dtype that holds -w holds -w..w-1: every coordinate
     w = max(-ured.min(initial=0.0), ured.max(initial=0.0) + 1.0)

@@ -19,14 +19,15 @@ fine for the target.  A NaN centre or target raises ``ValueError`` there
 instead, on both ball paths and before any node.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
-coordinates in the caller's basis alone.  A ball (``count_in_ball``,
-``points_in_ball``) is enumerated once: level by level in numpy if the
-walk is expected to visit more than ``_BALL_DFS_NODES`` nodes
-(``_walk_first``), else walked.  Both paths have the walk's arithmetic, so
-the points, the node count and the cap are the walk's, and both raise
-``EnumerationPrecisionError`` rather than run where floats hold no
-integers.  ``points_in_ball`` returns the points' coordinates in
-``_reduced.rows``, as the integer-valued floats the enumeration holds.  A
+coordinates in the caller's basis alone.  A ball (``_ball``) is
+enumerated once, into its points' coordinates in ``_reduced.rows``: level
+by level in numpy if the walk is expected to visit more than
+``_BALL_DFS_NODES`` nodes (``_walk_first``), else walked.  Both paths have
+the walk's arithmetic, so the points, the node count and the cap are the
+walk's, and both raise ``EnumerationPrecisionError`` rather than run where
+floats hold no integers.  ``points_in_ball`` sorts those coordinates, the
+integer-valued floats the enumeration holds, and returns them with their
+vectors; ``codebook.count_points`` counts them unsorted.  A
 ball's slack for roundoff (``ball_bound``) is relative to its squared
 radius; a negative or NaN radius is rejected.  A faded basis
 (``LatticeBasis.faded``) carries a hint, its parent's reduction with the
@@ -215,7 +216,7 @@ class LatticeBasis:
                 f"({self.ambient}({n}) needs {expected})")
         # rank is tested on the square basis itself: a Gram-matrix test
         # squares the condition number and rejects valid deep fades
-        if np.linalg.slogdet(self.real_matrix)[0] == 0:
+        if self._slogdet[0] == 0:
             raise SingularBasisError()
 
     @property
@@ -278,6 +279,12 @@ class LatticeBasis:
             object.__setattr__(basis, "_hint", Reduction(r, red.U, q, rl))
             out.append(basis)
         return out if h.ndim > 1 else out[0]
+
+    @functools.cached_property
+    def _slogdet(self):
+        """``slogdet(real_matrix)``: the sign and the log covolume that
+        ``codebook.shift_search`` reads.  Cached, as ``_reduced`` is."""
+        return np.linalg.slogdet(self.real_matrix)
 
     @functools.cached_property
     def _reduced(self) -> Reduction:
@@ -582,18 +589,16 @@ def _zigzag(tries: int) -> np.ndarray:
     return offsets
 
 
-def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
-                      keep: bool):
+def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
     """``_enumerate``'s walk over the points within the constant ``bound``,
-    run level by level in numpy: (point count, their coordinates in
-    ``red.rows`` as a float (count, rank) array in no set order if ``keep``,
-    else None).
+    run level by level in numpy: their coordinates in ``red.rows``, a float
+    (count, rank) array in no set order.
 
     A frontier block holds, for nodes at one level, their projected centers
-    y, partial squared distances and (if ``keep``) coordinates, set above
-    that level.  Each node tries integers in the walk's zig-zag order with
-    the walk's arithmetic and keeps them up to its first one past the bound,
-    so the tree, its points and its node count are exactly the walk's.
+    y, partial squared distances and coordinates, set above that level.
+    Each node tries integers in the walk's zig-zag order with the walk's
+    arithmetic and keeps them up to its first one past the bound, so the
+    tree, its points and its node count are exactly the walk's.
     Blocks go on a stack, each step evaluating about ``_LEVEL_BLOCK``
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
     ``EnumerationCapError``, before a step whose widest node alone would pass
@@ -610,9 +615,8 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
     far = np.abs(x).argmax()
     if not abs(x[far]) < 2.0 ** 52:  # argmax takes a NaN first
         raise _far_error(float(x[far]), rank, bound, 0, budget)
-    nodes, points, leaves = 0, 0, []
-    stack = [(rank - 1, t[None, :], np.zeros(1),
-              np.zeros((1, rank if keep else 0)))]
+    nodes, leaves = 0, []
+    stack = [(rank - 1, t[None, :], np.zeros(1), np.zeros((1, rank)))]
     while stack:
         level, y, acc, u = stack.pop()
         rll = R[level, level]
@@ -657,19 +661,14 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float,
         node = keep_at % len(acc)
         cand = np.take(cand, keep_at)
         u = np.take(u, node, axis=0)
-        if keep:
-            u[:, level] = cand
+        u[:, level] = cand
         if level == 0:
-            points += len(node)
-            if keep:
-                leaves.append(u)
+            leaves.append(u)
         elif len(node):
             y = np.take(y[:, :level], node, axis=0)
             y -= cand[:, None] * R[:level, level]
             stack.append((level - 1, y, np.take(d2, keep_at), u))
-    if not keep:
-        return points, None
-    return points, np.concatenate(leaves) if leaves else np.zeros((0, rank))
+    return np.concatenate(leaves) if leaves else np.zeros((0, rank))
 
 
 def _lex_order(ured: np.ndarray) -> np.ndarray:
@@ -687,27 +686,30 @@ def _lex_order(ured: np.ndarray) -> np.ndarray:
     return np.lexsort(ured.T[::-1])
 
 
-def _ball(basis: LatticeBasis, center, radius: float, keep: bool):
-    """``_enumerate_levels``'s (count, coordinates) for the closed ball
-    B(center, radius) on ``basis._reduced``, by one enumeration: level by
-    level if the walk is expected to visit more than ``_BALL_DFS_NODES``
-    nodes (``_walk_first``), else walked.  Both paths have the walk's
-    arithmetic and the same points."""
+def _ball(basis: LatticeBasis, center, radius: float) -> np.ndarray:
+    """The coordinates in ``basis._reduced.rows`` of the lattice points in
+    the closed ball B(center, radius), an integer-valued float (count,
+    rank) array in no set order, by one enumeration: level by level if the
+    walk is expected to visit more than ``_BALL_DFS_NODES`` nodes
+    (``_walk_first``), else walked.  Both paths have the walk's arithmetic
+    and the same points."""
     r2 = ball_bound(radius)
     _check_rank(basis.rank, r2)
     red = basis._reduced
     center = basis.to_real(np.asarray(center))
     if not _walk_first(red, r2):
-        return _enumerate_levels(red, center, r2, keep)
+        return _enumerate_levels(red, center, r2)
     flat = array.array("d")  # 8 bytes per coordinate while the walk runs
     _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2)
-    ured = np.frombuffer(flat).reshape(-1, basis.rank)
-    return len(ured), ured if keep else None
+    return np.frombuffer(flat).reshape(-1, basis.rank)
 
 
-def count_in_ball(basis: LatticeBasis, center, radius: float) -> int:
-    """Number of lattice vectors v with ||v - center|| <= radius."""
-    return _ball(basis, center, radius, keep=False)[0]
+def _ball_points(basis: LatticeBasis, ured: np.ndarray):
+    """``points_in_ball``'s (coords, vectors) from ``_ball``'s ``ured``,
+    sorted in place: a caller that holds ``ured`` keeps no unsorted copy."""
+    ured[:] = np.take(ured, _lex_order(ured), axis=0)
+    vec_real = rows_product(ured, basis._reduced.rows)
+    return ured, np.atleast_2d(basis.to_ambient(vec_real))
 
 
 def points_in_ball(basis: LatticeBasis, center, radius: float):
@@ -720,10 +722,7 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     goes level by level, and its memory peaks below three times the
     coordinate array returned.
     """
-    ured = _ball(basis, center, radius, keep=True)[1]
-    ured = np.take(ured, _lex_order(ured), axis=0)
-    vec_real = rows_product(ured, basis._reduced.rows)
-    return ured, np.atleast_2d(basis.to_ambient(vec_real))
+    return _ball_points(basis, _ball(basis, center, radius))
 
 
 def _min_product_norm(basis: LatticeBasis, radius: float) -> float:

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from latcode import channel as ch
 from latcode import codebook as cb
 from latcode import lattice
 from latcode import numberfield as nf
@@ -69,23 +71,25 @@ class TestShiftSearch:
     def test_z2_ball_count_meets_volume_bound(self):
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
         # radius sqrt(2*50) = 10; Vol(B)/Vol(L) = 100 pi
-        shift = shift_search(B, power=50.0, seed=3)
-        count = count_points(B, shift, 10.0)
+        shift, coords = shift_search(B, power=50.0, seed=3)
+        count, again = count_points(B, shift, 10.0)
         assert count >= 100.0 * math.pi - 1e-9
         assert count >= 315  # any unit-square shift gives at least this
+        # the accepted try's ball comes back with its shift
+        assert count == len(coords) and np.array_equal(coords, again)
 
     def test_deterministic_in_seed(self):
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
-        s1 = shift_search(B, power=8.0, seed=17)
-        s2 = shift_search(B, power=8.0, seed=17)
-        assert np.array_equal(s1, s2)
+        (s1, c1), (s2, c2) = (shift_search(B, power=8.0, seed=17)
+                              for _ in range(2))
+        assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
 
     def test_seeds_past_2_63_are_distinct(self):
         # the key (seed mod 2^64, 0) holds every 64-bit seed exactly
         B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
 
         def shift(seed):
-            return shift_search(B, power=8.0, seed=seed)
+            return shift_search(B, power=8.0, seed=seed)[0]
         assert not np.array_equal(shift(2 ** 63), shift(2 ** 63 + 1000))
         assert np.array_equal(shift(2 ** 64 - 1), shift(-1))
 
@@ -100,9 +104,11 @@ class TestShiftSearch:
             shift_search(B, power, seed=2)
         assert info.value.best_count == 14
         assert info.value.required == pytest.approx(16.0, rel=1e-12)
+        assert info.value.tries == 1
+        assert "after 1 tries: best count 14" in str(info.value)
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 10)
-        shift = shift_search(B, power, seed=2)
-        assert count_points(B, shift, math.sqrt(4 * power)) >= 16
+        shift, _ = shift_search(B, power, seed=2)
+        assert count_points(B, shift, math.sqrt(4 * power))[0] >= 16
 
     def test_full_size_count_is_accepted(self, monkeypatch):
         # F8-17 at rate 2 and 10 dB: a shift holding exactly 2^16 points
@@ -110,12 +116,60 @@ class TestShiftSearch:
         # float ratio 65536 + 3.8e-8 rejected
         f, power = field("F8-17"), 10.0
         B = cb.code_lattice(f, math.sqrt(energy_normalization(f, 2.0, power)))
-        calls = []
+        calls, coords = [], object()
         monkeypatch.setattr(cb, "count_points",
-                            lambda *args: calls.append(args) or 2 ** 16)
+                            lambda *args: calls.append(args) or (2 ** 16,
+                                                                 coords))
         monkeypatch.setattr(cb, "_SHIFT_TRY_CAP", 3)
-        shift_search(B, power, seed=0)
+        assert shift_search(B, power, seed=0)[1] is coords
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 17, -1, 2 ** 63, 2 ** 64 - 1])
+    def test_draws_equal_a_fresh_philox(self, seed, monkeypatch):
+        """Twenty tries on Z^2, the last accepted: each try's shift is what
+        a fresh Philox keyed (seed mod 2^64, 0) draws next."""
+        B = lattice.LatticeBasis(lattice.REAL, np.eye(2))
+        shifts = []
+
+        def count(basis, shift, radius):
+            shifts.append(shift)
+            return (10 ** 6 if len(shifts) == 20 else 0), None
+        monkeypatch.setattr(cb, "count_points", count)
+        shift_search(B, power=8.0, seed=seed)
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array((seed % 2 ** 64, 0), dtype=np.uint64)))
+        assert len(shifts) == 20
+        for shift in shifts:
+            assert np.array_equal(shift, fresh.random(2) @ B.real_matrix)
+
+    def test_shares_no_generator_with_the_streams(self):
+        """A carve between a stream's re-keying and its draw leaves that
+        draw as a fresh Philox keyed (7, 4 * 3 + stream) makes it."""
+        config = CodeConfig(rate=1.0, power=10.0, field=field("F4-725"),
+                            seed=7)
+        for stream in range(3):
+            g = ch.stream_rng(7, 3, stream)
+            carve(config)
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array((7, 12 + stream), dtype=np.uint64)))
+            assert g.random() == fresh.random()
+
+    def test_failed_try_ball_is_dropped_before_the_next(self, monkeypatch):
+        """F8-17 at rate 2, seed 6, takes three tries of some 65,000
+        points: when each try starts, no earlier try's coordinates are
+        alive."""
+        f, power = field("F8-17"), 10.0
+        B = cb.code_lattice(f, math.sqrt(energy_normalization(f, 2.0, power)))
+        balls = []
+
+        def count(basis, shift, radius):
+            assert all(ball() is None for ball in balls)
+            got, coords = count_points(basis, shift, radius)
+            balls.append(weakref.ref(coords))
+            return got, coords
+        monkeypatch.setattr(cb, "count_points", count)
+        shift, coords = shift_search(B, power, seed=6)
+        assert len(balls) == 3 and balls[-1]() is coords
 
 
 class TestCarve:
@@ -205,6 +259,64 @@ class TestCarve:
                            match=f"^{bad} must be finite and positive, "
                                  f"got {value}$"):
             CodeConfig(rate=rate, power=power, field=field("Qi"), seed=0)
+
+
+def reference_carve(config):
+    """``carve`` on the two-enumeration path: the shift found by counting
+    each try's ball, then the accepted shift's ball enumerated again by
+    ``points_in_ball``.  Returns (points, coords, shift, achieved_rate)."""
+    f, power = config.field, config.power
+    n = f.ambient_n
+    basis = cb.code_lattice(
+        f, math.sqrt(energy_normalization(f, config.rate, power)))
+    dim, Breal = basis.rank, basis.real_matrix
+    radius = math.sqrt(n * power)
+    required = math.exp(lattice._ln_ball_constant(dim, n)
+                        + 0.5 * dim * math.log(power)
+                        - np.linalg.slogdet(Breal)[1])
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array((config.seed % 2 ** 64, 0), dtype=np.uint64)))
+    while True:
+        shift = basis.to_ambient(rng.random(dim) @ Breal)
+        count = len(lattice.points_in_ball(basis, -shift, radius)[0])
+        if count >= required * (1.0 - 1e-9):
+            break
+    ured, points = lattice.points_in_ball(basis, -shift, radius)
+    points += shift
+    w = max(-ured.min(initial=0.0), ured.max(initial=0.0) + 1.0)
+    coords = ured.astype(np.min_scalar_type(-int(w)))
+    return points, coords, shift, math.log2(len(points)) / n
+
+
+class TestCarveOnce:
+    """A carve enumerates each shift try's ball once and keeps the accepted
+    one as the code: the same code as counting the tries and enumerating
+    the accepted ball again."""
+
+    CASES = [(f.name, rate) for f in nf.load_catalog()
+             for rate in (0.5, 1.0, 1.5)] + [("F8-17", 2.0)]
+
+    @pytest.mark.parametrize("name, rate", CASES)
+    def test_equals_the_two_enumeration_path(self, name, rate, monkeypatch):
+        balls, tries = [], []
+        ball, count = lattice._ball, cb.count_points
+        monkeypatch.setattr(lattice, "_ball",
+                            lambda *args: balls.append(1) or ball(*args))
+        monkeypatch.setattr(cb, "count_points",
+                            lambda *args: tries.append(1) or count(*args))
+        for seed in range(4):
+            config = CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=seed)
+            del balls[:], tries[:]
+            code = carve(config)
+            assert len(balls) == len(tries) >= 1
+            points, coords, shift, achieved = reference_carve(config)
+            assert code.points.dtype == points.dtype
+            assert code.points.tobytes() == points.tobytes()
+            assert code.coords.dtype == coords.dtype
+            assert np.array_equal(code.coords, coords)
+            assert code.shift.tobytes() == shift.tobytes()
+            assert code.achieved_rate == achieved
 
 
 def reference_prefixes(code):

@@ -18,8 +18,8 @@ from test_lll import code_bases, exact_det
 from latcode import channel as ch
 from latcode import lattice
 from latcode import numberfield as nf
-from latcode.codebook import CodeConfig, carve, energy_normalization, \
-    shift_search
+from latcode.codebook import CodeConfig, carve, count_points, \
+    energy_normalization, shift_search
 from latcode.lattice import COMPLEX, REAL, EnumerationCapError, LatticeBasis
 
 _TIE_EPS = 1e-12  # the tie window, relative to the best squared distance
@@ -135,10 +135,18 @@ def assert_same_shortest(basis):
             == reference_se_closest(R, [0.0] * basis.rank, exclude_zero=True))
 
 
+def count_in_ball(basis, center, radius):
+    """The ball's point count as a shift try takes it: the rows of the
+    coordinates that ``codebook.count_points`` returns with its count."""
+    count, coords = count_points(basis, -np.asarray(center), radius)
+    assert count == len(coords) and coords.shape[1:] == (basis.rank,)
+    return len(coords)
+
+
 def assert_same_ball(basis, center, radius):
     R, _, t = reduced_target(basis, center)
     ref = sorted(reference_enum_ball(R, t, radius))
-    assert lattice.count_in_ball(basis, center, radius) == len(ref)
+    assert count_in_ball(basis, center, radius) == len(ref)
     coords, vecs = lattice.points_in_ball(basis, center, radius)
     assert np.array_equal(coords, np.array(ref).reshape(-1, basis.rank))
     return len(ref)
@@ -453,7 +461,7 @@ def assert_levels_match_walk(basis, center, radius, **patch):
     exactly, or both raise ``EnumerationCapError`` past the same budget;
     returns the walked count's outcome."""
     outcomes = []
-    for search in (lattice.count_in_ball, lattice.points_in_ball):
+    for search in (count_in_ball, lattice.points_in_ball):
         want = ball_outcome(search, basis, center, radius, WALKED | patch)
         got = ball_outcome(search, basis, center, radius, LEVELLED | patch)
         assert got[0] == want[0]
@@ -531,10 +539,10 @@ class TestLevelwiseBalls:
         lo, hi = 0, 1 << 20  # the walk raises within lo nodes, not within hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            kind, _ = ball_outcome(lattice.count_in_ball, basis, center,
+            kind, _ = ball_outcome(count_in_ball, basis, center,
                                    radius, WALKED | {"MAX_ENUM_NODES": mid})
             lo, hi = (mid, hi) if kind == "cap" else (lo, mid)
-        _, points = ball_outcome(lattice.count_in_ball, basis, center, radius,
+        _, points = ball_outcome(count_in_ball, basis, center, radius,
                                  WALKED)
         assert 128 < points < hi
         for budget, kind in ((points, "cap"), (hi - 1, "cap"), (hi, "ok")):
@@ -597,8 +605,8 @@ class TestLevelwiseBalls:
         f = nf.catalog_field("F8-17")
         basis = nf.embedding_matrix(f).scaled(
             math.sqrt(energy_normalization(f, 2.0, 10.0)))
-        shift = shift_search(basis, 10.0, 0)
-        ured = lattice._ball(basis, -shift, math.sqrt(80.0), True)[1]
+        shift = shift_search(basis, 10.0, 0)[0]
+        ured = lattice._ball(basis, -shift, math.sqrt(80.0))
         assert len(ured) > 2 ** 16
         rng = np.random.default_rng(4)
         # 98^8 < 2^53: the widest span whose key is exact at width 8
@@ -646,9 +654,9 @@ def recorded_balls(run):
     """``run()``, and the (basis, center, radius) of every ball it searched."""
     balls, ball = [], lattice._ball
 
-    def spy(basis, center, radius, keep):
+    def spy(basis, center, radius):
         balls.append((basis, center, radius))
-        return ball(basis, center, radius, keep)
+        return ball(basis, center, radius)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_ball", spy)
@@ -679,9 +687,9 @@ class TestBallPath:
         is walked."""
         for name, want in (("F8-17", ("levels",)), ("F4-725", ("walk",))):
             basis = code_lattice(name)
-            center = -shift_search(basis, 10.0, 0)
+            center = -shift_search(basis, 10.0, 0)[0]
             radius = math.sqrt(basis.n * 10.0)
-            for search in (lattice.count_in_ball, lattice.points_in_ball):
+            for search in (count_in_ball, lattice.points_in_ball):
                 assert spied_ball(search, basis, center, radius)[1] == want
 
     def test_patches_force_each_path(self):
@@ -689,7 +697,7 @@ class TestBallPath:
         by level at once, and both give the same points."""
         for name in ("F8-17", "F4-725", "Qzeta5"):
             basis = code_lattice(name)
-            center = -shift_search(basis, 10.0, 0)
+            center = -shift_search(basis, 10.0, 0)[0]
             for scale in (0.5, 1.0, 1.5):
                 radius = scale * math.sqrt(basis.n * 10.0)
                 walked, ran = spied_ball(lattice.points_in_ball, basis,
@@ -707,13 +715,13 @@ class TestBallPath:
         for f in nf.load_catalog():
             basis = nf.embedding_matrix(f)
             origin = np.zeros(basis.n)
-            count, ran = spied_ball(lattice.count_in_ball, basis, origin, 0.0)
+            count, ran = spied_ball(count_in_ball, basis, origin, 0.0)
             assert (count, ran) == (1, ("walk",))
             coords, vecs = lattice.points_in_ball(basis, origin, 0.0)
             assert not coords.any() and not vecs.any() and len(coords) == 1
             off = basis.to_ambient(np.full(basis.rank, 0.5)
                                    @ basis.real_matrix)
-            assert lattice.count_in_ball(basis, off, 0.0) == 0
+            assert count_in_ball(basis, off, 0.0) == 0
 
     def test_qzeta5_unit_ideal_goes_level_by_level(self):
         """Its ball holds 111 points in 194 walk nodes.  Expected at 165
@@ -768,7 +776,7 @@ class TestBallPath:
         node; nearer, where floats still hold integers, the two agree."""
         ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
         for patch in (WALKED, LEVELLED, {}):
-            for search in (lattice.count_in_ball, lattice.points_in_ball):
+            for search in (count_in_ball, lattice.points_in_ball):
                 with pytest.MonkeyPatch.context() as mp:
                     for name, value in patch.items():
                         mp.setattr(lattice, name, value)
@@ -804,7 +812,7 @@ class TestBallPath:
             for patch in (WALKED, LEVELLED):
                 for name, value in patch.items():
                     monkeypatch.setattr(lattice, name, value)
-                for search in (lattice.count_in_ball, lattice.points_in_ball):
+                for search in (count_in_ball, lattice.points_in_ball):
                     for radius in (1.5, 40.0):
                         with pytest.raises(ValueError, match=nan):
                             search(basis, centre, radius)
@@ -819,7 +827,7 @@ class TestBallPath:
         level and stops at the budget before its first step, one node past
         it."""
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
-        for search in (lattice.count_in_ball, lattice.points_in_ball):
+        for search in (count_in_ball, lattice.points_in_ball):
             with pytest.raises(EnumerationCapError) as info:
                 search(basis, np.zeros(basis.n), radius)
             err = info.value
@@ -873,12 +881,12 @@ class TestCaps:
             tracemalloc.start()
             start = time.perf_counter()
             try:
-                for search in (lattice.count_in_ball, lattice.points_in_ball,
+                for search in (count_in_ball, lattice.points_in_ball,
                                lattice._enumerate_levels):
                     with pytest.raises(EnumerationCapError) as info:
                         if search is lattice._enumerate_levels:
                             search(basis._reduced, np.zeros(2),
-                                   radius * radius, True)
+                                   radius * radius)
                         else:
                             search(basis, np.zeros(2), radius)
                     assert info.value.nodes > budget
@@ -895,7 +903,7 @@ class TestCaps:
         f = nf.catalog_field("F8-17")
         basis = nf.embedding_matrix(f).scaled(
             math.sqrt(energy_normalization(f, 2.0, 10.0)))
-        shift = shift_search(basis, 10.0, 0)
+        shift = shift_search(basis, 10.0, 0)[0]
         tracemalloc.start()
         try:
             coords, _ = lattice.points_in_ball(basis, -shift, math.sqrt(80.0))
@@ -908,9 +916,9 @@ class TestCaps:
     def test_budget_read_at_call_time(self, monkeypatch):
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
         radius = 2.0 * lattice.shortest_vector(basis)
-        count = lattice.count_in_ball(basis, np.zeros(basis.n), radius)
+        count = count_in_ball(basis, np.zeros(basis.n), radius)
         monkeypatch.setattr(lattice, "MAX_ENUM_NODES", count // 2)
-        for search in (lattice.count_in_ball, lattice.points_in_ball):
+        for search in (count_in_ball, lattice.points_in_ball):
             with pytest.raises(EnumerationCapError) as info:
                 search(basis, np.zeros(basis.n), radius)
             assert info.value.nodes > count // 2
@@ -922,7 +930,7 @@ class TestCaps:
         basis = LatticeBasis(REAL, np.eye(30))
         monkeypatch.setattr(lattice, "_lll", None)
         with pytest.raises(EnumerationCapError) as info:
-            lattice.count_in_ball(basis, np.zeros(30), 1.0)
+            count_in_ball(basis, np.zeros(30), 1.0)
         assert (info.value.rank, info.value.nodes) == (30, 0)
 
     def test_faded_rank_cap_raises_before_reducing(self, monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_enum import count_in_ball
 
 from latcode import lattice
 from latcode import numberfield as nf
@@ -162,7 +163,7 @@ class TestPointsInBall:
         the ball of its magnitude: every ball search names it instead."""
         ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
         for search in (
-                lambda: lattice.count_in_ball(ring, np.zeros(2), radius),
+                lambda: count_in_ball(ring, np.zeros(2), radius),
                 lambda: points_in_ball(ring, np.zeros(2), radius),
                 lambda: min_product_distance(ring, radius)):
             with pytest.raises(ValueError,
@@ -172,10 +173,10 @@ class TestPointsInBall:
 
     def test_radius_zero_and_inf_keep_their_results(self):
         ring = nf.embedding_matrix(nf.catalog_field("Qsqrt2"))
-        assert lattice.count_in_ball(ring, np.zeros(2), 0.0) == 1
-        assert lattice.count_in_ball(ring, np.zeros(2), -0.0) == 1
+        assert count_in_ball(ring, np.zeros(2), 0.0) == 1
+        assert count_in_ball(ring, np.zeros(2), -0.0) == 1
         with pytest.raises(lattice.EnumerationCapError) as info:
-            lattice.count_in_ball(ring, np.zeros(2), math.inf)
+            count_in_ball(ring, np.zeros(2), math.inf)
         assert info.value.nodes > info.value.budget
 
 

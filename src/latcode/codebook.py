@@ -67,7 +67,9 @@ class PrefixIndex:
     for u' = u[::-1].  The last L rows of R' read only u'_{k-L..k-1}, the
     prefix u_0..u_{L-1}, so their part of that sum, the walk's top L levels,
     is a lower bound shared by the whole group:
-    sum_i (levels[i, g] - (q @ y)_i)^2.
+    sum_i (levels[i, g] - (q @ y)_i)^2, which ``decoder._pruned_near``
+    takes for every group from one product, as
+    norms[g] - 2 (q @ y) @ levels[:, g] + ||q @ y||^2.
     """
     starts: np.ndarray  # (G + 1,): each group's first row, then the size
     sizes: np.ndarray   # (G,): rows per group
@@ -75,6 +77,10 @@ class PrefixIndex:
     q: np.ndarray       # (L, dim): Q'^T of the top L levels
     #: every term of the bound is at most ||y|| + reach in magnitude
     reach: float
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:  # (G,): ||levels[:, g]||^2
+        return np.add.reduce(self.levels ** 2)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ sent codeword, decided in integers, and the decided point's coordinates in
 the code basis (NLD) or its codebook row (ML); whether an NLD point lies in
 the codebook is computed only when read.  ``ml_near_rows`` alone chooses
 the rows an ML decode scores, for every trial of a block: an unfaded large
-code is pruned by its prefix groups one trial at a time, and every other
+code is pruned by its prefix groups in one pass a trial, which bounds every
+group from one product and scores the kept rows at once, and every other
 code is scored as a block, with one product over the code's rows, one mask
 over the rescoring window and one ``nonzero``.  ``ml_decode`` rescores a
 trial only if more than one row lies in its window; called alone it is a
@@ -44,11 +45,11 @@ _ML_WINDOW = 1e-9  # relative to the score bound M in _score_block
 # threaded OpenBLAS in some runs: 31 trials cost 456 us once.
 _ML_SCORE_BYTES = 1 << 18
 # ml_near_rows prunes the scoring of an unfaded code whose points take at
-# least this many bytes by its prefix groups (_pruned_rows).  Median per
-# decode (in-process, 2 CPUs): at 0.5 MiB pruning cost 73 against 61 us on
-# F8-17 (8,229 rows) but 60 against 71 us on F4-725 and 93 against 156 us on
-# Qzeta5; from 1 MiB (16,408 F8-17 rows: 82 against 126 us) to 4 MiB
-# (65,577 F8-17 rows: 81 against 274 us) it won on every code.
+# least this many bytes by its prefix groups (_pruned_near).  Per AWGN ML
+# decode (in-process, best of 7 runs of 256 trials, 2 CPUs) on the 8k-, 16k-
+# and 65k-row F8-17, F4-725 and Qzeta5 codes, the pass cost 30-43 us, the
+# block scan 27-30, 64-78 and 247-318 us: the crossover is at 8.2k-11.6k rows
+# (F8-17 514-727 KiB, the others 257-362), so 0.5 MiB would lose on F8-17.
 _ML_PRUNE_BYTES = 1 << 20
 
 
@@ -157,28 +158,21 @@ def ml_near_rows(y, fading, codebook: Codebook) -> list:
 
     On an unfaded channel a code of at least ``_ML_PRUNE_BYTES`` that has a
     prefix index (``Codebook._prefixes``) is scored only on the row groups
-    that a lower bound from the walk's top levels does not exclude
-    (``_pruned_rows``, Agrell, Eriksson, Vardy and Zeger, "Closest point
-    search in lattices", IEEE Trans. IT 2002), one trial at a time.  The
-    size is tested first, so a small code never builds its index."""
+    that a lower bound from the walk's top levels does not exclude, in one
+    pass a trial (``_pruned_near``, Agrell, Eriksson, Vardy and Zeger,
+    "Closest point search in lattices", IEEE Trans. IT 2002).  The size is
+    tested first, so a small code never builds its index."""
     if (fading is not None or codebook.points.nbytes < _ML_PRUNE_BYTES
             or codebook._prefixes is None):
         return _score_block(y, fading, codebook)
-    near = []
-    for yt in y:
-        among = _pruned_rows(yt, codebook)
-        rows = _score_block(yt[None], None, codebook, among)[0]
-        near.append(rows if among is None else among[rows])
-    return near
+    return [_pruned_near(yt, codebook) for yt in y]
 
 
-def _score_block(y, fading, codebook: Codebook, among=None) -> list:
+def _score_block(y, fading, codebook: Codebook) -> list:
     """For each row of the (T, n) stack ``y`` of received words, faded by
     the (T, n) ``fading`` (None: unit fading), the indices, in codebook
     order, of the rows whose score lies within the rescoring window of that
-    trial's lowest.  Only the rows at the increasing indices ``among`` are
-    scored, if given (on unit fading alone), and the indices are then into
-    ``among``.
+    trial's lowest.
 
     Every codeword x is scored by ||y - h x||^2 - ||y||^2 =
     sum_i |h_i|^2 |x_i|^2 - 2 Re sum_i conj(y_i) h_i x_i.  The second sum
@@ -196,15 +190,13 @@ def _score_block(y, fading, codebook: Codebook, among=None) -> list:
     and the exact metric at most 2M, so a score and the exact metric less
     ||y||^2 differ by a few n ulps of M.  If they differ by at most e on
     every row, the first exact minimizer scores within 2e of the lowest
-    score, on every set of rows that holds it, as ``among`` does.  Every
-    row scoring within ``_ML_WINDOW`` * M of the lowest, far above 2e, is
-    returned for rescoring.  Usually only the winner is; an exactly zero
-    fading coefficient makes rows that differ only there tie exactly, and
-    all of them are.
+    score, on every set of rows that holds it, as ``_pruned_near``'s do.
+    Every row scoring within ``_ML_WINDOW`` * M of the lowest, far above
+    2e, is returned for rescoring.  Usually only the winner is; an exactly
+    zero fading coefficient makes rows that differ only there tie exactly,
+    and all of them are.
     """
     points, (norm2, max_norm2) = codebook.points, codebook._norms
-    if among is not None:
-        points, norm2 = np.take(points, among, axis=0), np.take(norm2, among)
     to_real = codebook.basis.to_real
     flat = to_real(points)
     weights = to_real(-2.0 * y if fading is None
@@ -239,38 +231,47 @@ def _over_rows(w, rows) -> np.ndarray:
     return w @ rows.T
 
 
-def _pruned_rows(y, codebook: Codebook):
-    """Indices, in codebook order, of the rows of every prefix group
-    (``Codebook._prefixes``) whose lower bound does not exclude the first
-    exact minimizer of ||y - x||^2; None if they are more than half the
-    code.
+def _pruned_near(y, codebook: Codebook) -> np.ndarray:
+    """``_score_block``'s near rows of the one unfaded trial ``y``, scored
+    only on the prefix groups (``Codebook._prefixes``) whose lower bound
+    does not exclude the first exact minimizer of ||y - x||^2, or on every
+    row if those groups hold more than half the code.
 
-    Group g's bound b_g (``PrefixIndex``) is at most the exact metric of
-    each of its rows.  The group with the lowest bound is scored first: its
-    best score plus ||y||^2, u, is at least the exact minimum.  A group
-    holding a minimizer then has b_g <= u in exact arithmetic, and only
-    groups with b_g <= u + ``_ML_WINDOW`` * M' are kept, for
-    M' = (||y|| + reach)^2.  Every term of the bound, of the score and of
-    the exact metric is at most M' in magnitude (reach bounds ||shift|| and
-    sum_j |u_j| ||rows_j|| over the code), and a prefix is the code's exact
-    integer coordinates, so b_g, u and the exact metric each err by a few
-    dim ulps of M' at most, far below the window.
+    Group g's bound b_g = ||levels_g - q y||^2 (``PrefixIndex``), at most
+    the exact metric of each of its rows, is taken for every group from one
+    product as norms_g - 2 levels_g . q y + ||q y||^2 (-2 q y is exact from
+    -2 y).  The group with the lowest bound is scored first: its best score
+    plus ||y||^2, u, is at least the exact minimum, so a group holding a
+    minimizer has b_g <= u in exact arithmetic; only groups with
+    b_g <= u + ``_ML_WINDOW`` * M' are kept, for M' = (||y|| + reach)^2.
+    levels_g is q x for every row x of group g, and reach bounds ||x|| over
+    the code (a prefix is the code's exact integer coordinates), so every
+    term of the expanded bound, of the score and of the exact metric is at
+    most M' in magnitude.  Each of b_g, u and the exact metric errs by a few
+    dim ulps of M', far inside the window: the group holding the first exact
+    minimizer is always kept.  The kept rows are gathered and scored once,
+    as ``_score_block`` scores them, with its cut.
     """
-    index = codebook._prefixes
-    starts = index.starts
-    gap = index.levels - (index.q @ codebook.basis.to_real(y))[:, None]
-    gap *= gap
-    bound = np.add.reduce(gap)
+    index, points = codebook._prefixes, codebook.points
+    norm2, max_norm2 = codebook._norms
+    to_real = codebook.basis.to_real
+    w = to_real(-2.0 * y)
+    qw = index.q @ w
+    bound = qw @ index.levels + index.norms
     g = bound.argmin()
-    lo, hi = starts[g], starts[g + 1]
-    yy = np.vdot(y, y).real
+    lo, hi = index.starts[g:g + 2].tolist()
+    yy = 0.25 * float(w @ w)
     upper = np.minimum.reduce(
-        (codebook.points[lo:hi] @ (-2.0 * np.conjugate(y))).real
-        + codebook._norms[0][lo:hi]) + yy
-    keep = (bound <= upper + _ML_WINDOW * (math.sqrt(yy) + index.reach) ** 2
-            ).nonzero()[0]
+        lattice.rows_product(to_real(points[lo:hi]), w) + norm2[lo:hi])
+    # ||q y||^2 moves to the right-hand side
+    keep = (bound <= upper + (yy - 0.25 * float(qw @ qw)) + _ML_WINDOW
+            * (math.sqrt(yy) + index.reach) ** 2).nonzero()[0]
     size = index.sizes[keep]
     ends = size.cumsum()
-    if 2 * ends[-1] > starts[-1]:
-        return None  # a scan of every row costs less than gathering these
-    return np.arange(ends[-1]) + (starts[keep] - ends + size).repeat(size)
+    if 2 * ends[-1] > len(points):  # scoring every row costs less
+        return _score_block(y[None], None, codebook)[0]
+    rows = np.arange(ends[-1]) + (index.starts[keep] - ends + size).repeat(size)
+    scores = lattice.rows_product(to_real(points.take(rows, axis=0)), w)
+    scores += norm2[rows]
+    return rows[scores <= np.minimum.reduce(scores)
+                + _ML_WINDOW * (yy + max_norm2)]

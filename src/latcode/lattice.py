@@ -592,7 +592,8 @@ def _zigzag(tries: int) -> np.ndarray:
 def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
     """``_enumerate``'s walk over the points within the constant ``bound``,
     run level by level in numpy: their coordinates in ``red.rows``, a float
-    (count, rank) array in no set order.
+    (count, rank) array in no set order, over the one buffer that each
+    level-0 block is appended to.
 
     A frontier block holds, for nodes at one level, their projected centers
     y, partial squared distances and coordinates, set above that level.
@@ -615,7 +616,7 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
     far = np.abs(x).argmax()
     if not abs(x[far]) < 2.0 ** 52:  # argmax takes a NaN first
         raise _far_error(float(x[far]), rank, bound, 0, budget)
-    nodes, leaves = 0, []
+    nodes, leaves = 0, array.array("d")  # every level-0 block, in place
     stack = [(rank - 1, t[None, :], np.zeros(1), np.zeros((1, rank)))]
     while stack:
         level, y, acc, u = stack.pop()
@@ -658,17 +659,19 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
         nodes += len(keep_at)
         if nodes > budget:
             raise EnumerationCapError(rank, bound, nodes, budget)
+        if not len(keep_at):
+            continue
         node = keep_at % len(acc)
         cand = np.take(cand, keep_at)
         u = np.take(u, node, axis=0)
         u[:, level] = cand
         if level == 0:
-            leaves.append(u)
-        elif len(node):
+            leaves.frombytes(memoryview(u).cast("B"))
+        else:
             y = np.take(y[:, :level], node, axis=0)
             y -= cand[:, None] * R[:level, level]
             stack.append((level - 1, y, np.take(d2, keep_at), u))
-    return np.concatenate(leaves) if leaves else np.zeros((0, rank))
+    return np.frombuffer(leaves).reshape(-1, rank)
 
 
 def _lex_order(ured: np.ndarray) -> np.ndarray:

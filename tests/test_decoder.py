@@ -12,6 +12,7 @@ from latcode import channel as ch
 from latcode import cli
 from latcode import codebook as cbmod
 from latcode import decoder
+from latcode import lattice
 from latcode import numberfield as nf
 from latcode.codebook import Codebook, CodeConfig, carve
 from latcode.decoder import ml_decode, nld_decode
@@ -279,17 +280,26 @@ def catalog_code(name, rate, seed):
 
 def force_pruned(mp):
     """Patch every code onto the pruned path; returns the list of calls that
-    reached ``_pruned_rows``."""
+    reached ``_pruned_near``."""
     calls = []
-    rows = decoder._pruned_rows
+    near = decoder._pruned_near
 
     def spy(y, codebook):
         calls.append(codebook._prefixes)
-        return rows(y, codebook)
+        return near(y, codebook)
 
     mp.setattr(decoder, "_ML_PRUNE_BYTES", 0)
-    mp.setattr(decoder, "_pruned_rows", spy)
+    mp.setattr(decoder, "_pruned_near", spy)
     return calls
+
+
+def spy_fallbacks(mp):
+    """Record the trial count of every ``_score_block`` call: on the pruned
+    path, one for each trial that falls back to scoring every row."""
+    blocks, real = [], decoder._score_block
+    mp.setattr(decoder, "_score_block", lambda y, fading, code: blocks.append(
+        len(y)) or real(y, fading, code))
+    return blocks
 
 
 def unfaded(code):
@@ -300,7 +310,7 @@ def unfaded(code):
 
 class TestMlPruned:
     """The pruned scoring of large unfaded codes (``Codebook._prefixes``,
-    ``decoder._pruned_rows``), forced onto every code size by patching the
+    ``decoder._pruned_near``), forced onto every code size by patching the
     size thresholds: the decision is a full scan's, in any row order, and
     every other code or channel falls back to scoring every row
     (``_score_block``)."""
@@ -350,35 +360,103 @@ class TestMlPruned:
             assert code._prefixes is not None and len(calls) == 1
         assert out.row == full_scan(y, r.fading, code)[0]
 
-    def test_prunes_the_rate_2_code(self, f8_rate2):
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(CODES), group_rows=st.sampled_from([1, 4, 32]),
+           scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_group_bounds_below_exact_metrics(self, key, group_rows, scale,
+                                              seed):
+        """Each group's bound, expanded as ``_pruned_near`` takes it from
+        one product, is at most the least exact metric of the group's rows,
+        plus the window on M' = (||y|| + reach)^2; the pass that reads it
+        decides as a full scan."""
+        rng = np.random.default_rng(seed)
+        code = catalog_code(*key)
+        radius = np.sqrt(code.n * code.power)
+        y = rng.standard_normal(code.n) + (
+            1j * rng.standard_normal(code.n) if np.iscomplexobj(code.points)
+            else 0.0)
+        y *= 10.0 ** scale * radius / np.linalg.norm(y)
+        y += code.points[rng.integers(code.size)] * rng.integers(0, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = force_pruned(mp)
+            mp.setattr(cbmod, "_PREFIX_GROUP_ROWS", group_rows)
+            code = dataclasses.replace(code)  # a fresh index for this L
+            index = code._prefixes
+            r = unfaded(code)
+            out = ml_decode(y, r, code, 0)
+            assert len(calls) == 1
+        assert out.row == full_scan(y, r.fading, code)[0]
+        qw = index.q @ code.basis.to_real(-2.0 * y)
+        bound = qw @ index.levels + index.norms + 0.25 * float(qw @ qw)
+        metrics = np.sum(np.abs(y - code.points) ** 2, axis=1)
+        least = np.minimum.reduceat(metrics, index.starts[:-1])
+        m_prime = (np.linalg.norm(y) + index.reach) ** 2
+        assert np.all(bound <= least + decoder._ML_WINDOW * m_prime)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_rate_2_decisions_equal_full_scan(self, seed, monkeypatch):
+        """Unpatched, the rate-2 F8-17 code is pruned by its size.  Seeded
+        AWGN trials at 6, 10 and 14 dB, and targets 2-100 times the ball's
+        radius outside it: every trial's near rows hold the full scan's
+        winner, and every decision is that winner."""
+        rng = np.random.default_rng(seed)
+        calls, real = [], decoder._pruned_near
+        monkeypatch.setattr(decoder, "_pruned_near", lambda y, code: calls
+                            .append(y) or real(y, code))
+        blocks = spy_fallbacks(monkeypatch)
+        for snr_db in (6.0, 10.0, 14.0):
+            code = make_code("F8-17", rate=2.0, power=10.0 ** (snr_db / 10.0),
+                             seed=seed)
+            assert code.points.nbytes >= decoder._ML_PRUNE_BYTES
+            radius = np.sqrt(code.n * code.power)
+            sent = rng.integers(0, code.size, 60)
+            ys = [ch.transmit(code.points[m], ch.AWGN_REAL, seed, t)[0]
+                  for t, m in enumerate(sent)]
+            for _ in range(20):
+                d = rng.standard_normal(code.n)
+                ys.append(10.0 ** rng.uniform(np.log10(2.0), 2.0) * radius
+                          * d / np.linalg.norm(d))
+            calls.clear()
+            blocks.clear()
+            near = decoder.ml_near_rows(np.array(ys), None, code)
+            assert len(calls) == len(ys) and len(blocks) < len(ys) / 2
+            r = unfaded(code)
+            for y, rows in zip(ys, near):
+                want = full_scan(y, r.fading, code)[0]
+                assert want in rows
+                assert ml_decode(y, r, code, 0, near=rows).row == want
+                assert ml_decode(y, r, code, 0).row == want
+
+    def test_prunes_the_rate_2_code(self, f8_rate2, monkeypatch):
         """On the F8-17 rate-2 code the bound keeps a small share of the
         rows, in a few contiguous runs, and all of them on a noiseless
-        target are in the transmitted point's group."""
-        index, kept = f8_rate2._prefixes, []
+        target are in the transmitted point's group.  A decode takes two
+        products (``lattice.rows_product``), the best group's and the
+        scored rows': the kept ones, or every row if it falls back."""
+        index, kept, products = f8_rate2._prefixes, [], []
         assert index.levels.shape[0] >= 3
+        real = lattice.rows_product
+        monkeypatch.setattr(lattice, "rows_product", lambda a, b: products
+                            .append(len(a)) or real(a, b))
         for t in range(40):
             m = (7919 * t) % f8_rate2.size
             y, r = ch.transmit(f8_rate2.points[m], ch.AWGN_REAL, 61, t)
-            rows = decoder._pruned_rows(y, f8_rate2)
-            kept.append(f8_rate2.size if rows is None else len(rows))
+            products.clear()
             assert ml_decode(y, r, f8_rate2, m).row == \
                 full_scan(y, r.fading, f8_rate2)[0]
+            assert len(products) == 2
+            kept.append(products[-1])
         assert np.median(kept) < f8_rate2.size / 20
 
     @pytest.mark.parametrize("case", ["off_lattice", "permuted", "fading"])
     def test_falls_back_to_near_best(self, case, monkeypatch):
         """A code without coordinates or a faded channel scores every row
         without pruning.  A permuted code is pruned, but its groups are
-        short runs, so ``_pruned_rows`` often keeps more than half the rows
-        and falls back to scoring them all.  Every decision is a full
-        scan's."""
+        short runs, so ``_pruned_near`` often keeps more than half the rows
+        and falls back to scoring them all (``_score_block``).  Every
+        decision is a full scan's."""
         calls = force_pruned(monkeypatch)
-        near = []
-        real = decoder._score_block
-        monkeypatch.setattr(
-            decoder, "_score_block",
-            lambda y, fading, code, among=None: near.append(among)
-            or real(y, fading, code, among))
+        blocks = spy_fallbacks(monkeypatch)
         rng = np.random.default_rng(3)
         code = make_code("F4-725", rate=2.0)
         r = unfaded(code)
@@ -398,9 +476,9 @@ class TestMlPruned:
             assert out.row == full_scan(y, r.fading, code)[0]
         if case == "permuted":
             assert len(calls) == 10 and calls[0] is not None
-            assert len(near) == 10 and any(a is None for a in near)
+            assert 0 < len(blocks) <= 10 and set(blocks) == {1}
         else:
-            assert not calls and near == [None] * 10
+            assert not calls and blocks == [1] * 10
         if case == "fading":
             assert "_prefixes" not in code.__dict__  # never built
         elif case == "off_lattice":
@@ -408,26 +486,22 @@ class TestMlPruned:
 
     def test_large_awgn_code_stays_pruned(self, f8_rate2, monkeypatch):
         """A simulation of the 65k-row code on AWGN scores no block:
-        ``ml_near_rows`` prunes each trial's rows on its own, and the rows
-        it scores are the pruned ones."""
-        calls, scored = force_pruned(monkeypatch), []
-        real = decoder._score_block
+        ``ml_near_rows`` prunes each trial's rows in one pass of its own,
+        which scores only the pruned rows unless it falls back to a block
+        of that one trial."""
+        calls = force_pruned(monkeypatch)
         monkeypatch.setattr(decoder, "_ML_PRUNE_BYTES", 1 << 20)
-        monkeypatch.setattr(
-            decoder, "_score_block",
-            lambda y, fading, code, among=None: scored.append(
-                (len(y), among is not None)) or real(y, fading, code, among))
+        blocks = spy_fallbacks(monkeypatch)
         assert f8_rate2.points.nbytes >= decoder._ML_PRUNE_BYTES
         near = decoder.ml_near_rows(np.zeros((3, 8)), None, f8_rate2)
         assert len(near) == 3
         assert all(isinstance(rows, np.ndarray) and len(rows) for rows in near)
-        assert len(calls) == 3 and len(scored) == 3
+        assert len(calls) == 3 and set(blocks) <= {1}
         calls.clear()
-        scored.clear()
+        blocks.clear()
         errors = cli._simulate_chunk(f8_rate2, ch.AWGN_REAL, 5, 0, 20, "ml")
         assert len(calls) == 20 and errors[0] == 0
-        assert len(scored) == 20 and all(t == 1 for t, _ in scored)
-        assert sum(pruned for _, pruned in scored) >= 18
+        assert len(blocks) <= 2 and set(blocks) <= {1}
 
     def test_block_rows_equal_single_decodes(self, f8_rate2, monkeypatch):
         """On the pruned rate-2 code, ``ml_near_rows`` returns an index
@@ -478,22 +552,39 @@ class TestScoreBytes:
     @pytest.mark.parametrize("model", [ch.AWGN_REAL, ch.RAYLEIGH_REAL])
     def test_score_matrices_within_the_bound(self, model, f8_rate2,
                                              monkeypatch):
-        shapes = []
-        real = decoder._over_rows
+        codes = (make_code("F8-17"), make_code("F8-17", rate=1.5), f8_rate2)
+        shapes, rows_scored, passes = [], [], []
+        real, product, one_pass = (decoder._over_rows, lattice.rows_product,
+                                   decoder._pruned_near)
 
         def spy(w, rows):
             out = real(w, rows)
             shapes.append((out.shape, out.nbytes))
             return out
 
+        def product_spy(a, b):
+            out = product(a, b)
+            rows_scored.append(out.shape)
+            return out
+
         monkeypatch.setattr(decoder, "_over_rows", spy)
-        for code in (make_code("F8-17"), make_code("F8-17", rate=1.5),
-                     f8_rate2):
+        monkeypatch.setattr(lattice, "rows_product", product_spy)
+        monkeypatch.setattr(decoder, "_pruned_near", lambda y, code: passes
+                            .append(y.shape) or one_pass(y, code))
+        for code in codes:
             shapes.clear()
+            rows_scored.clear()
+            passes.clear()
             cli._simulate_chunk(code, model, 3, 0, 70, "ml")
-            # one product per trial and sum (a fading decode takes two)
-            assert sum(t for (t, _), _ in shapes) == \
-                70 * (2 if model.fading else 1)
+            if passes:  # one pruning pass per trial, of one trial's row
+                assert not model.fading
+                assert code.points.nbytes >= decoder._ML_PRUNE_BYTES
+                assert passes == [(code.n,)] * 70
+                assert all(len(s) == 1 and s[0] <= code.size
+                           for s in rows_scored)
+            else:  # one product per trial and sum (fading takes two)
+                assert sum(t for (t, _), _ in shapes) == \
+                    70 * (2 if model.fading else 1)
             for (trials, rows), nbytes in shapes:
                 assert nbytes <= decoder._ML_SCORE_BYTES or trials == 1
                 assert rows <= code.size
@@ -502,6 +593,7 @@ class TestScoreBytes:
                 assert max(t for (t, _), _ in shapes) > 1
             elif model.fading:
                 assert {s for s, _ in shapes} == {(1, code.size)}
+        assert code is f8_rate2 and (not passes) == model.fading
 
 
 class TestDominance:

@@ -913,6 +913,23 @@ class TestCaps:
         assert len(coords) > 2 ** 16
         assert peak < 3 * 8 * basis.rank * len(coords)
 
+    def test_rate2_shift_try_memory(self):
+        """A rate-2 F8-17 shift try (``count_points``) appends each level-0
+        block to one buffer, so it peaks below 1.5 times the coordinates it
+        returns: no second copy of them at the end."""
+        f = nf.catalog_field("F8-17")
+        basis = nf.embedding_matrix(f).scaled(
+            math.sqrt(energy_normalization(f, 2.0, 10.0)))
+        shift = shift_search(basis, 10.0, 0)[0]
+        tracemalloc.start()
+        try:
+            count, coords = count_points(basis, shift, math.sqrt(80.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(coords) > 2 ** 16 and coords.flags.writeable
+        assert peak < 1.5 * coords.nbytes
+
     def test_budget_read_at_call_time(self, monkeypatch):
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))
         radius = 2.0 * lattice.shortest_vector(basis)

@@ -196,9 +196,9 @@ def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
 
 
 def count_points(basis: LatticeBasis, shift, radius: float):
-    """(|(L + shift) intersect B(0, radius)|, its points' coordinates in
-    ``basis._reduced.rows`` in no set order) by one exact enumeration
-    (``lattice._ball``)."""
+    """(|(L + shift) intersect B(0, radius)|, its points' integer
+    coordinates in ``basis._reduced.rows`` in no set order, int8 on every
+    carving ball) by one exact enumeration (``lattice._ball``)."""
     coords = lattice._ball(basis, -np.asarray(shift), radius)
     return len(coords), coords
 
@@ -250,7 +250,8 @@ def carve(config: CodeConfig) -> Codebook:
     in a process and shared with ``Codebook.basis``.  The accepted shift
     try's ball is the code, sorted and multiplied into vectors as
     ``lattice.points_in_ball`` does: no ball is enumerated after the
-    search.  The points, shift and rate are never cached.
+    search.  Its integer coordinates are narrowed to ``coords`` (no copy
+    if already narrow).  The points, shift and rate are never cached.
     """
     field = config.field
     n = field.ambient_n
@@ -260,8 +261,8 @@ def carve(config: CodeConfig) -> Codebook:
     ured, points = lattice._ball_points(basis, ured)
     points += shift  # a fresh array: no second one of its size
     # the smallest signed dtype that holds -w holds -w..w-1: every coordinate
-    w = max(-ured.min(initial=0.0), ured.max(initial=0.0) + 1.0)
-    coords = ured.astype(np.min_scalar_type(-int(w)))
+    w = max(-int(ured.min(initial=0)), int(ured.max(initial=0)) + 1)
+    coords = ured.astype(np.min_scalar_type(-w), copy=False)
     code = Codebook(points=points, alpha=alpha, shift=shift,
                     achieved_rate=math.log2(len(points)) / n, n=n,
                     basis=basis, power=config.power, coords=coords)

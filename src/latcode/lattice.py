@@ -20,16 +20,16 @@ instead, on both ball paths and before any node.
 Closest point and shortest vector stay on the walk;
 ``closest_vector_coords`` returns the closest point as its integer
 coordinates in the caller's basis alone.  A ball (``_ball``) is
-enumerated once, into its points' coordinates in ``_reduced.rows``: level
-by level in numpy if the walk is expected to visit more than
-``_BALL_DFS_NODES`` nodes (``_walk_first``), else walked.  Both paths have
-the walk's arithmetic, so the points, the node count and the cap are the
-walk's, and both raise ``EnumerationPrecisionError`` rather than run where
-floats hold no integers.  ``points_in_ball`` sorts those coordinates, the
-integer-valued floats the enumeration holds, and returns them with their
-vectors; ``codebook.count_points`` counts them unsorted.  A
-ball's slack for roundoff (``ball_bound``) is relative to its squared
-radius; a negative or NaN radius is rejected.  A faded basis
+enumerated once, level by level in numpy if the walk is expected to visit
+more than ``_BALL_DFS_NODES`` nodes (``_walk_first``), else walked, into
+its points' coordinates in ``_reduced.rows``: integers in the narrowest
+dtype that an a-priori bound allows, int8 on every carving ball.  Both
+paths have the walk's float arithmetic, so the points, the node count and
+the cap are the walk's, and both raise ``EnumerationPrecisionError`` where
+floats hold no integers.  ``points_in_ball`` sorts those coordinates and
+returns them with their vectors; ``codebook.count_points`` counts them
+unsorted.  A ball's slack for roundoff (``ball_bound``) is relative to its
+squared radius; a negative or NaN radius is rejected.  A faded basis
 (``LatticeBasis.faded``) carries a hint, its parent's reduction with the
 rows faded, and its closest point is searched on the hint within the small
 budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
@@ -99,6 +99,7 @@ _PRODUCT_ROWS = 4096
 _TIE_EPS = 1e-12  # relative tie window of ``_nearest``
 _BALL_SLACK = 1e-12  # relative widening of the closed ball, ``ball_bound``
 _LLL_DELTA = 0.99  # the Lovasz condition's constant in ``_lll``
+_COORD_DTYPES = [(np.dtype(f"int{b}"), 2 ** (b - 1) - 1) for b in (8, 16, 32)]
 
 
 class EnumerationCapError(RuntimeError):
@@ -177,9 +178,19 @@ class Reduction:
         return tuple(reversed(coefficients))
 
     @functools.cached_property
+    def _R_columns(self) -> np.ndarray:
+        """R's columns as rows: ``_R_columns[l, :l]`` is R[:l, l]."""
+        return np.array(self.R).T.copy()
+
+    @functools.cached_property
     def _R_inverse(self) -> np.ndarray:
         """R^-1: Q^T c to c's coordinates in ``rows``."""
-        return np.linalg.inv(np.array(self.R))
+        return np.linalg.inv(self._R_columns.T)
+
+    @functools.cached_property
+    def _reach(self) -> float:
+        """R^-1's largest row norm (``_ball``'s coordinate dtype)."""
+        return float(np.linalg.norm(self._R_inverse, axis=1).max())
 
 
 def _reduction(rows: np.ndarray, U: np.ndarray) -> Reduction:
@@ -385,14 +396,16 @@ def _qr(B: np.ndarray):
 
 def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-D ``a`` and a 1-D or 2-D ``b``, multiplied
-    ``_PRODUCT_ROWS`` rows of ``a`` at a time into one output.  Each output
+    ``_PRODUCT_ROWS`` rows of ``a`` at a time into one output, each block
+    of an integer ``a`` converted to ``b``'s float type first.  Each output
     row is the product of its own row of ``a``; on the codes that the tests
     pin, the blocks change no bit of the result."""
+    dtype = np.result_type(a, b)
     if len(a) <= _PRODUCT_ROWS:
-        return a @ b
-    out = np.empty((len(a),) + b.shape[1:], np.result_type(a, b))
+        return a.astype(dtype, copy=False) @ b
+    out = np.empty((len(a),) + b.shape[1:], dtype)
     for lo in range(0, len(a), _PRODUCT_ROWS):
-        np.matmul(a[lo:lo + _PRODUCT_ROWS], b,
+        np.matmul(a[lo:lo + _PRODUCT_ROWS].astype(dtype, copy=False), b,
                   out=out[lo:lo + _PRODUCT_ROWS])
     return out
 
@@ -589,17 +602,17 @@ def _zigzag(tries: int) -> np.ndarray:
     return offsets
 
 
-def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
+def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float, dtype):
     """``_enumerate``'s walk over the points within the constant ``bound``,
-    run level by level in numpy: their coordinates in ``red.rows``, a float
-    (count, rank) array in no set order, over the one buffer that each
-    level-0 block is appended to.
+    run level by level in numpy: their coordinates in ``red.rows``, an
+    integer (count, rank) array of ``dtype`` in no set order, over the one
+    buffer that each level-0 block is appended to.
 
     A frontier block holds, for nodes at one level, their projected centers
-    y, partial squared distances and coordinates, set above that level.
-    Each node tries integers in the walk's zig-zag order with the walk's
-    arithmetic and keeps them up to its first one past the bound, so the
-    tree, its points and its node count are exactly the walk's.
+    y, partial squared distances (floats) and coordinates set above that
+    level (integers).  Each node tries integers in the walk's zig-zag order
+    with the walk's arithmetic and keeps them up to its first one past the
+    bound, so the tree, its points and its node count are the walk's.
     Blocks go on a stack, each step evaluating about ``_LEVEL_BLOCK``
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
     ``EnumerationCapError``, before a step whose widest node alone would pass
@@ -609,18 +622,18 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
     first: no node within the budget strays far from it, so below that each
     stays under 2^53, where floats hold integers (a NaN: ``ValueError``).
     """
-    R = np.array(red.R)
+    R, columns = red.R, red._R_columns
     rank, budget = len(R), MAX_ENUM_NODES
     t = red.Q.T @ center
     x = red._R_inverse @ t
     far = np.abs(x).argmax()
     if not abs(x[far]) < 2.0 ** 52:  # argmax takes a NaN first
         raise _far_error(float(x[far]), rank, bound, 0, budget)
-    nodes, leaves = 0, array.array("d")  # every level-0 block, in place
-    stack = [(rank - 1, t[None, :], np.zeros(1), np.zeros((1, rank)))]
+    nodes, leaves = 0, array.array(dtype.char)  # every level-0 block
+    stack = [(rank - 1, t[None, :], np.zeros(1), np.zeros((1, rank), dtype))]
     while stack:
         level, y, acc, u = stack.pop()
-        rll = R[level, level]
+        rll = R[level][level]
         # the node with the most room sets the tries of the block; within
         # its interval of ``width`` it holds more than width - 3 integers
         # that pass the bound even with rounding at both ends, so past
@@ -648,69 +661,74 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float):
             d2 *= d2
             d2 += acc
             # each node keeps its tries before the first past the bound
-            inside = ~np.logical_or.accumulate(d2 > bound)
+            inside = np.logical_and.accumulate(d2 <= bound)
             if not inside[-1].any():
                 break
             if tries > left:  # that node alone is past the budget
                 raise EnumerationCapError(
                     rank, bound, nodes + int(np.count_nonzero(inside)), budget)
             tries *= 2  # rounding: try again
-        keep_at = np.flatnonzero(inside)
+        keep_at = inside.ravel().nonzero()[0]
         nodes += len(keep_at)
         if nodes > budget:
             raise EnumerationCapError(rank, bound, nodes, budget)
         if not len(keep_at):
             continue
         node = keep_at % len(acc)
-        cand = np.take(cand, keep_at)
-        u = np.take(u, node, axis=0)
-        u[:, level] = cand
+        cand = cand.take(keep_at)
+        u = u.take(node, axis=0)
+        u[:, level] = cand  # integral floats within ``dtype``'s range
         if level == 0:
             leaves.frombytes(memoryview(u).cast("B"))
         else:
-            y = np.take(y[:, :level], node, axis=0)
-            y -= cand[:, None] * R[:level, level]
-            stack.append((level - 1, y, np.take(d2, keep_at), u))
-    return np.frombuffer(leaves).reshape(-1, rank)
+            y = y[:, :level].take(node, axis=0)
+            y -= cand[:, None] * columns[level, :level]
+            stack.append((level - 1, y, d2.take(keep_at), u))
+    return np.frombuffer(leaves, dtype).reshape(-1, rank)
 
 
 def _lex_order(ured: np.ndarray) -> np.ndarray:
-    """``np.lexsort(ured.T[::-1])`` of distinct integer-valued float rows.
-    Past ``_LEX_KEY_ROWS`` rows it is one argsort of a mixed-radix key,
-    where that key is exact in floats.  The key goes through
-    ``rows_product``: each is an integer below 2^53, exact in any order of
-    summation, so the blocks change no bit of it."""
+    """``np.lexsort(ured.T[::-1])`` of distinct integer (or integer-valued)
+    rows.  Past ``_LEX_KEY_ROWS`` rows it is one argsort of the unshifted
+    mixed-radix key ``rows_product(ured, base ** (k-1, ..., 0))`` where
+    |key| <= max|u| (base^k - 1) / (base - 1) < 2^53: every partial sum is
+    an exact integer, so neither blocks nor a narrow dtype change it."""
     if len(ured) > _LEX_KEY_ROWS:
-        lo = ured.min()
-        base = ured.max() - lo + 1.0
-        if base ** ured.shape[1] < 2.0 ** 53:
-            return np.argsort(rows_product(ured - lo, base ** np.arange(
-                ured.shape[1] - 1.0, -1.0, -1.0)))
+        lo, hi = int(ured.min()), int(ured.max())
+        base, k = hi - lo + 1, ured.shape[1]
+        if max(-lo, hi) * (base ** k - 1) < 2 ** 53 * (base - 1):
+            return np.argsort(rows_product(
+                ured, float(base) ** np.arange(k - 1.0, -1.0, -1.0)))
     return np.lexsort(ured.T[::-1])
 
 
 def _ball(basis: LatticeBasis, center, radius: float) -> np.ndarray:
     """The coordinates in ``basis._reduced.rows`` of the lattice points in
-    the closed ball B(center, radius), an integer-valued float (count,
-    rank) array in no set order, by one enumeration: level by level if the
-    walk is expected to visit more than ``_BALL_DFS_NODES`` nodes
-    (``_walk_first``), else walked.  Both paths have the walk's arithmetic
-    and the same points."""
+    the closed ball B(center, radius), an integer (count, rank) array in no
+    set order, by one enumeration: level by level if the walk is expected
+    to visit more than ``_BALL_DFS_NODES`` nodes (``_walk_first``), else
+    walked.  Both paths have the walk's arithmetic and points, and one
+    dtype: the narrowest that holds |u_k| <= ||row k of R^-1|| (||center||
+    + r) with a margin for rounding (every node's levels of R u - t lie
+    within r), int64 past int32 or for a NaN."""
     r2 = ball_bound(radius)
     _check_rank(basis.rank, r2)
     red = basis._reduced
     center = basis.to_real(np.asarray(center))
+    reach = red._reach * (math.hypot(*center.tolist()) + math.sqrt(r2))
+    dtype = next((d for d, top in _COORD_DTYPES  # a NaN passes no test
+                  if reach * (1.0 + 1e-9) + 1.0 <= top), np.dtype(np.int64))
     if not _walk_first(red, r2):
-        return _enumerate_levels(red, center, r2)
-    flat = array.array("d")  # 8 bytes per coordinate while the walk runs
+        return _enumerate_levels(red, center, r2, dtype)
+    flat = array.array(dtype.char)  # extend checks each integer's range
     _enumerate(red, center, r2, lambda u, d2: flat.extend(u) or r2)
-    return np.frombuffer(flat).reshape(-1, basis.rank)
+    return np.frombuffer(flat, dtype).reshape(-1, basis.rank)
 
 
 def _ball_points(basis: LatticeBasis, ured: np.ndarray):
     """``points_in_ball``'s (coords, vectors) from ``_ball``'s ``ured``,
     sorted in place: a caller that holds ``ured`` keeps no unsorted copy."""
-    ured[:] = np.take(ured, _lex_order(ured), axis=0)
+    ured[:] = ured.take(_lex_order(ured), axis=0)
     vec_real = rows_product(ured, basis._reduced.rows)
     return ured, np.atleast_2d(basis.to_ambient(vec_real))
 
@@ -719,11 +737,11 @@ def points_in_ball(basis: LatticeBasis, center, radius: float):
     """All lattice vectors v with ||v - center|| <= radius.
 
     Returns (coords, vectors), sorted by coords: the points' coordinates in
-    ``basis._reduced.rows`` as an integer-valued float (count, rank) array
-    (``coords @ basis._reduced.U`` are those in the given basis), and the
-    ambient vectors.  A ball expected past ``_BALL_DFS_NODES`` walk nodes
-    goes level by level, and its memory peaks below three times the
-    coordinate array returned.
+    ``basis._reduced.rows`` as an integer (count, rank) array of ``_ball``'s
+    dtype (``coords @ basis._reduced.U`` are those in the given basis), and
+    the ambient vectors.  A ball expected past ``_BALL_DFS_NODES`` walk
+    nodes goes level by level, and its memory peaks below three times its
+    coordinates as floats.
     """
     return _ball_points(basis, _ball(basis, center, radius))
 

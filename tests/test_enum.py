@@ -886,7 +886,7 @@ class TestCaps:
                     with pytest.raises(EnumerationCapError) as info:
                         if search is lattice._enumerate_levels:
                             search(basis._reduced, np.zeros(2),
-                                   radius * radius)
+                                   radius * radius, np.dtype(np.int64))
                         else:
                             search(basis, np.zeros(2), radius)
                     assert info.value.nodes > budget
@@ -915,8 +915,9 @@ class TestCaps:
 
     def test_rate2_shift_try_memory(self):
         """A rate-2 F8-17 shift try (``count_points``) appends each level-0
-        block to one buffer, so it peaks below 1.5 times the coordinates it
-        returns: no second copy of them at the end."""
+        block to one buffer of one byte per coordinate: it peaks below 1.5
+        times its coordinates taken as 8-byte floats, and below 1.9 MB
+        (1.44 MB measured)."""
         f = nf.catalog_field("F8-17")
         basis = nf.embedding_matrix(f).scaled(
             math.sqrt(energy_normalization(f, 2.0, 10.0)))
@@ -928,7 +929,24 @@ class TestCaps:
         finally:
             tracemalloc.stop()
         assert count == len(coords) > 2 ** 16 and coords.flags.writeable
-        assert peak < 1.5 * coords.nbytes
+        assert coords.dtype == np.int8
+        assert peak < 1.5 * 8 * basis.rank * count
+        assert peak < 1.9e6
+
+    def test_rate2_carve_memory(self):
+        """A rate-2 F8-17 carve peaks below 6.9 MB (5.27 MB measured): the
+        code's 4.2 MB of float points and little more."""
+        f = nf.catalog_field("F8-17")
+        config = CodeConfig(rate=2.0, power=10.0, field=f, seed=0)
+        carve(config)  # the code lattice and its reduction, cached
+        tracemalloc.start()
+        try:
+            code = carve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code.size > 2 ** 16 and code.coords.dtype == np.int8
+        assert peak < 6.9e6
 
     def test_budget_read_at_call_time(self, monkeypatch):
         basis = nf.embedding_matrix(nf.catalog_field("F8-17"))

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -235,7 +236,11 @@ def _simulate_chunk(codebook: Codebook, model: Model, master_seed: int,
 def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
                    trials: int, master_seed: int, which: str = "both",
                    workers: int = 1):
-    """One Monte Carlo point: carve the code, run trials, return counts."""
+    """One Monte Carlo point: carve the code, run trials, return counts.
+
+    The trials are split into ``workers`` chunks; a pool runs them on at
+    most ``os.cpu_count()`` processes, so the counts do not depend on how
+    many run at once."""
     model = Model(model)
     cb = carve(CodeConfig(rate=rate, power=power, field=field,
                           seed=master_seed))
@@ -243,7 +248,8 @@ def simulate_point(field: FieldSpec, model: str, rate: float, power: float,
         counts = [_simulate_chunk(cb, model, master_seed, 0, trials, which)]
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_simulate_chunk, cb, model, master_seed,
                                    int(lo), int(hi), which)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -298,7 +304,12 @@ SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+    """Comma-separated dB values; a bad one is named with the whole list."""
+    try:
+        return tuple(float(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers") from None
 
 
 # --key flag and --config key -> (ExperimentConfig field, converter, choices)
@@ -355,7 +366,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     in_file = _load_config_file(args.config) if args.config else {}
     for key, (attr, conv, choices) in _OPTIONS.items():
         if key in in_file:
-            value = conv(in_file[key])
+            try:
+                value = conv(in_file[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
             if choices is not None and value not in choices:
                 raise ValueError(f"config key {key}: invalid choice {value!r} "
                                  f"(choose from {', '.join(choices)})")
@@ -376,7 +390,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return run(build_config(args))
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"latcode: error: {exc}", file=sys.stderr)
         return 1
 

@@ -69,14 +69,14 @@ class PrefixIndex:
     is a lower bound shared by the whole group:
     sum_i (levels[i, g] - (q @ y)_i)^2, which ``decoder._pruned_near``
     takes for every group from one product, as
-    norms[g] - 2 (q @ y) @ levels[:, g] + ||q @ y||^2.
+    norms[g] - 2 (q @ y) @ levels[:, g] + ||q @ y||^2.  levels[:, g] is
+    q @ x for every row x of group g, and q has orthonormal rows, so
+    ||levels[:, g]|| <= max ||x||, the root of ``Codebook._norms``'s maximum.
     """
     starts: np.ndarray  # (G + 1,): each group's first row, then the size
     sizes: np.ndarray   # (G,): rows per group
     levels: np.ndarray  # (L, G): R'-block @ prefix + q @ shift, per group
     q: np.ndarray       # (L, dim): Q'^T of the top L levels
-    #: every term of the bound is at most ||y|| + reach in magnitude
-    reach: float
 
     @functools.cached_property
     def norms(self) -> np.ndarray:  # (G,): ||levels[:, g]||^2
@@ -87,10 +87,10 @@ class PrefixIndex:
 class Codebook:
     """A carved code: the accepted shift try's ball.  ``coords`` holds the
     rows' integer coordinates in ``basis._reduced.rows``, lexicographically
-    sorted, in the smallest signed integer dtype that holds them; a code
-    built by hand may leave it None, and then has no NLD decode and no
-    prefix index.  Neither array may be mutated: four caches are built on
-    first use, never refreshed.
+    sorted: the array the ball search returned, in its dtype (int8 on every
+    catalog code).  A code built by hand may leave it None, and then has no
+    NLD decode and no prefix index.  Neither array may be mutated: four
+    caches are built on first use, never refreshed.
 
     - ``_norms``: the squared row norms ||x||^2 and their maximum.  ``carve``
       builds it for its power check; ML decoding scores an unfaded channel
@@ -164,14 +164,8 @@ class Codebook:
         prefixes = keys[:L, starts[:-1]].astype(float)  # one per group
         levels = R[k - L:, k - L:][:, ::-1] @ prefixes
         levels += (q @ shift)[:, None]
-        # ||x - shift|| <= sum_j |u_j| ||rows_j||, and |R'_ij| <= ||rows_j||
-        span = np.zeros(N)
-        for u_j, norm_j in zip(self.coords.T,
-                               np.linalg.norm(red.rows, axis=1)):
-            span += np.abs(u_j, dtype=float) * norm_j
         return PrefixIndex(starts=starts, sizes=np.diff(starts),
-                           levels=levels, q=q,
-                           reach=float(np.linalg.norm(shift)) + span.max())
+                           levels=levels, q=q)
 
 
 def energy_normalization(field: FieldSpec, rate: float, power: float) -> float:
@@ -250,19 +244,16 @@ def carve(config: CodeConfig) -> Codebook:
     in a process and shared with ``Codebook.basis``.  The accepted shift
     try's ball is the code, sorted and multiplied into vectors as
     ``lattice.points_in_ball`` does: no ball is enumerated after the
-    search.  Its integer coordinates are narrowed to ``coords`` (no copy
-    if already narrow).  The points, shift and rate are never cached.
+    search.  Its integer coordinates, in the ball's own array and dtype,
+    are ``coords``.  The points, shift and rate are never cached.
     """
     field = config.field
     n = field.ambient_n
     alpha = math.sqrt(energy_normalization(field, config.rate, config.power))
     basis = code_lattice(field, alpha)
     shift, ured = shift_search(basis, config.power, config.seed)
-    ured, points = lattice._ball_points(basis, ured)
+    coords, points = lattice._ball_points(basis, ured)
     points += shift  # a fresh array: no second one of its size
-    # the smallest signed dtype that holds -w holds -w..w-1: every coordinate
-    w = max(-int(ured.min(initial=0)), int(ured.max(initial=0)) + 1)
-    coords = ured.astype(np.min_scalar_type(-w), copy=False)
     code = Codebook(points=points, alpha=alpha, shift=shift,
                     achieved_rate=math.log2(len(points)) / n, n=n,
                     basis=basis, power=config.power, coords=coords)

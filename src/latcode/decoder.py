@@ -243,11 +243,12 @@ def _pruned_near(y, codebook: Codebook) -> np.ndarray:
     -2 y).  The group with the lowest bound is scored first: its best score
     plus ||y||^2, u, is at least the exact minimum, so a group holding a
     minimizer has b_g <= u in exact arithmetic; only groups with
-    b_g <= u + ``_ML_WINDOW`` * M' are kept, for M' = (||y|| + reach)^2.
-    levels_g is q x for every row x of group g, and reach bounds ||x|| over
-    the code (a prefix is the code's exact integer coordinates), so every
-    term of the expanded bound, of the score and of the exact metric is at
-    most M' in magnitude.  Each of b_g, u and the exact metric errs by a few
+    b_g <= u + ``_ML_WINDOW`` * M' are kept, for M' = (||y|| + max||x||)^2
+    over the code's rows x (``Codebook._norms``).  levels_g is q x for every
+    row x of group g (a prefix is the code's exact integer coordinates),
+    and q has orthonormal rows, so ||levels_g|| <= max||x||: every term of
+    the expanded bound, of the score and of the exact metric is at most M'
+    in magnitude.  Each of b_g, u and the exact metric errs by a few
     dim ulps of M', far inside the window: the group holding the first exact
     minimizer is always kept.  The kept rows are gathered and scored once,
     as ``_score_block`` scores them, with its cut.
@@ -265,7 +266,7 @@ def _pruned_near(y, codebook: Codebook) -> np.ndarray:
         lattice.rows_product(to_real(points[lo:hi]), w) + norm2[lo:hi])
     # ||q y||^2 moves to the right-hand side
     keep = (bound <= upper + (yy - 0.25 * float(qw @ qw)) + _ML_WINDOW
-            * (math.sqrt(yy) + index.reach) ** 2).nonzero()[0]
+            * (math.sqrt(yy) + math.sqrt(max_norm2)) ** 2).nonzero()[0]
     size = index.sizes[keep]
     ends = size.cumsum()
     if 2 * ends[-1] > len(points):  # scoring every row costs less

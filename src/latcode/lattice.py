@@ -26,10 +26,11 @@ its points' coordinates in ``_reduced.rows``: integers in the narrowest
 dtype that an a-priori bound allows, int8 on every carving ball.  Both
 paths have the walk's float arithmetic, so the points, the node count and
 the cap are the walk's, and both raise ``EnumerationPrecisionError`` where
-floats hold no integers.  ``points_in_ball`` sorts those coordinates and
-returns them with their vectors; ``codebook.count_points`` counts them
-unsorted.  A ball's slack for roundoff (``ball_bound``) is relative to its
-squared radius; a negative or NaN radius is rejected.  A faded basis
+floats hold no integers.  ``points_in_ball`` sorts those coordinates
+(``np.lexsort``) and returns them with their vectors;
+``codebook.count_points`` counts them unsorted.  A ball's slack for
+roundoff (``ball_bound``) is relative to its squared radius; a negative
+or NaN radius is rejected.  A faded basis
 (``LatticeBasis.faded``) carries a hint, its parent's reduction with the
 rows faded, and its closest point is searched on the hint within the small
 budget ``_FADED_NODES``; it reduces its own rows only when that walk trips.
@@ -73,10 +74,6 @@ _FADED_NODES = 256
 #: 0.16 ms at rank 4 and 0.17-0.31 ms at rank 8 (plus 0.1 us per node), so
 #: the two cross near 120 nodes at rank 4 and 150-230 at rank 8.
 _BALL_DFS_NODES = 128
-#: Rows past which ``_lex_order`` sorts by a mixed-radix key (best of 7,
-#: 2 CPUs: 7.0-7.6 us on 32-60 rows against lexsort's 1.6-3.9 us at ranks
-#: 2-4; 8.0-8.7 us on 128 rows against 4.1, 7.5 and 13.7 us at 2, 4, 8).
-_LEX_KEY_ROWS = 128
 #: Cap on the candidates that one level-wise step evaluates (one node may
 #: exceed it alone), which bounds the memory of the frontier.
 _LEVEL_BLOCK = 1 << 14
@@ -89,11 +86,9 @@ _ZIGZAG_SPARE = 2
 #: Rows of the left factor that ``rows_product`` multiplies at once.  The
 #: threaded OpenBLAS stalls on thin products on a shared 2-CPU machine: a
 #: 65,707 x 8 by 8 x 8 product took 31.7 ms whole and 1.9-2.9 ms in blocks
-#: of 8,192 or 4,096 rows, and ``_lex_order``'s 65,707 x 8 key product a
-#: median of 0.3-6.3 ms whole against 0.4-0.5 ms in blocks (in-process,
-#: 2 CPUs, with Python work between calls).  Its callers: one trial's ML
-#: scores (``decoder._over_rows``), ``points_in_ball``'s vectors and
-#: ``_lex_order``'s key.
+#: of 8,192 or 4,096 rows (in-process, 2 CPUs).  Its callers: one trial's
+#: ML scores (``decoder._over_rows``, ``decoder._pruned_near``) and
+#: ``points_in_ball``'s vectors.
 _PRODUCT_ROWS = 4096
 
 _TIE_EPS = 1e-12  # relative tie window of ``_nearest``
@@ -397,7 +392,8 @@ def _qr(B: np.ndarray):
 def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-D ``a`` and a 1-D or 2-D ``b``, multiplied
     ``_PRODUCT_ROWS`` rows of ``a`` at a time into one output, each block
-    of an integer ``a`` converted to ``b``'s float type first.  Each output
+    of an integer ``a`` converted to ``b``'s float type first: a ball's
+    vectors (``points_in_ball``) and one ML trial's scores.  Each output
     row is the product of its own row of ``a``; on the codes that the tests
     pin, the blocks change no bit of the result."""
     dtype = np.result_type(a, b)
@@ -687,21 +683,6 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float, dtype):
     return np.frombuffer(leaves, dtype).reshape(-1, rank)
 
 
-def _lex_order(ured: np.ndarray) -> np.ndarray:
-    """``np.lexsort(ured.T[::-1])`` of distinct integer (or integer-valued)
-    rows.  Past ``_LEX_KEY_ROWS`` rows it is one argsort of the unshifted
-    mixed-radix key ``rows_product(ured, base ** (k-1, ..., 0))`` where
-    |key| <= max|u| (base^k - 1) / (base - 1) < 2^53: every partial sum is
-    an exact integer, so neither blocks nor a narrow dtype change it."""
-    if len(ured) > _LEX_KEY_ROWS:
-        lo, hi = int(ured.min()), int(ured.max())
-        base, k = hi - lo + 1, ured.shape[1]
-        if max(-lo, hi) * (base ** k - 1) < 2 ** 53 * (base - 1):
-            return np.argsort(rows_product(
-                ured, float(base) ** np.arange(k - 1.0, -1.0, -1.0)))
-    return np.lexsort(ured.T[::-1])
-
-
 def _ball(basis: LatticeBasis, center, radius: float) -> np.ndarray:
     """The coordinates in ``basis._reduced.rows`` of the lattice points in
     the closed ball B(center, radius), an integer (count, rank) array in no
@@ -727,8 +708,9 @@ def _ball(basis: LatticeBasis, center, radius: float) -> np.ndarray:
 
 def _ball_points(basis: LatticeBasis, ured: np.ndarray):
     """``points_in_ball``'s (coords, vectors) from ``_ball``'s ``ured``,
-    sorted in place: a caller that holds ``ured`` keeps no unsorted copy."""
-    ured[:] = ured.take(_lex_order(ured), axis=0)
+    sorted lexicographically (``np.lexsort``, on the integers themselves)
+    in place: a caller that holds ``ured`` keeps no unsorted copy."""
+    ured[:] = ured.take(np.lexsort(ured.T[::-1]), axis=0)
     vec_real = rows_product(ured, basis._reduced.rows)
     return ured, np.atleast_2d(basis.to_ambient(vec_real))
 

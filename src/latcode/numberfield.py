@@ -317,7 +317,7 @@ def catalog_field(name: str, path=None) -> FieldSpec:
     for f in load_catalog(path):
         if f.name == name:
             return f
-    raise KeyError(f"field {name!r} not in catalog")
+    raise ValueError(f"field {name!r} not in catalog")
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE)

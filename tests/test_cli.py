@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+from concurrent.futures import Future
 from importlib import resources
 
 import pytest
@@ -188,6 +189,42 @@ class TestSimulateCommand:
     def test_missing_snr_fails(self, capsys):
         assert cli.main(["simulate", "--field", "F4-725",
                          "--model", "awgn_real"]) == 1
+
+    def test_pool_is_at_most_the_cpu_count_wide(self, monkeypatch):
+        """More workers than CPUs split the trials into as many chunks, run
+        on a pool of ``os.cpu_count()`` processes: the counts are those of
+        one worker.  The pool is a fake that runs each chunk inline."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.chunks = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.chunks.append(args[3:5])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        f = nf.catalog_field("Qsqrt2")
+        want = cli.simulate_point(f, "awgn_real", 1.0, 10.0, 40, 3)[1:]
+        for cpus, width in ((3, 3), (None, 1), (64, 8)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            pools.clear()
+            got = cli.simulate_point(f, "awgn_real", 1.0, 10.0, 40, 3,
+                                     workers=8)[1:]
+            assert got == want
+            assert [p.max_workers for p in pools] == [width]
+            assert len(pools[0].chunks) == 8
+            assert pools[0].chunks[0][0] == 0 and pools[0].chunks[-1][1] == 40
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_fail(self, tmp_path, capsys, workers):
@@ -491,3 +528,32 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("latcode: error: ")
         assert "missing" in err
+
+
+class TestMessagesNameTheInput:
+    """A bad value on the command line or in a config file is named as the
+    user typed it, with the key it came from."""
+
+    def test_unknown_field(self, capsys):
+        assert cli.main(["invariants", "--field", "Nope"]) == 1
+        assert capsys.readouterr().err == \
+            "latcode: error: field 'Nope' not in catalog\n"
+
+    def test_snr_that_is_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--snr", "1,abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "latcode: error: argument --snr: '1,abc' is not a "
+            "comma-separated list of numbers\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "abc"), ("snr", "1,abc"), ("rate", "fast")])
+    def test_config_value_its_converter_rejects(self, tmp_path, capsys, key,
+                                                value):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert cli.main(["simulate", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"latcode: error: config key {key}: ")
+        assert repr(value) in err

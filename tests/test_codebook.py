@@ -320,8 +320,9 @@ class TestCarveOnce:
 
 
 def reference_prefixes(code):
-    """``Codebook._prefixes`` before codes kept their coordinates, verbatim:
-    it recovered the prefix coordinates from ``points`` in floats."""
+    """``Codebook._prefixes`` before codes kept their coordinates, verbatim
+    but for the magnitude bound it also returned: it recovered the prefix
+    coordinates from ``points`` in floats."""
     _PREFIX_TOL = 1e-12
     red = code.basis._reduced
     k = len(red.rows)
@@ -363,11 +364,8 @@ def reference_prefixes(code):
     q = rev.Q[:, k - L:].T
     levels = block[:, ::-1] @ keys[:, starts[:-1]]
     levels += (q @ shift)[:, None]
-    # |R'_ij| <= ||rows_j||, so sum_j |u_j| ||rows_j|| <= cond * span
-    cond = float(np.linalg.norm(red.rows, axis=1) @ dual)
     return cb.PrefixIndex(starts=starts, sizes=np.diff(starts),
-                          levels=levels, q=q,
-                          reach=float(np.linalg.norm(shift)) + cond * span)
+                          levels=levels, q=q)
 
 
 class TestCoords:
@@ -401,9 +399,33 @@ class TestCoords:
         got, ref = code._prefixes, reference_prefixes(code)
         for attr in ("starts", "sizes", "levels", "q"):
             assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
-        # the exact reach is no looser, and still bounds every codeword
-        assert got.reach <= ref.reach
-        assert got.reach >= math.sqrt(code._norms[1])
+
+    @pytest.mark.parametrize("name, rate", [
+        ("F8-17", 1.5), ("F8-17", 2.0), ("F4-725", 2.0), ("F4-725", 4.0),
+        ("Qzeta5", 2.0)])
+    def test_levels_within_the_largest_codeword(self, name, rate):
+        """Each group's levels are q x for its rows x, and q has orthonormal
+        rows: no group's ||levels_g|| passes max ||x||, the bound that
+        ``decoder._pruned_near`` scales its window by."""
+        code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                seed=5))
+        index = code._prefixes
+        assert np.allclose(index.q @ index.q.T, np.eye(len(index.q)))
+        assert np.sqrt(index.norms.max()) <= math.sqrt(code._norms[1])
+
+    def test_coords_are_the_accepted_ball(self, monkeypatch):
+        """``coords`` is the array ``lattice._ball`` returned for the
+        accepted shift try, sorted in place: no second copy is made."""
+        balls, ball = [], lattice._ball
+        monkeypatch.setattr(lattice, "_ball",
+                            lambda *args: balls.append(ball(*args))
+                            or balls[-1])
+        for name, rate in self.CODES:
+            del balls[:]
+            code = carve(CodeConfig(rate=rate, power=10.0, field=field(name),
+                                    seed=5))
+            assert np.shares_memory(code.coords, balls[-1])
+            assert code.coords.dtype == balls[-1].dtype == np.int8
 
     def test_no_coords_no_index(self):
         code = carve(CodeConfig(rate=1.0, power=10.0, field=field("F4-725"),

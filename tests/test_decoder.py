@@ -367,8 +367,8 @@ class TestMlPruned:
                                               seed):
         """Each group's bound, expanded as ``_pruned_near`` takes it from
         one product, is at most the least exact metric of the group's rows,
-        plus the window on M' = (||y|| + reach)^2; the pass that reads it
-        decides as a full scan."""
+        plus the window on M' = (||y|| + max||x||)^2 over the code's rows x;
+        the pass that reads it decides as a full scan."""
         rng = np.random.default_rng(seed)
         code = catalog_code(*key)
         radius = np.sqrt(code.n * code.power)
@@ -390,7 +390,7 @@ class TestMlPruned:
         bound = qw @ index.levels + index.norms + 0.25 * float(qw @ qw)
         metrics = np.sum(np.abs(y - code.points) ** 2, axis=1)
         least = np.minimum.reduceat(metrics, index.starts[:-1])
-        m_prime = (np.linalg.norm(y) + index.reach) ** 2
+        m_prime = (np.linalg.norm(y) + np.sqrt(code._norms[1])) ** 2
         assert np.all(bound <= least + decoder._ML_WINDOW * m_prime)
 
     @pytest.mark.parametrize("seed", [1, 5])

@@ -566,57 +566,6 @@ class TestLevelwiseBalls:
                     assert (got.alpha, got.achieved_rate) == (
                         want.alpha, want.achieved_rate)
 
-    def test_lex_order_matches_lexsort(self):
-        rng = np.random.default_rng(3)
-        # keys exact in floats (98^8 < 2^53, near the limit), and a span
-        # whose key would not be
-        for lo, hi, width in ((-3, 4, 5), (-49, 49, 8), (-10 ** 5, 10 ** 5, 5)):
-            rows = np.unique(rng.integers(lo, hi, (2000, width)), axis=0)
-            rows = rows[rng.permutation(len(rows))].astype(float)
-            assert np.array_equal(lattice._lex_order(rows),
-                                  np.lexsort(rows.T[::-1]))
-
-    def test_lex_order_keeps_its_threshold_under_path_patches(
-            self, monkeypatch):
-        """``WALKED`` and ``LEVELLED`` switch the ball path alone: the sort
-        key is taken past ``_LEX_KEY_ROWS`` rows, as without them."""
-        keyed, product = [], lattice.rows_product
-        monkeypatch.setattr(lattice, "rows_product",
-                            lambda a, b: keyed.append(len(a)) or product(a, b))
-        rng = np.random.default_rng(5)
-        for patch in (WALKED, LEVELLED, {}):
-            with pytest.MonkeyPatch.context() as mp:
-                for name, value in patch.items():
-                    mp.setattr(lattice, name, value)
-                for count in (lattice._LEX_KEY_ROWS, lattice._LEX_KEY_ROWS + 1):
-                    rows = np.unique(rng.integers(-9, 9, (4 * count, 4)),
-                                     axis=0)[:count]
-                    rows = rows[rng.permutation(count)].astype(float)
-                    keyed.clear()
-                    assert np.array_equal(lattice._lex_order(rows),
-                                          np.lexsort(rows.T[::-1]))
-                    assert keyed == ([count] if count > lattice._LEX_KEY_ROWS
-                                     else [])
-
-    def test_lex_order_past_product_rows(self):
-        """Past ``_PRODUCT_ROWS`` rows the mixed-radix key is multiplied in
-        blocks (``rows_product``): the order is still lexsort's, on the
-        rate-2 F8-17 carving ball and on rows whose key nears 2^53."""
-        f = nf.catalog_field("F8-17")
-        basis = nf.embedding_matrix(f).scaled(
-            math.sqrt(energy_normalization(f, 2.0, 10.0)))
-        shift = shift_search(basis, 10.0, 0)[0]
-        ured = lattice._ball(basis, -shift, math.sqrt(80.0))
-        assert len(ured) > 2 ** 16
-        rng = np.random.default_rng(4)
-        # 98^8 < 2^53: the widest span whose key is exact at width 8
-        wide = np.unique(rng.integers(-49, 49, (6000, 8)), axis=0)
-        wide = wide[rng.permutation(len(wide))[:lattice._PRODUCT_ROWS + 1]]
-        assert wide.max() - wide.min() + 1 == 98
-        for rows in (ured, wide.astype(float)):
-            assert np.array_equal(lattice._lex_order(rows),
-                                  np.lexsort(rows.T[::-1]))
-
 
 def expected_nodes(red, r2):
     """The walk's expected node count, sum over k of Vol(B_k(r)) over the

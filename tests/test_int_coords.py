@@ -1,7 +1,7 @@
 """Ball coordinates are integers of one small dtype on both search paths:
 the same points as the walk collected into float64, a dtype that holds the
-stated a-priori bound, and a sort and a product that read the integers
-exactly as they read floats."""
+stated a-priori bound, and a product that reads the integers exactly as
+it reads floats."""
 
 import array
 import math
@@ -121,31 +121,6 @@ class TestIntegerBalls:
 
 
 class TestIntegerReaders:
-    @pytest.mark.parametrize("dtype, width", [
-        (np.int8, 4), (np.int8, 6), (np.int8, 8), (np.int16, 3)])
-    def test_lex_order_over_a_whole_dtype_range(self, dtype, width,
-                                                monkeypatch):
-        """Rows that reach both ends of the dtype (int8: -128 and 127) sort
-        as ``np.lexsort`` sorts their float64 copy, past ``_PRODUCT_ROWS``
-        rows; the unshifted key is taken where it is exact (widths 4 and 6
-        of int8, 3 of int16) and lexsort elsewhere."""
-        info = np.iinfo(dtype)
-        rng = np.random.default_rng(width)
-        rows = np.unique(rng.integers(info.min, info.max, (
-            2 * lattice._PRODUCT_ROWS, width), endpoint=True), axis=0)
-        rows[0, 0], rows[-1, -1] = info.min, info.max
-        rows = np.unique(rows, axis=0).astype(dtype)
-        rows = rows[rng.permutation(len(rows))]
-        assert len(rows) > lattice._PRODUCT_ROWS
-        keyed, product = [], lattice.rows_product
-        monkeypatch.setattr(lattice, "rows_product",
-                            lambda a, b: keyed.append(1) or product(a, b))
-        want = np.lexsort(rows.astype(np.float64).T[::-1])
-        assert np.array_equal(lattice._lex_order(rows), want)
-        span = int(info.max) - int(info.min) + 1
-        exact = -int(info.min) * (span ** width - 1) < 2 ** 53 * (span - 1)
-        assert bool(keyed) == exact == (width < 8)
-
     def test_rows_product_reads_integers_as_floats(self):
         """An integer left factor gives the float64 product bit for bit, in
         one block and in several."""

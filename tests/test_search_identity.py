@@ -184,7 +184,7 @@ def reference_points_in_ball(basis, center, radius):
         vecs = np.zeros((0, basis.n), dtype=basis.vectors.dtype)
         return coords, vecs
     Bred, U = red["rows"], red["U"]
-    ured = np.take(ured, lattice._lex_order(ured), axis=0)
+    ured = np.take(ured, np.lexsort(ured.T[::-1]), axis=0)
     vec_real = ured @ Bred
     coords = ured.view(np.int64)
     for lo in range(0, len(ured), lattice._LEVEL_BLOCK):

@@ -103,22 +103,21 @@ def rayleigh_capacity_lower(power: float, model: str) -> float:
 
 def bound_table() -> list[RateBound]:
     """Asymptotic gap constants and ideal-lattice ceiling constants."""
-    pe = math.pi * math.e
     rows = [
         RateBound("martinet_gap_complex_gaussian",
-                  math.log2(2 * MARTINET_G_COMPLEX / pe),
+                  gap_constant(MARTINET_G_COMPLEX, AWGN_COMPLEX),
                   {"G": MARTINET_G_COMPLEX}, AWGN_COMPLEX),
         RateBound("martinet_gap_real_gaussian",
-                  0.5 * math.log2(2 * MARTINET_G1_REAL / pe),
+                  gap_constant(MARTINET_G1_REAL, AWGN_REAL),
                   {"G1": MARTINET_G1_REAL}, AWGN_REAL),
         RateBound("hajir_maire_gap_complex_gaussian",
-                  math.log2(2 * HAJIR_MAIRE_G_COMPLEX / pe),
+                  gap_constant(HAJIR_MAIRE_G_COMPLEX, AWGN_COMPLEX),
                   {"G": HAJIR_MAIRE_G_COMPLEX}, AWGN_COMPLEX),
         RateBound("hajir_maire_gap_real_gaussian",
-                  0.5 * math.log2(2 * HAJIR_MAIRE_G1_REAL / pe),
+                  gap_constant(HAJIR_MAIRE_G1_REAL, AWGN_REAL),
                   {"G1": HAJIR_MAIRE_G1_REAL}, AWGN_REAL),
         RateBound("odlyzko_limit_gap_real_fading",
-                  0.5 * math.log2(2 * ODLYZKO_ROOT_DISC_LIMIT / pe),
+                  gap_constant(ODLYZKO_ROOT_DISC_LIMIT, RAYLEIGH_REAL),
                   {"root_disc": ODLYZKO_ROOT_DISC_LIMIT}, RAYLEIGH_REAL),
         # Minkowski Ndp <= n!/n^n; the Stirling limit of the gap term
         RateBound("minkowski_limit_gap_real_fading",

@@ -289,7 +289,8 @@ class LatticeBasis:
     @functools.cached_property
     def _slogdet(self):
         """``slogdet(real_matrix)``: the sign and the log covolume that
-        ``codebook.shift_search`` reads.  Cached, as ``_reduced`` is."""
+        ``codebook.shift_search`` and ``numberfield.ideal_lattice`` read.
+        Cached, as ``_reduced`` is."""
         return np.linalg.slogdet(self.real_matrix)
 
     @functools.cached_property

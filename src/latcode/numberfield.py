@@ -10,18 +10,24 @@ plus Newton polishing).
 A field's lattices depend only on the field, so each is built once per
 process: ``field_roots``, ``embedding_matrix`` and ``ideal_lattice`` keep
 their results in LRUs of ``_FIELD_CACHE`` entries, keyed by the frozen
-specs, which compare by value and hash once per object.  Every array a
-cached result exposes is read-only: the roots, a basis's ``vectors`` and
-the arrays of its ``_reduced`` (built on first use and kept with the
-basis), so a caller that writes to one gets ``ValueError``.  Nothing is
-built at import; ``load_catalog``'s validation fills the roots of the
-catalog's fields, and each embedding is built on first use.
+specs.  A spec compares by value on every field and hashes every field
+but its Fraction bases (``integral_basis``, ``z_basis``), so two parses
+of one catalog share each entry.  Every array a cached result exposes is
+read-only: the roots, a basis's ``vectors`` and the arrays of its
+``_reduced`` (built on first use and kept with the basis), so a caller
+that writes to one gets ``ValueError``.  Nothing is built at import;
+``load_catalog``'s validation fills the roots of the catalog's fields,
+and each embedding is built on first use.
+
+``parse_catalog`` first reads every line, grouping each ``[field]``
+section with the ``[ideal]`` sections under it, so a line that does not
+parse is reported before any value.  It then builds each group, its
+ideals first, and validates the field before building the next.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -43,33 +49,13 @@ class CatalogError(ValueError):
     """Catalog parse or validation failure."""
 
 
-def _spec_hash(spec) -> int:
-    """The hash of a frozen spec's fields, computed once per object: a spec
-    holds tuples of Fractions, and hashing F8-17's 64 walks them all."""
-    h = spec.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(getattr(spec, f.name)
-                       for f in dataclasses.fields(spec)))
-        spec.__dict__["_hash"] = h
-    return h
-
-
-def _spec_state(spec) -> dict:
-    """Pickled state of a spec: its fields alone.  A string's hash differs
-    between processes, so a memoized hash must not travel."""
-    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
-
-
 @dataclass(frozen=True)
 class IdealSpec:
     label: str
-    z_basis: tuple[tuple[Fraction, ...], ...]
+    z_basis: tuple[tuple[Fraction, ...], ...] = field(hash=False)
     norm: int
     class_label: str
     principal: bool
-
-    __hash__ = _spec_hash
-    __getstate__ = _spec_state
 
 
 @dataclass(frozen=True)
@@ -78,12 +64,9 @@ class FieldSpec:
     degree: int
     signature: tuple[int, int]
     min_poly: tuple[int, ...]          # ascending, constant term first, monic
-    integral_basis: tuple[tuple[Fraction, ...], ...]
+    integral_basis: tuple[tuple[Fraction, ...], ...] = field(hash=False)
     disc_catalog: int
     ideals: tuple[IdealSpec, ...] = field(default=())
-
-    __hash__ = _spec_hash
-    __getstate__ = _spec_state
 
     @property
     def totally_real(self) -> bool:
@@ -95,24 +78,14 @@ class FieldSpec:
         return self.degree if self.totally_real else self.degree // 2
 
     def unit_ideal(self) -> IdealSpec:
-        """The ring of integers as an ideal; the same object on every call."""
-        unit = self.__dict__.get("_unit_ideal")
-        if unit is None:
-            unit = IdealSpec(label="unit", z_basis=self.integral_basis,
-                             norm=1, class_label="principal", principal=True)
-            self.__dict__["_unit_ideal"] = unit
-        return unit
-
-
-def _frac(tok: str) -> Fraction:
-    return Fraction(tok.strip())
+        """The ring of integers as an ideal."""
+        return IdealSpec(label="unit", z_basis=self.integral_basis, norm=1,
+                         class_label="principal", principal=True)
 
 
 def _parse_vectors(text: str) -> tuple[tuple[Fraction, ...], ...]:
-    vecs = []
-    for chunk in text.split(";"):
-        vecs.append(tuple(_frac(t) for t in chunk.split(",")))
-    return tuple(vecs)
+    return tuple(tuple(Fraction(t) for t in chunk.split(","))
+                 for chunk in text.split(";"))
 
 
 def _frac_solve(mat, rows=()):
@@ -231,66 +204,52 @@ def _section(kind: str, sect: dict):
 
 
 def parse_catalog(text: str) -> list[FieldSpec]:
-    fields: list[FieldSpec] = []
-    cur: dict | None = None
-    cur_ideal: dict | None = None
-    pending_ideals: list[IdealSpec] = []
-
-    def finish_ideal():
-        nonlocal cur_ideal
-        if cur_ideal is None:
-            return
-        with _section("ideal", cur_ideal):
-            pending_ideals.append(IdealSpec(
-                label=cur_ideal["name"],
-                z_basis=_parse_vectors(cur_ideal["basis"]),
-                norm=int(cur_ideal["norm"]),
-                class_label=cur_ideal["class"],
-                principal=cur_ideal["principal"].lower() in ("1", "true", "yes"),
-            ))
-        cur_ideal = None
-
-    def finish_field():
-        nonlocal cur
-        finish_ideal()
-        if cur is None:
-            return
-        with _section("field", cur):
-            spec = FieldSpec(
-                name=cur["name"],
-                degree=int(cur["degree"]),
-                signature=(int(cur["r1"]), int(cur["r2"])),
-                min_poly=tuple(int(t) for t in cur["minpoly"].split(",")),
-                integral_basis=_parse_vectors(cur["basis"]),
-                disc_catalog=int(cur["disc"]),
-                ideals=tuple(pending_ideals),
-            )
-        _validate_field(spec)
-        fields.append(spec)
-        pending_ideals.clear()
-        cur = None
-
+    groups: list[tuple[dict, list[dict]]] = []  # (field, [its ideals])
+    sect: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[field]":
-            finish_field()
-            cur = {"_line": lineno}
+            sect = {"_line": lineno}
+            groups.append((sect, []))
         elif line == "[ideal]":
-            if cur is None:
+            if not groups:
                 raise CatalogError(f"line {lineno}: [ideal] before any [field]")
-            finish_ideal()
-            cur_ideal = {"_line": lineno}
+            sect = {"_line": lineno}
+            groups[-1][1].append(sect)
         elif "=" in line:
-            key, _, value = line.partition("=")
-            target = cur_ideal if cur_ideal is not None else cur
-            if target is None:
+            if sect is None:
                 raise CatalogError(f"line {lineno}: key outside a section")
-            target[key.strip()] = value.strip()
+            key, _, value = line.partition("=")
+            sect[key.strip()] = value.strip()
         else:
             raise CatalogError(f"line {lineno}: cannot parse {raw!r}")
-    finish_field()
+    fields = []
+    for fsect, isects in groups:
+        ideals = []
+        for isect in isects:
+            with _section("ideal", isect):
+                ideals.append(IdealSpec(
+                    label=isect["name"],
+                    z_basis=_parse_vectors(isect["basis"]),
+                    norm=int(isect["norm"]),
+                    class_label=isect["class"],
+                    principal=isect["principal"].lower()
+                    in ("1", "true", "yes"),
+                ))
+        with _section("field", fsect):
+            spec = FieldSpec(
+                name=fsect["name"],
+                degree=int(fsect["degree"]),
+                signature=(int(fsect["r1"]), int(fsect["r2"])),
+                min_poly=tuple(int(t) for t in fsect["minpoly"].split(",")),
+                integral_basis=_parse_vectors(fsect["basis"]),
+                disc_catalog=int(fsect["disc"]),
+                ideals=tuple(ideals),
+            )
+        _validate_field(spec)
+        fields.append(spec)
     return fields
 
 
@@ -400,14 +359,13 @@ def ideal_lattice(f: FieldSpec, ideal: IdealSpec) -> LatticeBasis:
     ``embedding_matrix(f)`` with its one reduction."""
     basis = (embedding_matrix(f) if ideal.z_basis == f.integral_basis
              else _embedded_lattice(f, ideal.z_basis))
-    real = basis.real_matrix
-    log_vol = np.linalg.slogdet(real)[1]
+    log_vol = basis._slogdet[1]
     expected = (math.log(ideal.norm) + 0.5 * math.log(abs(f.disc_catalog))
                 - f.signature[1] * math.log(2.0))
     # the float log determinant errs by about degree * eps * cond; a wrong
     # Z-basis changes the covolume by an integer factor, at least ln 2
     if abs(log_vol - expected) > (f.degree * np.finfo(float).eps
-                                  * np.linalg.cond(real)):
+                                  * np.linalg.cond(basis.real_matrix)):
         raise CatalogError(f"{f.name}/{ideal.label}: ideal log covolume "
                            f"{log_vol} != expected {expected}")
     return basis

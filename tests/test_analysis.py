@@ -168,6 +168,17 @@ class TestBoundTable:
         assert self.rows["hajir_maire_gap_real_gaussian"].rate < \
             self.rows["martinet_gap_real_gaussian"].rate
 
+    @pytest.mark.parametrize("label, constant", [
+        ("martinet_gap_complex_gaussian", an.MARTINET_G_COMPLEX),
+        ("martinet_gap_real_gaussian", an.MARTINET_G1_REAL),
+        ("hajir_maire_gap_complex_gaussian", an.HAJIR_MAIRE_G_COMPLEX),
+        ("hajir_maire_gap_real_gaussian", an.HAJIR_MAIRE_G1_REAL),
+        ("odlyzko_limit_gap_real_fading", an.ODLYZKO_ROOT_DISC_LIMIT),
+    ])
+    def test_root_discriminant_rows_are_gap_constant(self, label, constant):
+        row = self.rows[label]
+        assert row.rate == an.gap_constant(constant, row.channel)
+
     def test_constants_present(self):
         assert self.rows["zimmert_nmin_constant_real"].rate == 50.7
         assert self.rows["zimmert_nmin_constant_complex"].rate == 19.9

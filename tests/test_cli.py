@@ -260,6 +260,7 @@ class TestSeedRange:
         assert read_csv(out)[1][0]["trials"] == "20"
 
 
+@pytest.mark.pinned
 class TestPinnedOutput:
     """Seeded simulate CSVs, less the ``# config:`` line, pinned by digest.
 
@@ -298,6 +299,7 @@ class TestPinnedOutput:
             self.DIGESTS[field, model, seed]
 
 
+@pytest.mark.pinned
 class TestPinnedBlocks:
     """Seeded Rayleigh simulate CSVs, less the ``# config:`` line, for trial
     counts that are no multiple of the simulation's block of 64 trials, and

@@ -296,6 +296,7 @@ class TestCarveOnce:
     CASES = [(f.name, rate) for f in nf.load_catalog()
              for rate in (0.5, 1.0, 1.5)] + [("F8-17", 2.0)]
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("name, rate", CASES)
     def test_equals_the_two_enumeration_path(self, name, rate, monkeypatch):
         balls, tries = [], []
@@ -438,6 +439,7 @@ class TestCoords:
         assert bare.coords is None and bare._prefixes is None
 
 
+@pytest.mark.pinned
 class TestPinnedPoints:
     """Carved codes, pinned by digest.  ``points_in_ball`` multiplies the
     coordinates of the two 65k-row codes by the LLL rows in row blocks

@@ -393,6 +393,7 @@ class TestMlPruned:
         m_prime = (np.linalg.norm(y) + np.sqrt(code._norms[1])) ** 2
         assert np.all(bound <= least + decoder._ML_WINDOW * m_prime)
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("seed", [1, 5])
     def test_rate_2_decisions_equal_full_scan(self, seed, monkeypatch):
         """Unpatched, the rate-2 F8-17 code is pruned by its size.  Seeded

@@ -156,6 +156,7 @@ BLOCK_CODES = [("Qzeta5", 1.0, (ch.AWGN_COMPLEX, ch.RAYLEIGH_COMPLEX)),
                ("F8-17", 1.5, (ch.AWGN_REAL, ch.RAYLEIGH_REAL))]
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name,rate,models", BLOCK_CODES)
 @pytest.mark.parametrize("snr_db", [3.0, 12.0])
 def test_block_decisions_match(name, rate, models, snr_db):

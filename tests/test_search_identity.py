@@ -255,6 +255,7 @@ class TestMatchesOldSearches:
         # a ball with no point in it
         assert assert_same_ball(basis, center, 1e-3 * sv) == 0
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("rate", [1.0, 1.5, 2.0])
     def test_f8_17_carving_balls(self, rate):
         basis = code_lattice("F8-17", rate)

@@ -26,8 +26,13 @@ its points' coordinates in ``_reduced.rows``: integers in the narrowest
 dtype that an a-priori bound allows, int8 on every carving ball.  Both
 paths have the walk's float arithmetic, so the points, the node count and
 the cap are the walk's, and both raise ``EnumerationPrecisionError`` where
-floats hold no integers.  ``points_in_ball`` sorts those coordinates
-(``np.lexsort``) and returns them with their vectors;
+floats hold no integers.  The level-wise search writes its last level in
+closed form, each node's leaves as the integers of one interval
+(``_last_level``), and steps in zig-zag order only above it and at a node
+whose interval ends within ``_INTERVAL_MARGIN``'s margin of an integer.
+``points_in_ball`` sorts those coordinates lexicographically
+(``_sort_rows``: an int8 row of 1, 2, 4 or 8 bytes as one packed key, any
+other by ``np.lexsort``) and returns them with their vectors;
 ``codebook.count_points`` counts them unsorted.  A ball's slack for
 roundoff (``ball_bound``) is relative to its squared radius; a negative
 or NaN radius is rejected.  A faded basis
@@ -83,6 +88,16 @@ _LEVEL_BLOCK = 1 << 14
 #: node's last try is still within the bound (rounding) is tried again with
 #: twice as many.
 _ZIGZAG_SPARE = 2
+#: The margin eta of a level-0 node's interval of integers [c - h, c + h]
+#: (``_last_level``), in units of that level's row: a node with an end
+#: within eta = _INTERVAL_MARGIN * (1 + C + 2 H) * H / h of an integer,
+#: C the block's largest |c| and H = sqrt(W) the largest h (W the squared
+#: bound in those units), takes the zig-zag step instead.  Since eta * h is
+#: at least _INTERVAL_MARGIN * (W + h (1 + |c| + h)), outside it every
+#: integer's float test d2 <= bound (rounded at the scale of c, h and, in
+#: d2 = acc + diff^2, of W, which moves |k - c| by about W / h ulps near an
+#: end) is decided as in exact arithmetic, a millionfold over.
+_INTERVAL_MARGIN = 1e-9
 #: Rows of the left factor that ``rows_product`` multiplies at once.  The
 #: threaded OpenBLAS stalls on thin products on a shared 2-CPU machine: a
 #: 65,707 x 8 by 8 x 8 product took 31.7 ms whole and 1.9-2.9 ms in blocks
@@ -599,6 +614,50 @@ def _zigzag(tries: int) -> np.ndarray:
     return offsets
 
 
+def _last_level(yl, acc, u, rll, bound):
+    """Level 0 of a level-wise block in closed form: the coordinates of the
+    leaves of the nodes with projected coordinates ``yl``, partial squared
+    distances ``acc`` and coordinates ``u`` set above, in no set order, and
+    the indices of the nodes left out, which take the zig-zag step.
+
+    A node's leaves are the integers of [c - h, c + h], c = yl / rll and
+    h = sqrt(bound - acc) / |rll|: the walk's zig-zag keeps exactly those.
+    They are counted and written with ``np.repeat``, with no tries built.
+    A node with an end within ``_INTERVAL_MARGIN``'s eta of an integer,
+    where rounding may decide otherwise, is left out."""
+    ci = yl / rll
+    half = np.sqrt(bound - acc)
+    half /= abs(rll)
+    lo = ci - half
+    hi = ci + half
+    gap = np.rint(lo)  # each node's nearer end's distance to an integer
+    gap -= lo
+    np.abs(gap, out=gap)
+    far = np.rint(hi)
+    far -= hi
+    np.abs(far, out=far)
+    np.minimum(gap, far, out=gap)
+    gap *= half  # against eta * h, one number for the block (h = 0 is in)
+    top = math.sqrt(bound) / abs(rll)  # H
+    odd = np.flatnonzero(gap <= _INTERVAL_MARGIN * top * (
+        1.0 + float(np.abs(ci).max()) + 2.0 * top))
+    np.ceil(lo, out=lo)
+    counts = np.floor(hi, out=hi)
+    counts -= lo
+    counts = counts.astype(np.intp)
+    counts += 1
+    counts[odd] = 0
+    starts = np.cumsum(counts)
+    total = int(starts[-1])
+    starts -= counts
+    lo -= starts  # each run of leaves counts up from its node's lo
+    cand = lo.repeat(counts)
+    cand += np.arange(total)
+    leaves = u.repeat(counts, axis=0)
+    leaves[:, 0] = cand  # integral floats within ``u``'s dtype's range
+    return leaves, odd
+
+
 def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float, dtype):
     """``_enumerate``'s walk over the points within the constant ``bound``,
     run level by level in numpy: their coordinates in ``red.rows``, an
@@ -609,7 +668,10 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float, dtype):
     y, partial squared distances (floats) and coordinates set above that
     level (integers).  Each node tries integers in the walk's zig-zag order
     with the walk's arithmetic and keeps them up to its first one past the
-    bound, so the tree, its points and its node count are the walk's.
+    bound, so the tree, its points and its node count are the walk's.  At
+    level 0 a node takes those integers in closed form instead, as one
+    interval (``_last_level``), unless an end of that interval lies within
+    ``_INTERVAL_MARGIN``'s margin of an integer.
     Blocks go on a stack, each step evaluating about ``_LEVEL_BLOCK``
     candidates at most, and more than ``MAX_ENUM_NODES`` nodes raise
     ``EnumerationCapError``, before a step whose widest node alone would pass
@@ -644,6 +706,16 @@ def _enumerate_levels(red: Reduction, center: np.ndarray, bound: float, dtype):
         if take < len(acc):  # the rest of the block waits on the stack
             stack.append((level, y[take:], acc[take:], u[take:]))
             y, acc, u = y[:take], acc[:take], u[:take]
+        if level == 0:
+            rows, odd = _last_level(y[:, 0], acc, u, rll, bound)
+            nodes += len(rows)
+            if nodes > budget:
+                raise EnumerationCapError(rank, bound, nodes, budget)
+            if len(rows):
+                leaves.frombytes(memoryview(rows).cast("B"))
+            if not len(odd):
+                continue
+            y, acc, u = y[odd], acc[odd], u[odd]  # to the zig-zag step
         yl = y[:, level]
         ci = yl / rll
         nearest = np.floor(ci + 0.5)
@@ -707,11 +779,27 @@ def _ball(basis: LatticeBasis, center, radius: float) -> np.ndarray:
     return np.frombuffer(flat, dtype).reshape(-1, basis.rank)
 
 
+def _sort_rows(ured: np.ndarray) -> None:
+    """Sort the distinct integer rows of ``ured`` lexicographically, in
+    place.  An int8 row of 1, 2, 4 or 8 bytes (every carving ball's) is
+    read as one big-endian unsigned key with each byte's sign bit flipped,
+    whose order is the rows' order; the keys are sorted in place and the
+    bits flipped back.  Any other row goes through ``np.lexsort``."""
+    width = ured.shape[1]
+    if ured.dtype == np.int8 and width in (1, 2, 4, 8):
+        octets = ured.view(np.uint8)
+        octets ^= 0x80
+        octets.view(f">u{width}").sort(axis=0)
+        octets ^= 0x80
+    else:
+        ured[:] = ured.take(np.lexsort(ured.T[::-1]), axis=0)
+
+
 def _ball_points(basis: LatticeBasis, ured: np.ndarray):
     """``points_in_ball``'s (coords, vectors) from ``_ball``'s ``ured``,
-    sorted lexicographically (``np.lexsort``, on the integers themselves)
+    sorted lexicographically on the integers themselves (``_sort_rows``)
     in place: a caller that holds ``ured`` keeps no unsorted copy."""
-    ured[:] = ured.take(np.lexsort(ured.T[::-1]), axis=0)
+    _sort_rows(ured)
     vec_real = rows_product(ured, basis._reduced.rows)
     return ured, np.atleast_2d(basis.to_ambient(vec_real))
 
@@ -719,10 +807,11 @@ def _ball_points(basis: LatticeBasis, ured: np.ndarray):
 def points_in_ball(basis: LatticeBasis, center, radius: float):
     """All lattice vectors v with ||v - center|| <= radius.
 
-    Returns (coords, vectors), sorted by coords: the points' coordinates in
-    ``basis._reduced.rows`` as an integer (count, rank) array of ``_ball``'s
-    dtype (``coords @ basis._reduced.U`` are those in the given basis), and
-    the ambient vectors.  A ball expected past ``_BALL_DFS_NODES`` walk
+    Returns (coords, vectors), sorted lexicographically by coords
+    (``_sort_rows``): the points' coordinates in ``basis._reduced.rows`` as
+    an integer (count, rank) array of ``_ball``'s dtype
+    (``coords @ basis._reduced.U`` are those in the given basis), and the
+    ambient vectors.  A ball expected past ``_BALL_DFS_NODES`` walk
     nodes goes level by level, and its memory peaks below three times its
     coordinates as floats.
     """

@@ -203,26 +203,49 @@ def _section(kind: str, sect: dict):
             f"line {sect['_line']}: {kind} has a bad value: {exc}") from None
 
 
+#: The keys that each kind of catalog section defines.
+_SECTION_KEYS = {
+    "field": {"name", "degree", "r1", "r2", "minpoly", "basis", "disc"},
+    "ideal": {"name", "basis", "norm", "class", "principal"},
+}
+
+
 def parse_catalog(text: str) -> list[FieldSpec]:
+    """Parse and validate catalog text.  A key that its section does not
+    define, a key repeated within a section and a second field of one name
+    raise ``CatalogError`` naming the offending line."""
     groups: list[tuple[dict, list[dict]]] = []  # (field, [its ideals])
     sect: dict | None = None
+    names: dict[str, int] = {}  # field name -> the line that named it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[field]":
-            sect = {"_line": lineno}
+            kind, sect = "field", {"_line": lineno}
             groups.append((sect, []))
         elif line == "[ideal]":
             if not groups:
                 raise CatalogError(f"line {lineno}: [ideal] before any [field]")
-            sect = {"_line": lineno}
+            kind, sect = "ideal", {"_line": lineno}
             groups[-1][1].append(sect)
         elif "=" in line:
             if sect is None:
                 raise CatalogError(f"line {lineno}: key outside a section")
-            key, _, value = line.partition("=")
-            sect[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _SECTION_KEYS[kind]:
+                raise CatalogError(f"line {lineno}: {kind} has no key {key!r}")
+            if key in sect:
+                raise CatalogError(
+                    f"line {lineno}: {kind} key {key!r} repeated in the "
+                    f"section at line {sect['_line']}")
+            if kind == "field" and key == "name":
+                if value in names:
+                    raise CatalogError(
+                        f"line {lineno}: field {value!r} already named at "
+                        f"line {names[value]}")
+                names[value] = lineno
+            sect[key] = value
         else:
             raise CatalogError(f"line {lineno}: cannot parse {raw!r}")
     fields = []

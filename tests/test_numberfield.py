@@ -127,6 +127,22 @@ disc = 12
         with pytest.raises(nf.CatalogError, match=error):
             nf.parse_catalog(text)
 
+    @pytest.mark.parametrize("text, error", [
+        (QI + QI, "line 10: field 'Qi' already named at line 2"),
+        (QI + "colour = blue\n", "line 9: field has no key 'colour'"),
+        (QI.replace("disc = -4", "disc = 7\ndisc = -4"),
+         "line 9: field key 'disc' repeated in the section at line 1"),
+        (QI + "[ideal]\nname = two\nbasis = 2,0;0,2\nnorm = 4\n"
+         "norm = 4\nclass = principal\nprincipal = true\n",
+         "line 13: ideal key 'norm' repeated in the section at line 9"),
+    ], ids=["second-field-of-one-name", "unknown-key", "repeated-key",
+            "repeated-ideal-key"])
+    def test_ambiguous_text_names_its_line(self, text, error):
+        """Text that the parser would otherwise read one way of several
+        (which Qi, which disc) or ignore in part is rejected."""
+        with pytest.raises(nf.CatalogError, match=f"^{error}$"):
+            nf.parse_catalog(text)
+
     def test_ideals_attach_to_their_own_field(self):
         text = (QI + "[ideal]\nname = one-plus-i\nbasis = 1,1;2,0\nnorm = 2\n"
                 "class = principal\nprincipal = true\n"
